@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .jacobi_forms import (JacobiForm, OffsetSeries, _theta_mantissa,
-                           transformation_check)
+                           theta_sum_terms, transformation_check)
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product,
                           infinite_product)
@@ -329,7 +329,7 @@ def trace_identity_check(lattice, n_q, tol=0.0):
         ins = fock_weighted_trace(lattice, n_q, insertion)
         resid = ins.normalized_distance(diff)
         rows.append(VerificationRow(
-            suite="characters",
+            suite="",
             identity=f"trace-insertion-{insertion}",
             paper_ref="supertrace-derivative-bookkeeping",
             element=f"rank-{lattice.rank}-lattice",
@@ -355,14 +355,8 @@ def jacobi_triple_product(n_q=DEFAULT_Q_ORDER):
                 * QYSeries({(0, 0): 1.0, (n - 1, -2): -1.0}, n_q))
     lhs = infinite_product(factor, n_q, min_degree=lambda n: n - 1)
     rhs = QYSeries.zero(n_q)
-    k = 0
-    while k * (k + 1) // 2 <= n_q:
-        for kk in (k, -k - 1):
-            n = kk * (kk + 1) // 2
-            if n <= n_q:
-                rhs._set(n, 2 * kk, rhs.coeff(n, 2 * kk)
-                         + float((-1) ** (kk % 2)))
-        k += 1
+    for n, k, sign in theta_sum_terms(n_q):
+        rhs._set(n, 2 * k, rhs.coeff(n, 2 * k) + float(sign))
     return lhs, rhs
 
 
@@ -373,7 +367,7 @@ def triple_product_check(n_q=30):
     resid = max((abs(lhs.coeff(*k) - rhs.coeff(*k)) for k in keys),
                 default=0.0)
     return VerificationRow(
-        suite="characters",
+        suite="",
         identity="triple-product",
         paper_ref="theta-product-expansion",
         element=f"q-order-{n_q}",
@@ -546,5 +540,4 @@ def jacobi_character_check(lattice, points=None, tol=1e-5, n_q=30):
     elements = [("shift", 1, 0), ("shift", 0, 1), ("shift", 1, 1),
                 ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)]
     return transformation_check(form, elements, points, tol,
-                                suite="characters",
                                 paper_ref="character-jacobi-transformation")

@@ -7,22 +7,20 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 
 from __future__ import annotations
 
-import cmath
 import json
 import sys
-from fractions import Fraction
 
 import click
 
 from . import characters as ch
 from . import elliptic as el
 from . import jacobi_forms as jf
-from . import superconformal as sc
-from .grassmann import EPS, DELTA, GrassmannNumber, berezinian
-from .report import (VerificationRow, emit_report, format_sig, rows_from_json)
+from .checks import SUITES
+from .grassmann import berezinian  # noqa: F401 (perfbench/spans.py wraps it)
+from .report import emit_report, format_sig, rows_from_json
 from .series_core import EvalPoint, QYSeries, TXSeries
 
-DEFAULTS = {"q_order": 20, "tolerance": 1e-9, "format": "pretty"}
+DEFAULTS = {"q_order": 20, "format": "pretty"}
 
 
 def _parse_complex(text):
@@ -33,17 +31,51 @@ def _parse_complex(text):
 
 
 def _resolve(ctx_obj, flag_value, key):
+    """The flag if given, else the config value, else the default (None
+    for a key without one)."""
     if flag_value is not None:
         return flag_value
-    if ctx_obj and key in ctx_obj:
-        return ctx_obj[key]
-    return DEFAULTS[key]
+    return ctx_obj.get(key, DEFAULTS.get(key))
 
 
-def _tx_to_json_obj(series):
-    return {"q_order": series.q_order, "t_range": series.t_range,
-            "terms": [[k, n, c.real, c.imag]
-                      for (k, n), c in sorted(series.coeffs.items())]}
+def _q_order(ctx, flag_value):
+    n_q = int(_resolve(ctx.obj, flag_value, "q_order"))
+    if n_q < 0:
+        raise click.UsageError(f"q-order must be >= 0, got {n_q}")
+    return n_q
+
+
+def _choose(kind, name, registry):
+    if name not in registry:
+        raise click.UsageError(f"unknown {kind} {name!r}; "
+                               f"choices: {', '.join(sorted(registry))}")
+    return registry[name]
+
+
+def _read(path, what, parse):
+    """``parse`` of the text of file ``path``: exit 3 if it cannot be
+    read, a usage error if it cannot be parsed."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        click.echo(f"error reading {what}: {exc}", err=True)
+        sys.exit(3)
+    except (ValueError, KeyError) as exc:
+        raise click.UsageError(f"bad {what} file: {exc}")
+
+
+def _write(text, output):
+    """Write a report to the file ``output``, or to stdout if it is None."""
+    if not output:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        click.echo(f"error writing report: {exc}", err=True)
+        sys.exit(3)
 
 
 def _series_json(obj):
@@ -53,280 +85,48 @@ def _series_json(obj):
         return {"q_offset": str(obj.q_offset),
                 "series": obj.series.to_json_obj()}
     if isinstance(obj, TXSeries):
-        return {"kind": "tx", "series": _tx_to_json_obj(obj)}
+        return {"kind": "tx", "series": {
+            "q_order": obj.q_order, "t_range": obj.t_range,
+            "terms": [[k, n, c.real, c.imag]
+                      for (k, n), c in sorted(obj.coeffs.items())]}}
     raise TypeError
 
 
 def _series_registry(n_q):
-    return {
+    reg = {
         "eta": lambda: jf.eta_series(n_q),
         "theta": lambda: jf.theta_offset_series(n_q),
         "discriminant": lambda: jf.discriminant_series(n_q),
         "e4": lambda: jf.eisenstein_e4(n_q),
         "e6": lambda: jf.eisenstein_e6(n_q),
-        "b0": lambda: el.eisenstein_b(0, n_q).series,
-        "b1": lambda: el.eisenstein_b(1, n_q).series,
-        "b2": lambda: el.eisenstein_b(2, n_q).series,
-        "b3": lambda: el.eisenstein_b(3, n_q).series,
         "zeta_bar": lambda: el.zeta_bar_series(min(n_q, 12), min(n_q, 12)),
         "p_bar": lambda: el.p_bar_series(min(n_q, 12), min(n_q, 12)),
         "zeta_tilde": lambda: el.zeta_tilde_taylor(7, n_q),
-        "phi_m1_half": lambda: jf.phi_weak("phi_m1_half", n_q).offset_series,
-        "phi_m2_1": lambda: jf.phi_weak("phi_m2_1", n_q).offset_series,
-        "phi_10_1": lambda: jf.phi_weak("phi_10_1", n_q).offset_series,
         "triple_product": lambda: ch.jacobi_triple_product(n_q)[1],
     }
+    for k in range(4):
+        reg[f"b{k}"] = lambda k=k: el.eisenstein_b(k, n_q).series
+    for name in ("phi_m1_half", "phi_m2_1", "phi_10_1"):
+        reg[name] = lambda name=name: jf.phi_weak(name, n_q).offset_series
+    return reg
 
 
 def _eval_registry(n_q):
-    reg = {}
-    for name in ("eta", "theta", "discriminant", "e4", "e6",
-                 "b0", "b1", "b2", "b3",
-                 "phi_m1_half", "phi_m2_1", "phi_10_1"):
-        def make(nm):
-            def run(point):
-                obj = _series_registry(n_q)[nm]()
-                if isinstance(obj, jf.OffsetSeries):
-                    return obj.evaluate(point)
-                return obj.evaluate(point)
-            return run
-        reg[name] = make(name)
+    """{name: point -> (value, truncation bound)}."""
+    reg = {name: (lambda p, make=make: make().evaluate(p))
+           for name, make in _series_registry(n_q).items()
+           if name not in ("zeta_bar", "p_bar", "zeta_tilde",
+                           "triple_product")}
     reg["zeta_bar"] = lambda p: (el.zeta_bar_eval(p.y, p.q), 0.0)
     reg["p_bar"] = lambda p: (el.p_bar_eval(p.y, p.q), 0.0)
     reg["zeta_tilde"] = lambda p: (el.zeta_tilde_eval(p.alpha, p.tau), 0.0)
     for k in (1, 2, 3, 4):
-        reg[f"wp{k}"] = (lambda kk: lambda p:
-                         (el.wp_numeric(kk, p.tau, p.alpha), 0.0))(k)
-    reg["phi_12_1"] = lambda p: (jf.phi_weak("phi_12_1", n_q).evaluate(p), 0.0)
-    reg["phi_0_1"] = lambda p: (jf.phi_weak("phi_0_1", n_q).evaluate(p), 0.0)
+        reg[f"wp{k}"] = lambda p, k=k: (el.wp_numeric(k, p.tau, p.alpha), 0.0)
+    for name in ("phi_12_1", "phi_0_1"):
+        reg[name] = lambda p, name=name: (
+            jf.phi_weak(name, n_q).evaluate(p), 0.0)
     return reg
 
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-def _row(suite, identity, ref, element, resid, tol, point=None):
-    return VerificationRow(suite=suite, identity=identity, paper_ref=ref,
-                           element=element, point=point,
-                           residual=float(resid), tolerance=float(tol),
-                           passed=float(resid) <= float(tol))
-
-
-def suite_triple_product(tol):
-    return [ch.triple_product_check(30)]
-
-
-def suite_elliptic(tol):
-    rows = []
-    n_x, n_q = 10, 10
-    zb = el.zeta_bar_series(n_x, n_q)
-    pb = el.p_bar_series(n_x, n_q)
-    rows.append(_row("elliptic", "x-dx-zeta-bar", "log-derivative-relation",
-                     "series", (-zb.t_d_dt()).normalized_distance(pb), 0.0))
-    zb_shift = el.zeta_bar_series(n_x, n_q, shift=1)
-    rows.append(_row("elliptic", "zeta-bar-quasi-periodicity",
-                     "translation-by-q", "series",
-                     zb_shift.normalized_distance(zb - 1.0), 0.0))
-    pb_shift = el.p_bar_series(n_x, n_q, shift=1)
-    rows.append(_row("elliptic", "p-bar-periodicity", "translation-by-q",
-                     "series", pb_shift.normalized_distance(pb), 0.0))
-    # numeric agreement of the Laurent expansion with the evaluator
-    tau = 0.1 + 1.2j
-    q = cmath.exp(2j * cmath.pi * tau)
-    t = 0.21 + 0.05j
-    zt = el.zeta_tilde_taylor(9, 16)
-    approx = zt.evaluate(t, q)
-    exact = el.zeta_tilde_eval(t, tau)
-    rows.append(_row("elliptic", "zeta-tilde-taylor-vs-numeric",
-                     "odd-zeta-expansion", "t=0.21+0.05j",
-                     abs(approx - exact) / abs(exact), 1e-6,
-                     point=(tau.real, tau.imag, t.real, t.imag)))
-    return rows
-
-
-def suite_super_zeta(tol):
-    rows = []
-    tau = 0.13 + 1.05j
-    q = cmath.exp(2j * cmath.pi * tau)
-    y = cmath.exp(2j * cmath.pi * (0.21 + 0.08j))
-    grid = [cmath.exp(0.4 + 0.2j), cmath.exp(-0.3 + 0.6j),
-            cmath.exp(0.1 - 0.4j), cmath.exp(-0.8 - 0.1j),
-            cmath.exp(0.9 + 0.9j)]
-    for x in grid:
-        theta = EPS * 0.3 + DELTA * (-0.7)
-        resid = el.super_zeta_lemma_residual(x, theta, q, y)
-        rows.append(_row("super_zeta", "extended-zeta-quasi-periodicity",
-                         "odd-translation-invariance",
-                         f"x={x:.4f}", resid, 1e-8))
-    return rows
-
-
-def suite_algebra(tol):
-    rows = []
-    import itertools
-    gens = ["L", "J", "Q", "H"]
-    worst = Fraction(0)
-    for g1, g2, g3 in itertools.product(gens, repeat=3):
-        for m in (-2, 0, 1):
-            for n in (-1, 2):
-                for p in (0, 1):
-                    x = sc.AlgebraVector.basis(g1, m)
-                    yv = sc.AlgebraVector.basis(g2, n)
-                    z = sc.AlgebraVector.basis(g3, p)
-                    res = sc.jacobi_residual(x, yv, z)
-                    for c in res.terms.values():
-                        worst = max(worst, abs(c))
-    rows.append(_row("algebra", "graded-jacobi-identity", "mode-bracket-table",
-                     "generator-scan", float(worst), 0.0))
-    worst_h = Fraction(0)
-    for g1, g2 in itertools.product(gens, repeat=2):
-        for m in (-2, 0, 1):
-            for n in (-1, 2):
-                worst_h = max(worst_h, sc.homomorphism_residual(
-                    sc.AlgebraVector.basis(g1, m),
-                    sc.AlgebraVector.basis(g2, n)))
-    rows.append(_row("algebra", "vector-field-homomorphism",
-                     "derivation-realization", "generator-scan",
-                     float(worst_h), 0.0))
-    return rows
-
-
-def suite_flatness(tol):
-    worst = Fraction(0)
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            direct, residue = sc.nabla_commutator({a: 1}, {b: 1})
-            diff = direct - residue
-            for c in diff.terms.values():
-                worst = max(worst, abs(c))
-    return [_row("flatness", "connection-current-commutator",
-                 "delta-function-residue", "monomial-grid",
-                 float(worst), 0.0)]
-
-
-def suite_gl11(tol):
-    import random
-    rows = []
-    q, y = 0.31 + 0.12j, 0.85 - 0.33j
-    g = sc.gl11_group_element(q, y)
-    expected = sc.SuperMatrix([
-        [GrassmannNumber(1.0), DELTA],
-        [EPS, GrassmannNumber(y) + EPS * DELTA],
-    ]) * q
-    rows.append(_row("gl11", "group-element-assembly",
-                     "nilpotent-exponentials", "direct-vs-factored",
-                     g.distance(expected), 0.0))
-    ber = berezinian(g)
-    rows.append(_row("gl11", "group-element-berezinian", "berezinian-formula",
-                     "Ber=1/y", (ber - 1.0 / y).max_abs(), 1e-14))
-    rng = random.Random(7)
-    worst = 0.0
-    for _ in range(100):
-        params = {
-            "q": GrassmannNumber(rng.uniform(0.5, 2.0) + 0.3j,
-                                 0, 0, rng.uniform(-1, 1)),
-            "y": GrassmannNumber(rng.uniform(0.5, 2.0) - 0.2j,
-                                 0, 0, rng.uniform(-1, 1)),
-            "eps0": EPS * rng.uniform(-1, 1) + DELTA * rng.uniform(-1, 1),
-            "delta0": EPS * rng.uniform(-1, 1) + DELTA * rng.uniform(-1, 1),
-            "tau1": GrassmannNumber(rng.uniform(-1, 1),
-                                    0, 0, rng.uniform(-1, 1)),
-            "alpha1": GrassmannNumber(rng.uniform(-1, 1),
-                                      0, 0, rng.uniform(-1, 1)),
-            "eps1": EPS * rng.uniform(-1, 1) + DELTA * rng.uniform(-1, 1),
-            "delta1": EPS * rng.uniform(-1, 1) + DELTA * rng.uniform(-1, 1),
-        }
-        jets = sc.jet_from_params(params)
-        worst = max(worst, sc.jet_matrix_identity_residual(jets))
-        back = sc.solve_jet(jets)
-        for key, val in params.items():
-            worst = max(worst, (back[key] - val).max_abs())
-    rows.append(_row("gl11", "jet-coordinate-roundtrip",
-                     "second-order-jet-relations", "100-random-jets",
-                     worst, 1e-10))
-    return rows
-
-
-def suite_jacobi_forms(tol):
-    rows = []
-    phi = jf.phi_weak("phi_m1_half", 20)
-    # phi(-1,1/2) = alpha + O(alpha^3): its alpha-derivative at 0 is 1
-    lead = phi.alpha_derivative_at_zero(1, 0.2 + 1.1j)
-    rows.append(_row("jacobi_forms", "phi-m1-half-leading-coefficient",
-                     "theta-normalization", "alpha-derivative",
-                     abs(lead - 1.0), 1e-8))
-    points = [EvalPoint(0.2 + 1.1j, 0.31 + 0.07j),
-              EvalPoint(-0.15 + 0.95j, 0.12 - 0.04j)]
-    rows += jf.transformation_check(
-        jf.phi_weak("phi_m2_1", 30), [("shift", 1, 0), ("sl2", 0, -1, 1, 0),
-                                      ("sl2", 1, 1, 0, 1)],
-        points, 1e-6, paper_ref="weak-jacobi-transformation")
-    form = jf.theta_form(30)
-    point = EvalPoint(0.2 + 1.1j, 0.23 + 0.11j)
-    resid = jf.lemma_shift_residual(form, 0.17 + 0.05j, point, 1)
-    rows.append(_row("jacobi_forms", "ratio-shift-law",
-                     "quasi-periodic-ratio", "theta,lambda=1", resid, 1e-6,
-                     point=point.as_tuple()))
-    f1 = jf.quasi_jacobi_coeffs(form, 1, point)[1]
-    f1_expected = jf.expected_f1(form, point)
-    rows.append(_row("jacobi_forms", "ratio-taylor-coefficient",
-                     "normalized-ratio-expansion", "theta,F1",
-                     abs(f1 - f1_expected) / max(abs(f1_expected), 1.0),
-                     1e-6, point=point.as_tuple()))
-    return rows
-
-
-def suite_cusp(tol):
-    mism = ch.cusp_grid_check()
-    rows = [_row("cusp", "predicate-vs-certificate", "cusp-extension-lemma",
-                 "grid", float(len(mism)), 0.0)]
-    mism_s = ch.cusp_grid_check(super_grid=True)
-    rows.append(_row("cusp", "super-predicate-vs-certificate",
-                     "super-cusp-extension-lemma", "grid",
-                     float(len(mism_s)), 0.0))
-    return rows
-
-
-def suite_characters(tol):
-    rows = []
-    lat = ch.e8_lattice()
-    prod = ch.chi_character(lat, 10, "product").chi
-    closed = ch.chi_character(lat, 10, "closed").chi
-    rows.append(_row("characters", "character-product-vs-closed",
-                     "character-formulas", "E8,q^10",
-                     prod.normalized_distance(closed), 1e-9))
-    fock = ch.fock_oracle(lat, 4)
-    trunc = QYSeries.zero(4)
-    trunc.coeffs = {k: v for k, v in prod.coeffs.items() if k[0] <= 4}
-    rows.append(_row("characters", "character-vs-fock-oracle",
-                     "supertrace-state-sum", "E8,q^4",
-                     trunc.normalized_distance(fock), 1e-9))
-    rows += ch.trace_identity_check(lat, 4)
-    return rows
-
-
-def suite_character_jacobi(tol):
-    return ch.jacobi_character_check(ch.e8_lattice(), tol=1e-5, n_q=30)
-
-
-SUITES = {
-    "triple_product": suite_triple_product,
-    "elliptic": suite_elliptic,
-    "super_zeta": suite_super_zeta,
-    "algebra": suite_algebra,
-    "flatness": suite_flatness,
-    "gl11": suite_gl11,
-    "jacobi_forms": suite_jacobi_forms,
-    "cusp": suite_cusp,
-    "characters": suite_characters,
-    "character_jacobi": suite_character_jacobi,
-}
-
-
-# ---------------------------------------------------------------------------
-# click commands
-# ---------------------------------------------------------------------------
 
 @click.group()
 @click.option("--config", "config_path", type=str, default=None,
@@ -352,12 +152,8 @@ def main(ctx, config_path):
 @click.pass_context
 def series(ctx, name, q_order):
     """Print the truncated series NAME as JSON."""
-    n_q = int(_resolve(ctx.obj, q_order, "q_order"))
-    reg = _series_registry(n_q)
-    if name not in reg:
-        raise click.UsageError(
-            f"unknown series {name!r}; choices: {', '.join(sorted(reg))}")
-    click.echo(json.dumps(_series_json(reg[name]()), indent=2))
+    make = _choose("series", name, _series_registry(_q_order(ctx, q_order)))
+    click.echo(json.dumps(_series_json(make()), indent=2))
 
 
 @main.command("eval")
@@ -369,16 +165,12 @@ def series(ctx, name, q_order):
 def eval_cmd(ctx, name, tau, alpha, q_order):
     """Evaluate the function NAME at (tau, alpha); prints value and a
     truncation bound with 15 significant digits."""
-    n_q = int(_resolve(ctx.obj, q_order, "q_order"))
-    reg = _eval_registry(n_q)
-    if name not in reg:
-        raise click.UsageError(
-            f"unknown function {name!r}; choices: {', '.join(sorted(reg))}")
+    run = _choose("function", name, _eval_registry(_q_order(ctx, q_order)))
     tau_c = _parse_complex(tau)
     alpha_c = _parse_complex(alpha)
     try:
         point = EvalPoint(tau_c, alpha_c)
-        value, bound = reg[name](point)
+        value, bound = run(point)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     click.echo(json.dumps({
@@ -396,38 +188,23 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
               default=None)
 @click.option("--tolerance", type=float, default=None,
-              help="override tolerance (informational suites only)")
+              help="cap the tolerance of every row at this value")
 @click.option("--output", type=str, default=None)
 @click.pass_context
 def verify(ctx, suites, fmt, tolerance, output):
     """Run verification suites and emit a report; exits 1 on any failure."""
     fmt = _resolve(ctx.obj, fmt, "format")
-    tol = float(_resolve(ctx.obj, tolerance, "tolerance"))
-    names = suites or sorted(SUITES)
-    for nm in names:
-        if nm not in SUITES:
-            raise click.UsageError(
-                f"unknown suite {nm!r}; choices: {', '.join(sorted(SUITES))}")
-    rows = []
-    for nm in names:
-        rows.extend(SUITES[nm](tol))
+    tolerance = _resolve(ctx.obj, tolerance, "tolerance")
+    runs = [_choose("suite", nm, SUITES) for nm in suites or sorted(SUITES)]
+    rows = [row for run in runs for row in run()]
     if tolerance is not None:
         for r in rows:
-            r.tolerance = min(r.tolerance, tolerance)
+            r.tolerance = min(r.tolerance, float(tolerance))
             r.passed = r.residual <= r.tolerance
-    text = emit_report(rows, fmt)
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            click.echo(f"error writing report: {exc}", err=True)
-            sys.exit(3)
-    else:
-        click.echo(text, nl=False)
-    if any(not r.passed for r in rows):
-        failing = [r for r in rows if not r.passed]
-        click.echo(f"{len(failing)} check(s) failed", err=True)
+    _write(emit_report(rows, fmt), output)
+    failing = sum(not r.passed for r in rows)
+    if failing:
+        click.echo(f"{failing} check(s) failed", err=True)
         sys.exit(1)
 
 
@@ -440,15 +217,8 @@ def verify(ctx, suites, fmt, tolerance, output):
 @click.pass_context
 def character(ctx, lattice_path, mode, q_order):
     """Compute the supertrace character of an even lattice."""
-    n_q = int(_resolve(ctx.obj, q_order, "q_order"))
-    try:
-        with open(lattice_path) as fh:
-            lat = ch.EvenLattice.from_json(fh.read())
-    except OSError as exc:
-        click.echo(f"error reading lattice: {exc}", err=True)
-        sys.exit(3)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"bad lattice file: {exc}")
+    n_q = _q_order(ctx, q_order)
+    lat = _read(lattice_path, "lattice", ch.EvenLattice.from_json)
     try:
         cs = ch.chi_character(lat, n_q, mode)
     except ValueError as exc:
@@ -471,25 +241,8 @@ def character(ctx, lattice_path, mode, q_order):
 @click.pass_context
 def report(ctx, input_path, fmt, output):
     """Reformat a JSON report as CSV / pretty text."""
-    fmt = _resolve(ctx.obj, fmt, "format")
-    try:
-        with open(input_path) as fh:
-            rows = rows_from_json(fh.read())
-    except OSError as exc:
-        click.echo(f"error reading report: {exc}", err=True)
-        sys.exit(3)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"bad report file: {exc}")
-    text = emit_report(rows, fmt)
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            click.echo(f"error writing report: {exc}", err=True)
-            sys.exit(3)
-    else:
-        click.echo(text, nl=False)
+    rows = _read(input_path, "report", rows_from_json)
+    _write(emit_report(rows, _resolve(ctx.obj, fmt, "format")), output)
 
 
 if __name__ == "__main__":

@@ -18,10 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .elliptic import TWO_PI_I, divisor_sigma
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product)
-
-TWO_PI_I = 2j * math.pi
 
 
 class OffsetSeries:
@@ -93,16 +92,21 @@ def discriminant_series(n_q=DEFAULT_Q_ORDER):
     return (eta_series(n_q) ** 24).require_integral()
 
 
-def _theta_mantissa(n_q):
-    """sum_k (-i)(-1)^k q^{k(k+1)/2} y^{k+1/2} (the q^{1/8} offset removed)."""
-    out = QYSeries.zero(n_q, half_integral=True)
+def theta_sum_terms(n_q):
+    """The terms (n, k, (-1)^k) of sum_k (-1)^k q^n y^k, n = k(k+1)/2 <= n_q:
+    the sum side of the Jacobi triple product."""
     k = 0
     while k * (k + 1) // 2 <= n_q:
         for kk in (k, -k - 1):
-            n = kk * (kk + 1) // 2
-            coeff = -1j * (-1) ** (kk % 2)
-            out._set(n, 2 * kk + 1, out.coeff(n, 2 * kk + 1) + coeff)
+            yield kk * (kk + 1) // 2, kk, (-1) ** (kk % 2)
         k += 1
+
+
+def _theta_mantissa(n_q):
+    """sum_k (-i)(-1)^k q^{k(k+1)/2} y^{k+1/2} (the q^{1/8} offset removed)."""
+    out = QYSeries.zero(n_q, half_integral=True)
+    for n, k, sign in theta_sum_terms(n_q):
+        out._set(n, 2 * k + 1, out.coeff(n, 2 * k + 1) + -1j * sign)
     return out
 
 
@@ -169,21 +173,17 @@ def theta_form(n_q=DEFAULT_Q_ORDER):
 # classical Eisenstein series and the Jacobi-Eisenstein numeric sum
 # ---------------------------------------------------------------------------
 
-def _sigma(k, m):
-    return sum(d ** k for d in range(1, m + 1) if m % d == 0)
-
-
 def eisenstein_e4(n_q=DEFAULT_Q_ORDER):
     coeffs = {(0, 0): 1.0}
     for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = 240.0 * _sigma(3, m)
+        coeffs[(m, 0)] = 240.0 * divisor_sigma(3, m)
     return QYSeries(coeffs, n_q)
 
 
 def eisenstein_e6(n_q=DEFAULT_Q_ORDER):
     coeffs = {(0, 0): 1.0}
     for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = -504.0 * _sigma(5, m)
+        coeffs[(m, 0)] = -504.0 * divisor_sigma(5, m)
     return QYSeries(coeffs, n_q)
 
 
@@ -411,8 +411,7 @@ def _element_label(element):
     return "sl2({},{};{},{})".format(*element[1:5])
 
 
-def transformation_check(form, elements, points, tol, suite="jacobi_forms",
-                         paper_ref=""):
+def transformation_check(form, elements, points, tol, paper_ref=""):
     """Verify the Jacobi transformation laws of ``form`` for the given group
     elements at the given points.
 
@@ -434,7 +433,7 @@ def transformation_check(form, elements, points, tol, suite="jacobi_forms",
         for p, (lhs, rhs) in zip(points, pairs):
             resid = abs(lhs - char * rhs) / max(abs(lhs), abs(rhs), 1e-30)
             rows.append(VerificationRow(
-                suite=suite,
+                suite="",
                 identity=f"{form.name}-transformation",
                 paper_ref=paper_ref,
                 element=label_c,

@@ -19,7 +19,9 @@ def format_sig(x, digits=15):
 
 @dataclass
 class VerificationRow:
-    """One verified identity at one point (or one exact check)."""
+    """One verified identity at one point (or one exact check).  ``suite``
+    names the suite of ``superchar.checks`` that produced the row; a check
+    called outside a suite leaves it empty."""
 
     suite: str
     identity: str
@@ -32,6 +34,7 @@ class VerificationRow:
 
     def to_json_obj(self):
         return {
+            "suite": self.suite,
             "identity": self.identity,
             "paper_ref": self.paper_ref,
             "element": self.element,

@@ -37,8 +37,9 @@ class AlgebraVector:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
                     self.terms[key] = c
 
     @classmethod

@@ -1,34 +1,17 @@
 """End-to-end acceptance checks.
 
-Each test exercises one headline guarantee at its stated tolerance and
-runtime budget, and prints a single summary line.
+Each test runs one suite of ``superchar.checks`` (the registry behind
+``superchar verify``) at its own parameters, asserts on the rows at its
+stated tolerance and runtime budget, and prints a single summary line.
 """
 
 import cmath
 import time
-from fractions import Fraction
 
-from superchar.characters import (
-    chi_character, cusp_grid_check, e8_lattice, fock_oracle,
-    jacobi_character_check, trace_identity_check, triple_product_check,
-)
-from superchar.elliptic import (
-    p_bar_series, super_zeta_lemma_residual, zeta_bar_series,
-    zeta_tilde_taylor,
-)
-from superchar.grassmann import (
-    DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian, odd,
-)
-from superchar.jacobi_forms import (
-    expected_f1, lemma_shift_residual, phi_10_1_eisenstein_numeric,
-    phi_weak, quasi_jacobi_coeffs,
-)
-from superchar.series_core import EvalPoint, TXSeries
-from superchar.superconformal import (
-    C, H, J, L, Q, gl11_group_element, homomorphism_residual,
-    invariant_conjugation_residual, jacobi_residual, jet_from_params,
-    jet_matrix_identity_residual, nabla_commutator, solve_jet,
-)
+from superchar import checks
+from superchar.grassmann import GrassmannNumber, odd
+from superchar.jacobi_forms import phi_10_1_eisenstein_numeric, phi_weak
+from superchar.series_core import EvalPoint
 
 
 def report(name, passed, detail, budget, elapsed):
@@ -38,37 +21,38 @@ def report(name, passed, detail, budget, elapsed):
     assert elapsed < budget, f"{name}: exceeded {budget}s budget"
 
 
-def test_01_character_three_way_agreement():
+def run(check, **params):
+    """Rows of ``check`` at ``params``, the worst residual of each identity
+    and the elapsed time."""
     t0 = time.time()
-    lat = e8_lattice()
-    oracle = fock_oracle(lat, 6)
-    prod6 = chi_character(lat, 6, "product").chi
-    keys = set(oracle.coeffs) | set(prod6.coeffs)
-    oracle_worst = max(abs(oracle.coeff(*k) - prod6.coeff(*k)) for k in keys)
-    int_ok = all(c.imag == 0 and c.real == round(c.real)
-                 for c in oracle.coeffs.values())
-    prod = chi_character(lat, 15, "product").chi
-    closed = chi_character(lat, 15, "closed").chi
-    rel = prod.normalized_distance(closed)
+    rows = check(**params)
     elapsed = time.time() - t0
-    ok = oracle_worst == 0.0 and int_ok and rel < 1e-9
+    worst = {}
+    for r in rows:
+        worst[r.identity] = max(worst.get(r.identity, 0.0), r.residual)
+    return rows, worst, elapsed
+
+
+def test_01_character_three_way_agreement():
+    rows, worst, elapsed = run(checks.characters, q_order=15, fock_q_order=6)
+    oracle = worst["character-vs-fock-oracle"]
+    int_ok = worst["fock-oracle-integrality"] == 0.0
+    rel = worst["character-product-vs-closed"]
+    ok = all(r.passed for r in rows) and oracle == 0.0 and int_ok \
+        and rel < 1e-9
     report("criterion-01 character-three-way", ok,
-           f"oracle diff {oracle_worst}, product-vs-closed {rel:.2e}",
-           60, elapsed)
+           f"oracle diff {oracle}, product-vs-closed {rel:.2e}", 60, elapsed)
 
 
 def test_02_triple_product():
-    t0 = time.time()
-    row = triple_product_check(30)
-    elapsed = time.time() - t0
-    report("criterion-02 triple-product", row.passed and row.residual == 0.0,
-           f"residual {row.residual}", 5, elapsed)
+    rows, worst, elapsed = run(checks.triple_product)
+    ok = all(r.passed for r in rows) and worst["triple-product"] == 0.0
+    report("criterion-02 triple-product", ok,
+           f"residual {worst['triple-product']}", 5, elapsed)
 
 
 def test_03_character_is_jacobi_form():
-    t0 = time.time()
-    rows = jacobi_character_check(e8_lattice(), tol=1e-5, n_q=30)
-    elapsed = time.time() - t0
+    rows, _, elapsed = run(checks.character_jacobi)
     worst = max(abs(r.residual) for r in rows)
     ok = all(r.passed for r in rows) and len(rows) == 15
     report("criterion-03 character-jacobi-form", ok,
@@ -77,164 +61,98 @@ def test_03_character_is_jacobi_form():
 
 
 def test_04_elliptic_series_identities():
-    t0 = time.time()
-    n_x, n_q = 10, 12
-    s0 = zeta_bar_series(n_x, n_q)
-    s1 = zeta_bar_series(n_x, n_q, shift=1)
-    p = p_bar_series(n_x, n_q)
-    worst = (s1 - (s0 + TXSeries.monomial(-1.0, 0, 0, n_q, n_x))
-             ).max_abs_coeff()
-    worst = max(worst, (s0.t_d_dt() + p).max_abs_coeff())
-    zt = zeta_tilde_taylor(8, 10)
-    even_worst = max((abs(c) for (k, n), c in zt.coeffs.items()
-                      if k % 2 == 0), default=0.0)
-    worst = max(worst, even_worst, abs(zt.coeff(-1, 0) - 1.0))
-    elapsed = time.time() - t0
-    report("criterion-04 elliptic-series-identities", worst == 0.0,
+    rows, _, elapsed = run(checks.elliptic, q_order=12)
+    worst = max(r.residual for r in rows if r.tolerance == 0.0)
+    ok = all(r.passed for r in rows) and worst == 0.0
+    report("criterion-04 elliptic-series-identities", ok,
            f"worst coefficient deviation {worst}", 5, elapsed)
 
 
 def test_05_super_zeta_lemma():
-    t0 = time.time()
-    tau, alpha = 0.2 + 1.3j, 0.37 + 0.11j
-    q = cmath.exp(2j * cmath.pi * tau)
-    y = cmath.exp(2j * cmath.pi * alpha)
-    grid = [(cmath.exp(2j * cmath.pi * t), th) for t, th in (
+    points = [(cmath.exp(2j * cmath.pi * t), th) for t, th in (
         (0.13, GrassmannNumber(0.0)),
         (0.21 + 0.04j, odd(1.0, 0.0)),
         (0.35 - 0.02j, odd(0.0, 1.0)),
         (0.08 + 0.09j, odd(0.3, 0.7)),
         (0.44, odd(-0.5, 0.25)),
     )]
-    worst = max(super_zeta_lemma_residual(x, th, q, y) for x, th in grid)
-    elapsed = time.time() - t0
-    report("criterion-05 super-zeta-lemma", worst < 1e-8,
-           f"worst residual {worst:.2e} on 5-point grid", 5, elapsed)
+    rows, worst, elapsed = run(checks.super_zeta, tau=0.2 + 1.3j,
+                               alpha=0.37 + 0.11j, points=points)
+    lemma = worst["extended-zeta-quasi-periodicity"]
+    ok = all(r.passed for r in rows) and len(rows) == 5 and lemma < 1e-8
+    report("criterion-05 super-zeta-lemma", ok,
+           f"worst residual {lemma:.2e} on 5-point grid", 5, elapsed)
 
 
 def test_06_topological_algebra():
-    t0 = time.time()
-    basis = [f(m) for f in (L, J, Q, H) for m in range(-4, 5)] + [C()]
-    ok = True
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                if jacobi_residual(x, y, z).terms:
-                    ok = False
-    hom_worst = max(homomorphism_residual(x, y)
-                    for x in basis for y in basis)
-    elapsed = time.time() - t0
-    report("criterion-06 topological-algebra", ok and hom_worst == 0,
-           f"jacobi exact {ok}, homomorphism worst {hom_worst}", 10, elapsed)
+    rows, worst, elapsed = run(checks.algebra, windows=(range(-4, 5),) * 3)
+    jacobi_ok = worst["graded-jacobi-identity"] == 0
+    hom_worst = worst["vector-field-homomorphism"]
+    ok = all(r.passed for r in rows) and jacobi_ok and hom_worst == 0
+    report("criterion-06 topological-algebra", ok,
+           f"jacobi exact {jacobi_ok}, homomorphism worst {hom_worst}",
+           10, elapsed)
 
 
 def test_07_flatness_identity():
-    t0 = time.time()
-    worst_ok = True
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            direct, residue = nabla_commutator({a: 1}, {b: 1})
-            if (direct - residue).terms:
-                worst_ok = False
-    direct, residue = nabla_commutator({-1: 1}, {2: 1})
-    expected = J(0, -2) + C(Fraction(-1, 3))
-    example_ok = not (direct - expected).terms \
-        and not (residue - expected).terms
-    elapsed = time.time() - t0
-    report("criterion-07 flatness-identity", worst_ok and example_ok,
-           f"grid exact {worst_ok}, worked example {example_ok}", 5, elapsed)
+    rows, worst, elapsed = run(checks.flatness)
+    grid_ok = worst["connection-current-commutator"] == 0.0
+    example_ok = worst["connection-current-example"] == 0.0
+    ok = all(r.passed for r in rows) and grid_ok and example_ok
+    report("criterion-07 flatness-identity", ok,
+           f"grid exact {grid_ok}, worked example {example_ok}", 5, elapsed)
 
 
 def test_08_gl11_grassmann():
-    import random
-    t0 = time.time()
-    qv, yv = 0.31 + 0.12j, 0.85 - 0.33j
-    g = gl11_group_element(qv, yv)
-    expected = SuperMatrix([
-        [GrassmannNumber(1.0), DELTA],
-        [EPS, GrassmannNumber(yv) + EPS * DELTA],
-    ]) * qv
-    assembly = g.distance(expected)
-    ber = (berezinian(g) - 1.0 / yv).max_abs()
-    ident = SuperMatrix.identity(2)
-    pmat = SuperMatrix([
-        [GrassmannNumber(1.0), EPS],
-        [DELTA, GrassmannNumber(yv) - EPS * DELTA],
-    ])
-    invariance = max(invariant_conjugation_residual(ident, qv, yv),
-                     invariant_conjugation_residual(pmat, qv, yv))
-    rng = random.Random(7)
-    jet_worst = 0.0
-    for _ in range(100):
-        params = {
-            "q": GrassmannNumber(rng.uniform(0.5, 2.0) + 0.3j, 0, 0,
-                                 rng.uniform(-1, 1)),
-            "y": GrassmannNumber(rng.uniform(0.5, 2.0) - 0.2j, 0, 0,
-                                 rng.uniform(-1, 1)),
-            "eps0": odd(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            "delta0": odd(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            "tau1": GrassmannNumber(rng.uniform(-1, 1), 0, 0,
-                                    rng.uniform(-1, 1)),
-            "alpha1": GrassmannNumber(rng.uniform(-1, 1), 0, 0,
-                                      rng.uniform(-1, 1)),
-            "eps1": odd(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-            "delta1": odd(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-        }
-        jets = jet_from_params(params)
-        jet_worst = max(jet_worst, jet_matrix_identity_residual(jets))
-        back = solve_jet(jets)
-        for key, val in params.items():
-            jet_worst = max(jet_worst, (back[key] - val).max_abs())
-    elapsed = time.time() - t0
-    ok = assembly == 0.0 and ber < 1e-13 and invariance < 1e-13 \
-        and jet_worst < 1e-10
+    rows, worst, elapsed = run(checks.gl11)
+    assembly = worst["group-element-assembly"]
+    ber = worst["group-element-berezinian"]
+    invariance = worst["conjugation-invariance"]
+    jets = worst["jet-coordinate-roundtrip"]
+    ok = all(r.passed for r in rows) and assembly == 0.0 and ber < 1e-13 \
+        and invariance < 1e-13 and jets < 1e-10
     report("criterion-08 gl11-grassmann", ok,
            f"assembly {assembly}, Ber {ber:.1e}, invariance "
-           f"{invariance:.1e}, jets {jet_worst:.1e}", 5, elapsed)
+           f"{invariance:.1e}, jets {jets:.1e}", 5, elapsed)
 
 
 def test_09_jacobi_forms_layer():
     t0 = time.time()
     pt = EvalPoint(0.13 + 1.21j, 0.07 + 0.03j)
-    f_half = phi_weak("phi_m1_half", 30)
-    f_one = phi_weak("phi_m2_1", 30)
-    lead = abs(f_half.alpha_derivative_at_zero(1, pt.tau) - 1.0)
-    shift_worst = max(abs(lemma_shift_residual(f, 0.31, pt, lam))
-                      for f in (f_half, f_one) for lam in (1, 2))
-    f1_worst = 0.0
-    for f in (f_half, f_one):
-        c = quasi_jacobi_coeffs(f, 1, pt, radius=0.01)
-        f1_worst = max(f1_worst, abs(c[1] - expected_f1(f, pt)))
+    rows, worst, _ = run(checks.jacobi_forms, point=pt, t=0.31,
+                         forms=("phi_m1_half", "phi_m2_1"), shifts=(1, 2),
+                         radius=0.01)
+    lead = worst["phi-m1-half-leading-coefficient"]
+    shift_worst = worst["ratio-shift-law"]
+    f1_worst = worst["ratio-taylor-coefficient"]
+    # oracle: phi_10_1 = Delta phi_{-2,1} against the Jacobi-Eisenstein
+    # combination (E_6 E_{4,1} - E_4 E_{6,1}) / 144
     f10 = phi_weak("phi_10_1", 40)
-    pts = [pt, EvalPoint(-0.3 + 1.35j, 0.21 - 0.06j)]
     e_worst = 0.0
-    for p in pts:
+    for p in (pt, EvalPoint(-0.3 + 1.35j, 0.21 - 0.06j)):
         a = f10.evaluate(p)
         b = phi_10_1_eisenstein_numeric(p, cutoff=80)
         e_worst = max(e_worst, abs(a - b) / max(abs(a), abs(b)))
     elapsed = time.time() - t0
-    ok = lead < 1e-8 and shift_worst < 1e-6 and f1_worst < 1e-6 \
-        and e_worst < 1e-3
+    ok = all(r.passed for r in rows) and lead < 1e-8 \
+        and shift_worst < 1e-6 and f1_worst < 1e-6 and e_worst < 1e-3
     report("criterion-09 jacobi-forms-layer", ok,
            f"leading {lead:.1e}, shifts {shift_worst:.1e}, F1 "
            f"{f1_worst:.1e}, E-series {e_worst:.1e}", 120, elapsed)
 
 
 def test_10_cusp_predicates():
-    t0 = time.time()
-    mism = cusp_grid_check()
-    mism_super = cusp_grid_check(super_grid=True)
-    elapsed = time.time() - t0
-    ok = not mism and not mism_super
+    rows, worst, elapsed = run(checks.cusp)
+    mism = worst["predicate-vs-certificate"]
+    mism_super = worst["super-predicate-vs-certificate"]
+    ok = all(r.passed for r in rows) and mism == 0 and mism_super == 0
     report("criterion-10 cusp-predicates", ok,
-           f"{len(mism)} + {len(mism_super)} mismatches", 10, elapsed)
+           f"{mism:.0f} + {mism_super:.0f} mismatches", 10, elapsed)
 
 
 def test_11_trace_identities():
-    t0 = time.time()
-    rows = trace_identity_check(e8_lattice(), 4)
-    elapsed = time.time() - t0
-    worst = max(r.residual for r in rows)
-    ok = all(r.passed for r in rows) and worst == 0.0
+    rows, worst, elapsed = run(checks.characters)
+    trace = max(worst["trace-insertion-L0"], worst["trace-insertion-J0"])
+    ok = all(r.passed for r in rows) and trace == 0.0
     report("criterion-11 trace-identities", ok,
-           f"worst residual {worst}", 30, elapsed)
+           f"worst residual {trace}", 30, elapsed)

@@ -31,6 +31,14 @@ class TestSeries:
         assert result.exit_code == 2
         assert "unknown series" in result.output
 
+    def test_negative_q_order_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["series", "eta", "--q-order", "-3"])
+        assert result.exit_code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_order": -3}))
+        result = runner.invoke(main, ["--config", str(cfg), "series", "eta"])
+        assert result.exit_code == 2
+
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])
         b = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])
@@ -71,6 +79,13 @@ class TestVerify:
         assert result.exit_code == 0
         assert "[PASS]" in result.output
         assert "[FAIL]" not in result.output
+
+    def test_rows_carry_the_suite_that_produced_them(self, runner):
+        result = runner.invoke(
+            main, ["verify", "--suite", "triple_product", "--format", "json"])
+        assert result.exit_code == 0
+        suites = {obj["suite"] for obj in json.loads(result.output)}
+        assert suites == {"triple_product"}
 
     def test_unknown_suite(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "nope"])
@@ -121,6 +136,18 @@ class TestReport:
         assert lines[0].startswith("suite,identity")
         assert len(lines) >= 2
 
+    def test_json_round_trip_keeps_every_field(self, runner, tmp_path):
+        verify = runner.invoke(
+            main, ["verify", "--suite", "flatness", "--format", "json"])
+        src = tmp_path / "rows.json"
+        src.write_text(verify.output)
+        result = runner.invoke(
+            main, ["report", "--input", str(src), "--format", "json"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)
+        assert rows == json.loads(verify.output)
+        assert {obj["suite"] for obj in rows} == {"flatness"}
+
     def test_missing_input_exits_3(self, runner):
         result = runner.invoke(
             main, ["report", "--input", "/definitely/not/here.json"])
@@ -139,6 +166,15 @@ class TestCharacter:
         obj = json.loads(result.output)
         assert obj["rank"] == 8
         assert obj["index"] == "2"
+
+    def test_negative_q_order_is_usage_error(self, runner):
+        import superchar
+        from pathlib import Path
+        lattice = Path(superchar.__file__).parent / "data" / "e8.json"
+        result = runner.invoke(
+            main, ["character", "--lattice", str(lattice), "--q-order", "-1"])
+        assert result.exit_code == 2
+        assert "q-order" in result.output
 
     def test_missing_lattice_exits_3(self, runner):
         result = runner.invoke(
@@ -164,6 +200,14 @@ class TestConfig:
                    "--q-order", "7"])
         obj = json.loads(result.output)
         assert obj["series"]["q_order"] == 7
+
+    def test_config_tolerance_tightens_rows(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 0}))
+        result = runner.invoke(
+            main, ["--config", str(cfg), "verify", "--suite", "super_zeta"])
+        assert result.exit_code == 1
+        assert "[FAIL]" in result.output
 
     def test_bad_config_exits_3(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"
