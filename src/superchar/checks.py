@@ -1,10 +1,10 @@
 """The verification checks, one function per suite, shared by
 ``superchar verify`` and the acceptance tests.
 
-Each suite function takes the parameters that set its accuracy (q-order,
-mode window, points, grid, seed) and returns VerificationRows labelled
-with the suite's name.  The defaults are the parameters ``verify`` runs;
-the acceptance tests call the same functions with stricter ones.
+Each suite function returns VerificationRows labelled with the suite's
+name.  Where the acceptance tests check at other accuracy than ``verify``
+(q-order, mode windows, points), the function takes those parameters; the
+defaults are what ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ def _max_abs(*vectors):
 
 
 @suite
-def triple_product(q_order=30):
-    """Both sides of the Jacobi triple product, coefficient by coefficient."""
-    return [ch.triple_product_check(q_order)]
+def triple_product():
+    """Both sides of the Jacobi triple product, coefficient by coefficient,
+    to q^30."""
+    return [ch.triple_product_check()]
 
 
 @suite
@@ -126,11 +127,11 @@ def algebra(windows=((-2, 0, 1), (-1, 2), (0, 1))):
 
 
 @suite
-def flatness(grid=range(-4, 5)):
+def flatness():
     """[nabla(x^a), nabla(x^b)] against its delta-function residue for every
-    a, b in ``grid``, and the worked example a, b = -1, 2."""
+    a, b in -4..4, and the worked example a, b = -1, 2."""
     worst = 0
-    for a, b in itertools.product(grid, repeat=2):
+    for a, b in itertools.product(range(-4, 5), repeat=2):
         direct, residue = sc.nabla_commutator({a: 1}, {b: 1})
         worst = max(worst, _max_abs(direct - residue))
     direct, residue = sc.nabla_commutator({-1: 1}, {2: 1})
@@ -143,10 +144,10 @@ def flatness(grid=range(-4, 5)):
 
 
 @suite
-def gl11(seed=7, n_jets=100):
+def gl11():
     """The GL(1|1) group element, its Berezinian and conjugation
     invariance at one point, and the second-order jet coordinates round
-    trip at ``n_jets`` random parameter sets drawn with ``seed``."""
+    trip at 100 random parameter sets drawn with seed 7."""
     q, y = 0.31 + 0.12j, 0.85 - 0.33j
     g = sc.gl11_group_element(q, y)
     expected = SuperMatrix([
@@ -159,9 +160,9 @@ def gl11(seed=7, n_jets=100):
     ])
     invariance = max(sc.invariant_conjugation_residual(m, q, y)
                      for m in (SuperMatrix.identity(2), pmat))
-    rng = random.Random(seed)
+    rng = random.Random(7)
     worst = 0.0
-    for _ in range(n_jets):
+    for _ in range(100):
         params = {
             "q": GrassmannNumber(rng.uniform(0.5, 2.0) + 0.3j,
                                  0, 0, rng.uniform(-1, 1)),
@@ -189,7 +190,7 @@ def gl11(seed=7, n_jets=100):
         _row("conjugation-invariance", "invariant-conjugation",
              "identity,P", invariance, 1e-13),
         _row("jet-coordinate-roundtrip", "second-order-jet-relations",
-             f"{n_jets}-random-jets", worst, 1e-10),
+             "100-random-jets", worst, 1e-10),
     ]
 
 
@@ -199,28 +200,30 @@ _TRANSFORM_POINTS = (EvalPoint(0.2 + 1.1j, 0.31 + 0.07j),
 
 @suite
 def jacobi_forms(point=EvalPoint(0.2 + 1.1j, 0.23 + 0.11j), t=0.17 + 0.05j,
-                 forms=("theta",), shifts=(1,), radius=0.02, q_order=30):
+                 forms=("theta",), shifts=(1,), radius=None):
     """The normalization of phi_{-1,1/2} at point.tau, the transformation
     laws of phi_{-2,1}, and for each of ``forms`` the shift law of its
     quasi-periodic ratio at ``t`` for each lambda in ``shifts`` and its
-    first Taylor coefficient (FFT on a circle of ``radius``) at ``point``."""
-    lead = jf.phi_weak("phi_m1_half", q_order).alpha_derivative_at_zero(
+    first Taylor coefficient (FFT on a circle of ``radius``, if given) at
+    ``point``; every form is expanded to q^30."""
+    lead = jf.phi_weak("phi_m1_half", 30).alpha_derivative_at_zero(
         1, point.tau)
     rows = [_row("phi-m1-half-leading-coefficient", "theta-normalization",
                  "alpha-derivative", abs(lead - 1.0), 1e-8)]
     rows += jf.transformation_check(
-        jf.phi_weak("phi_m2_1", q_order),
+        jf.phi_weak("phi_m2_1", 30),
         [("shift", 1, 0), ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)],
         _TRANSFORM_POINTS, 1e-6, paper_ref="weak-jacobi-transformation")
+    fft = {} if radius is None else {"radius": radius}
     for name in forms:
-        form = (jf.theta_form(q_order) if name == "theta"
-                else jf.phi_weak(name, q_order))
+        form = (jf.theta_form(30) if name == "theta"
+                else jf.phi_weak(name, 30))
         for lam in shifts:
             rows.append(_row("ratio-shift-law", "quasi-periodic-ratio",
                              f"{name},lambda={lam}",
                              jf.lemma_shift_residual(form, t, point, lam),
                              1e-6, point=point.as_tuple()))
-        f1 = jf.quasi_jacobi_coeffs(form, 1, point, radius=radius)[1]
+        f1 = jf.quasi_jacobi_coeffs(form, 1, point, **fft)[1]
         rows.append(_row("ratio-taylor-coefficient",
                          "normalized-ratio-expansion", f"{name},F1",
                          abs(f1 - jf.expected_f1(form, point)), 1e-6,
@@ -262,6 +265,7 @@ def characters(q_order=10, fock_q_order=4):
 
 
 @suite
-def character_jacobi(q_order=30):
-    """The E8 character transforms as a Jacobi form of weight 0, index 2."""
-    return ch.jacobi_character_check(ch.e8_lattice(), tol=1e-5, n_q=q_order)
+def character_jacobi():
+    """The E8 character, expanded to q^30, transforms as a Jacobi form of
+    weight 0, index 2."""
+    return ch.jacobi_character_check(ch.e8_lattice())
