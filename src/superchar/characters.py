@@ -1,8 +1,9 @@
 """Supertrace characters of SUSY lattice vertex algebras: lattice theta
-functions by exhaustive vector enumeration, the product and closed-form
-character series, a brute-force Fock-space oracle, the triple product
-identity, cusp predicates with expansion certificates, and numeric Jacobi
-transformation checks for the normalized character.
+functions (modular forms in E4 and Delta for even unimodular summands,
+Fincke-Pohst vector enumeration for the others), the product and
+closed-form character series, a brute-force Fock-space oracle, the triple
+product identity, cusp predicates with expansion certificates, and numeric
+Jacobi transformation checks for the normalized character.
 """
 
 from __future__ import annotations
@@ -14,11 +15,34 @@ from fractions import Fraction
 
 import numpy as np
 
+from .elliptic import divisor_sigma
 from .jacobi_forms import (JacobiForm, OffsetSeries, _theta_mantissa,
                            theta_sum_terms, transformation_check)
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product,
                           infinite_product)
+
+
+def integer_determinant(matrix):
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact, so all entries stay
+    integers.  A zero pivot is replaced by a lower row with a nonzero
+    entry in its column."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 class EvenLattice:
@@ -46,29 +70,7 @@ class EvenLattice:
         self.rank = r
 
     def determinant(self):
-        if self.rank == 0:
-            return 1
-        # fraction-free integer determinant (Bareiss)
-        m = [[Fraction(x) for x in row] for row in self.gram]
-        det = Fraction(1)
-        for i in range(self.rank):
-            pivot = None
-            for j in range(i, self.rank):
-                if m[j][i] != 0:
-                    pivot = j
-                    break
-            if pivot is None:
-                return 0
-            if pivot != i:
-                m[i], m[pivot] = m[pivot], m[i]
-                det = -det
-            det *= m[i][i]
-            for j in range(i + 1, self.rank):
-                factor = m[j][i] / m[i][i]
-                for kk in range(i, self.rank):
-                    m[j][kk] -= factor * m[i][kk]
-        assert det.denominator == 1
-        return int(det)
+        return integer_determinant(self.gram)
 
     def is_unimodular(self):
         return abs(self.determinant()) == 1
@@ -177,11 +179,92 @@ def count_vectors_by_norm(lattice, max_norm):
     return [int(c) for c in counts]
 
 
+def _orthogonal_components(gram):
+    """Index lists of the orthogonal summands of a Gram matrix: the
+    connected components of the graph joining i and j when gram[i][j] is
+    nonzero."""
+    todo = set(range(len(gram)))
+    parts = []
+    while todo:
+        stack = [min(todo)]
+        todo.discard(stack[0])
+        part = []
+        while stack:
+            i = stack.pop()
+            part.append(i)
+            linked = {j for j in todo if gram[i][j] != 0}
+            todo -= linked
+            stack.extend(linked)
+        parts.append(sorted(part))
+    return parts
+
+
+def _mul(a, b):
+    """Product of two integer coefficient lists of equal length, truncated
+    at that length."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j in range(n - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _pow(a, k):
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(k):
+        out = _mul(out, a)
+    return out
+
+
+def _eta24(size):
+    """prod_n (1 - q^n)^24 = Delta / q, as integers to q^(size - 1)."""
+    euler = [1] + [0] * (size - 1)
+    for n in range(1, size):
+        for i in range(size - 1, n - 1, -1):
+            euler[i] -= euler[i - n]
+    return _pow(euler, 24)
+
+
+def _unimodular_theta(lattice, n_q):
+    """Theta series of an even unimodular lattice of rank 8m, as exact
+    integers to q^n_q.  It is a modular form of weight 4m for SL(2, Z), so
+    Theta = sum_{j <= m/3} c_j E4^{m-3j} Delta^j (Serre, A Course in
+    Arithmetic, ch. VII).  Delta^j = q^j + O(q^{j+1}), so the c_j follow by
+    back-substitution from the vector counts through q^{m/3}."""
+    m = lattice.rank // 8
+    top = m // 3
+    size = max(n_q, top) + 1
+    e4 = [1] + [240 * divisor_sigma(3, n) for n in range(1, size)]
+    counts = count_vectors_by_norm(lattice, top)
+    theta = [0] * size
+    delta_j = [1] + [0] * (size - 1)  # Delta^j / q^j
+    for j in range(top + 1):
+        form = _mul(_pow(e4, m - 3 * j), delta_j)
+        c = counts[j] - theta[j]
+        for n in range(j, size):
+            theta[n] += c * form[n - j]
+        if j < top:
+            delta_j = _mul(delta_j, _eta24(size))
+    return theta[:n_q + 1]
+
+
 def lattice_theta(lattice, n_q=DEFAULT_Q_ORDER):
     """Theta function of the lattice, sum_v q^{(v,v)/2}, as a y-free
-    QYSeries computed by exhaustive enumeration."""
-    counts = count_vectors_by_norm(lattice, n_q)
-    return QYSeries({(n, 0): float(c) for n, c in enumerate(counts)}, n_q)
+    QYSeries.  The lattice is split into orthogonal summands; an even
+    unimodular summand (its rank is then a multiple of 8) takes its theta
+    series from E4 and Delta, every other summand from Fincke-Pohst
+    enumeration, and the product is taken in exact integers."""
+    theta = [1] + [0] * n_q
+    for idx in _orthogonal_components(lattice.gram):
+        part = EvenLattice([[lattice.gram[i][j] for j in idx] for i in idx])
+        if part.is_unimodular():
+            counts = _unimodular_theta(part, n_q)
+        else:
+            counts = count_vectors_by_norm(part, n_q)
+        theta = _mul(theta, counts)
+    return QYSeries({(n, 0): float(c) for n, c in enumerate(theta)}, n_q)
 
 
 class CharacterSeries:
@@ -300,33 +383,38 @@ def fock_oracle(lattice, n_q):
     return out
 
 
-def fock_weighted_trace(lattice, n_q, insertion):
+def fock_weighted_trace(lattice, n_q, insertion, fock=None):
     """As ``fock_oracle`` but with an L_0 or J_0 insertion: every state is
     weighted by its total weight ("L0") or its total charge including the
-    C/6 shift ("J0")."""
-    base = fock_oracle(lattice, n_q)
+    C/6 shift ("J0").  ``fock`` is ``fock_oracle(lattice, n_q)`` if the
+    caller has already built it."""
+    if insertion not in ("L0", "J0"):
+        raise ValueError("insertion must be 'L0' or 'J0'")
+    if fock is None:
+        fock = fock_oracle(lattice, n_q)
     out = QYSeries.zero(n_q)
-    for (w, r2), v in base.coeffs.items():
+    for (w, r2), v in fock.coeffs.items():
         factor = w if insertion == "L0" else r2 / 2.0
-        if insertion not in ("L0", "J0"):
-            raise ValueError("insertion must be 'L0' or 'J0'")
         if factor != 0:
             out._set(w, r2, v * factor)
     return out
 
 
-def trace_identity_check(lattice, n_q, tol=0.0):
+def trace_identity_check(lattice, n_q, tol=0.0, fock=None):
     """Verify the bookkeeping identities
 
         str L_0 q^{L_0} y^{J_0} = q d/dq str q^{L_0} y^{J_0}
         str J_0 q^{L_0} y^{J_0} = y d/dy str q^{L_0} y^{J_0}
 
-    with the insertion side from the brute-force Fock sum and the
-    differentiated side from the product-form character.  Returns rows."""
+    with the insertion side from the brute-force Fock sum (``fock``, built
+    here if not given) and the differentiated side from the product-form
+    character.  Returns rows."""
     chi = chi_character(lattice, n_q, "product").chi
+    if fock is None:
+        fock = fock_oracle(lattice, n_q)
     rows = []
     for insertion, diff in (("L0", chi.q_d_dq()), ("J0", chi.y_d_dy())):
-        ins = fock_weighted_trace(lattice, n_q, insertion)
+        ins = fock_weighted_trace(lattice, n_q, insertion, fock)
         resid = ins.normalized_distance(diff)
         rows.append(VerificationRow(
             suite="",

@@ -246,11 +246,14 @@ def cusp():
 def characters(q_order=10, fock_q_order=4):
     """The E8 character: product against closed form to q^q_order, and
     against the Fock state sum (exact and integral) and its L0/J0 trace
-    insertions to q^fock_q_order."""
+    insertions to q^fock_q_order; the E8 theta series against vector
+    enumeration to q^fock_q_order."""
     lat = ch.e8_lattice()
     prod = ch.chi_character(lat, q_order, "product").chi
     closed = ch.chi_character(lat, q_order, "closed").chi
     fock = ch.fock_oracle(lat, fock_q_order)
+    theta = ch.lattice_theta(lat, fock_q_order)
+    counts = ch.count_vectors_by_norm(lat, fock_q_order)
     rows = [
         _row("character-product-vs-closed", "character-formulas",
              f"E8,q^{q_order}", prod.normalized_distance(closed), 1e-9),
@@ -260,8 +263,11 @@ def characters(q_order=10, fock_q_order=4):
         _row("fock-oracle-integrality", "supertrace-state-sum",
              f"E8,q^{fock_q_order}",
              max(abs(c - round(c.real)) for c in fock.coeffs.values()), 0.0),
+        _row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
+             f"E8,q^{fock_q_order}",
+             max(abs(theta.coeff(n) - c) for n, c in enumerate(counts)), 0.0),
     ]
-    return rows + ch.trace_identity_check(lat, fock_q_order)
+    return rows + ch.trace_identity_check(lat, fock_q_order, fock=fock)
 
 
 @suite

@@ -21,6 +21,7 @@ from .report import emit_report, format_sig, rows_from_json
 from .series_core import EvalPoint, QYSeries, TXSeries
 
 DEFAULTS = {"q_order": 20, "format": "pretty"}
+FORMATS = ("json", "csv", "pretty")
 
 
 def _parse_complex(text):
@@ -38,11 +39,30 @@ def _resolve(ctx_obj, flag_value, key):
     return ctx_obj.get(key, DEFAULTS.get(key))
 
 
+def _setting(ctx, flag_value, key, convert):
+    """``convert`` of the resolved value of ``key`` (None stays None); a
+    value it rejects, which can only come from the config file, is a usage
+    error."""
+    value = _resolve(ctx.obj, flag_value, key)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise click.UsageError(f"bad {key} in config: {value!r}")
+
+
 def _q_order(ctx, flag_value):
-    n_q = int(_resolve(ctx.obj, flag_value, "q_order"))
+    n_q = _setting(ctx, flag_value, "q_order", int)
     if n_q < 0:
         raise click.UsageError(f"q-order must be >= 0, got {n_q}")
     return n_q
+
+
+def _format(value):
+    if value not in FORMATS:
+        raise ValueError(value)
+    return value
 
 
 def _choose(kind, name, registry):
@@ -61,7 +81,7 @@ def _read(path, what, parse):
     except OSError as exc:
         click.echo(f"error reading {what}: {exc}", err=True)
         sys.exit(3)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"bad {what} file: {exc}")
 
 
@@ -140,10 +160,13 @@ def main(ctx, config_path):
     if config_path is not None:
         try:
             with open(config_path) as fh:
-                ctx.obj.update(json.load(fh))
+                config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             click.echo(f"error reading config: {exc}", err=True)
             sys.exit(3)
+        if not isinstance(config, dict):
+            raise click.UsageError("config must be a JSON object")
+        ctx.obj.update(config)
 
 
 @main.command()
@@ -185,7 +208,7 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
 @main.command()
 @click.option("--suite", "suites", multiple=True,
               help="suite name (repeatable); default: all")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default=None)
 @click.option("--tolerance", type=float, default=None,
               help="cap the tolerance of every row at this value")
@@ -193,13 +216,13 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
 @click.pass_context
 def verify(ctx, suites, fmt, tolerance, output):
     """Run verification suites and emit a report; exits 1 on any failure."""
-    fmt = _resolve(ctx.obj, fmt, "format")
-    tolerance = _resolve(ctx.obj, tolerance, "tolerance")
+    fmt = _setting(ctx, fmt, "format", _format)
+    tolerance = _setting(ctx, tolerance, "tolerance", float)
     runs = [_choose("suite", nm, SUITES) for nm in suites or sorted(SUITES)]
     rows = [row for run in runs for row in run()]
     if tolerance is not None:
         for r in rows:
-            r.tolerance = min(r.tolerance, float(tolerance))
+            r.tolerance = min(r.tolerance, tolerance)
             r.passed = r.residual <= r.tolerance
     _write(emit_report(rows, fmt), output)
     failing = sum(not r.passed for r in rows)
@@ -235,14 +258,14 @@ def character(ctx, lattice_path, mode, q_order):
 @main.command()
 @click.option("--input", "input_path", required=True,
               help="JSON report rows (as produced by verify --format json)")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "pretty"]),
+@click.option("--format", "fmt", type=click.Choice(FORMATS),
               default=None)
 @click.option("--output", type=str, default=None)
 @click.pass_context
 def report(ctx, input_path, fmt, output):
     """Reformat a JSON report as CSV / pretty text."""
     rows = _read(input_path, "report", rows_from_json)
-    _write(emit_report(rows, _resolve(ctx.obj, fmt, "format")), output)
+    _write(emit_report(rows, _setting(ctx, fmt, "format", _format)), output)
 
 
 if __name__ == "__main__":

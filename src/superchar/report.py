@@ -96,7 +96,11 @@ def emit_report(rows, fmt):
 
 
 def rows_from_json(text):
+    """Rows from a JSON list of row objects; ValueError if it is not one."""
     data = json.loads(text)
+    if not isinstance(data, list) or \
+            not all(isinstance(obj, dict) for obj in data):
+        raise ValueError("a report is a JSON list of row objects")
     rows = []
     for obj in data:
         rows.append(VerificationRow(

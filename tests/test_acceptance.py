@@ -38,10 +38,12 @@ def test_01_character_three_way_agreement():
     oracle = worst["character-vs-fock-oracle"]
     int_ok = worst["fock-oracle-integrality"] == 0.0
     rel = worst["character-product-vs-closed"]
+    theta = worst["lattice-theta-vs-enumeration"]
     ok = all(r.passed for r in rows) and oracle == 0.0 and int_ok \
-        and rel < 1e-9
+        and rel < 1e-9 and theta == 0.0
     report("criterion-01 character-three-way", ok,
-           f"oracle diff {oracle}, product-vs-closed {rel:.2e}", 60, elapsed)
+           f"oracle diff {oracle}, product-vs-closed {rel:.2e}, "
+           f"theta-vs-enumeration {theta}", 60, elapsed)
 
 
 def test_02_triple_product():

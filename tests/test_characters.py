@@ -6,14 +6,62 @@ import pytest
 from superchar.characters import (
     EvenLattice, chi_character, count_vectors_by_norm, cusp_certificate,
     cusp_grid_check, cusp_predicate, e8_lattice, fock_oracle,
-    fock_weighted_trace, jacobi_character_check, jacobi_triple_product,
-    lattice_theta, super_cusp_predicate, trace_identity_check,
-    triple_product_check,
+    fock_weighted_trace, integer_determinant, jacobi_character_check,
+    jacobi_triple_product, lattice_theta, super_cusp_predicate,
+    trace_identity_check, triple_product_check,
 )
 from superchar.jacobi_forms import eisenstein_e4
 
 # sigma_3(1..8): E8 shell counts are 240 sigma_3(n)
 SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
+A2 = [[2, -1], [-1, 2]]
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+def simply_laced(n, edges):
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = -1
+    return gram
+
+
+# D8: rank 8 like E8, but det 4 and 112 roots, so its theta is not E4
+D8 = simply_laced(8, [(k, k + 1) for k in range(6)] + [(5, 7)])
+
+
+def block_diagonal(*grams):
+    n = sum(len(g) for g in grams)
+    out = [[0] * n for _ in range(n)]
+    offset = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[offset + i][offset:offset + len(g)] = row
+        offset += len(g)
+    return out
+
+
+def e8_power(k):
+    return EvenLattice(block_diagonal(*[e8_lattice().gram] * k))
+
+
+def skewed_e8():
+    """E8 in the basis U^T G U, U = 1 + (ones on the superdiagonal): a
+    unimodular change of basis that leaves no block structure."""
+    g = e8_lattice().gram
+    u = [[int(j in (i, i + 1)) for j in range(8)] for i in range(8)]
+    return EvenLattice([[sum(u[k][i] * g[k][l] * u[l][j]
+                             for k in range(8) for l in range(8))
+                         for j in range(8)] for i in range(8)])
+
+
+def d_plus(n):
+    """D_n^+ for 8 | n: D_n and the glue vector (1/2, ..., 1/2), in the
+    basis (1/2)(1, -1, ..., -1, 1), e1 + e2, e_{i+1} - e_i."""
+    glue = [Fraction(1, 2)] + [Fraction(-1, 2)] * (n - 2) + [Fraction(1, 2)]
+    basis = [glue, [1, 1] + [0] * (n - 2)] + \
+        [[0] * i + [-1, 1] + [0] * (n - 2 - i) for i in range(n - 2)]
+    return EvenLattice([[int(sum(a * b for a, b in zip(x, y)))
+                         for y in basis] for x in basis])
 
 
 class TestEvenLattice:
@@ -33,6 +81,20 @@ class TestEvenLattice:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             EvenLattice([[2, 3], [3, 2]])
+
+    @pytest.mark.parametrize("lattice, det", [
+        (e8_lattice(), 1), (e8_power(3), 1), (d_plus(24), 1),
+        (EvenLattice(A2), 3), (EvenLattice(D4), 4), (EvenLattice(D8), 4),
+    ], ids=["E8", "E8^3", "D24+", "A2", "D4", "D8"])
+    def test_determinant(self, lattice, det):
+        assert lattice.determinant() == det
+        assert lattice.is_unimodular() == (det == 1)
+
+    def test_determinant_swaps_zero_pivot(self):
+        assert integer_determinant([[0, 1], [1, 0]]) == -1
+        assert integer_determinant([[0, 2, 1], [1, 0, 0], [0, 0, 3]]) == -6
+        assert integer_determinant([[0, 1], [0, 2]]) == 0
+        assert integer_determinant([]) == 1
 
     def test_json_round_trip(self):
         lat = EvenLattice([[2, -1], [-1, 2]])
@@ -60,9 +122,33 @@ class TestVectorCounts:
         assert counts == [1, 6, 0, 6, 6, 0, 0, 12]
 
     def test_theta_is_e4_for_e8(self):
-        th = lattice_theta(e8_lattice(), 10)
+        counts = count_vectors_by_norm(e8_lattice(), 10)
         e4 = eisenstein_e4(10)
-        assert th.normalized_distance(e4) < 1e-12
+        assert counts == [e4.coeff(n) for n in range(11)]
+
+    @pytest.mark.parametrize("lattice, n_q", [
+        (e8_lattice(), 10), (skewed_e8(), 6), (e8_power(2), 2),
+        (e8_power(3), 1), (EvenLattice(D8), 4), (d_plus(16), 1),
+        (EvenLattice(block_diagonal(A2, e8_lattice().gram)), 4),
+        (e8_lattice(), 0), (e8_lattice(), 1),
+    ], ids=["E8-q10", "skewed-E8-q6", "E8^2-q2", "E8^3-q1", "D8-q4",
+            "D16+-q1", "A2+E8-q4", "E8-q0", "E8-q1"])
+    def test_theta_matches_enumeration(self, lattice, n_q):
+        th = lattice_theta(lattice, n_q)
+        counts = count_vectors_by_norm(lattice, n_q)
+        assert th.q_order == n_q
+        assert th.coeffs == {(n, 0): c for n, c in enumerate(counts) if c}
+
+    def test_theta_of_d24_plus_has_a_delta_term(self):
+        # Theta = E4^3 + (1104 - 720) Delta.  Independent counts: norm 2,
+        # 48 vectors (+-2, 0^23) and 16 C(24, 4) of shape (+-1^4, 0^20);
+        # norm 3, 24 * 8 C(23, 2) of shape (+-2, +-1^2), 64 C(24, 6) of
+        # shape (+-1^6) and 2^23 glue vectors (+-1/2)^24
+        lat = d_plus(24)
+        assert count_vectors_by_norm(lat, 1) == [1, 1104]
+        th = lattice_theta(lat, 3)
+        assert [th.coeff(n) for n in range(4)] == [
+            1, 1104, 48 + 16 * 10626, 24 * 8 * 253 + 64 * 134596 + 2 ** 23]
 
 
 class TestCharacter:

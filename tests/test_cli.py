@@ -148,6 +148,13 @@ class TestReport:
         assert rows == json.loads(verify.output)
         assert {obj["suite"] for obj in rows} == {"flatness"}
 
+    def test_malformed_report_is_usage_error(self, runner, tmp_path):
+        src = tmp_path / "rows.json"
+        src.write_text(json.dumps({"a": 1}))
+        result = runner.invoke(main, ["report", "--input", str(src)])
+        assert result.exit_code == 2
+        assert "bad report file" in result.output
+
     def test_missing_input_exits_3(self, runner):
         result = runner.invoke(
             main, ["report", "--input", "/definitely/not/here.json"])
@@ -214,3 +221,15 @@ class TestConfig:
         cfg.write_text("{not json")
         result = runner.invoke(main, ["--config", str(cfg), "series", "eta"])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("config, args", [
+        ({"format": "xml"}, ["verify", "--suite", "flatness"]),
+        ({"q_order": "abc"}, ["series", "eta"]),
+    ], ids=["format", "q_order"])
+    def test_bad_config_value_is_usage_error(self, runner, tmp_path, config,
+                                             args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, ["--config", str(cfg)] + args)
+        assert result.exit_code == 2
+        assert f"bad {next(iter(config))} in config" in result.output
