@@ -359,19 +359,22 @@ def _fermion_sector(colors, weights, charge, n_q):
     return acc
 
 
-def fock_oracle(lattice, n_q):
+def fock_oracle(lattice, n_q, counts=None):
     """The supertrace y^{C/6} str q^{L_0} y^{J_0} assembled by brute-force
     state sums: r colored bosons (modes n >= 1), r/2 positively charged
     fermions (weights n >= 1), r/2 negatively charged fermions (weights
     n - 1 >= 0, including zero modes), and the lattice sector enumerated
-    vector by vector.  Returns a QYSeries with doubled y-exponents."""
+    vector by vector.  ``counts`` is ``count_vectors_by_norm(lattice, n_q)``
+    if the caller has already enumerated it.  Returns a QYSeries with
+    doubled y-exponents."""
     r = lattice.rank
     if r % 2 != 0:
         raise ValueError("rank must be even")
     bos = _boson_sector(r, n_q)
     ferm_plus = _fermion_sector(r // 2, range(1, n_q + 1), +1, n_q)
     ferm_minus = _fermion_sector(r // 2, range(0, n_q + 1), -1, n_q)
-    counts = count_vectors_by_norm(lattice, n_q)
+    if counts is None:
+        counts = count_vectors_by_norm(lattice, n_q)
     lat = {(w, 0): c for w, c in enumerate(counts)}
     total = _convolve(_convolve(_convolve(bos, ferm_plus, n_q),
                                 ferm_minus, n_q), lat, n_q)
@@ -494,45 +497,39 @@ def super_cusp_predicate(delta, k, l, cap_k, charge):
     return False
 
 
-def _cusp_expansion(delta, k, l, cap_k, charge, n_cut, q_max, z,
-                    super_case):
-    """Coefficients {(q_pow, x_pow, y_pow): complex} of the averaged section,
-    each translate expanded geometrically; n = 0 (cutoff-independent) is
-    skipped.
+def cusp_class(delta, k, l, cap_k=0, charge=0, super_case=False):
+    """The (e, f, l) on which the cusp certificate depends: the translate
+    by q^n carries the prefactor q^{n e} y^{n f}, with e = 1 + k - delta
+    and f = 0 in the non-super case, e = K + k - delta and f = K - 1 - c in
+    the super case.  Otherwise k only shifts every x-exponent, and the
+    certificate never compares across x-exponents."""
+    if super_case:
+        return cap_k + k - delta, cap_k - 1 - charge, l
+    return 1 + k - delta, 0, l
 
-    The translate prefactor is q^{n(1 + k - delta)} in the non-super case
-    and q^{n(K + k - delta)} y^{n(K - 1 - c)} in the super case.
-    """
-    acc = {}
 
-    def add(qp, xp, yp, c):
-        key = (qp, xp, yp)
-        acc[key] = acc.get(key, 0j) + c
-
-    for n in range(-n_cut, n_cut + 1):
-        if n == 0:
-            continue
-        if super_case:
-            q_pref = n * (cap_k + k - delta)
-            y_pow = n * (cap_k - 1 - charge)
-        else:
-            q_pref = n * (1 + k - delta)
-            y_pow = 0
+def _add_translates(acc, e, f, l, translates, q_max, z):
+    """Add to ``acc`` = {(q_pow, x_pow, y_pow): complex} the geometric
+    expansions of the translates n in ``translates`` of the averaged
+    section of class (e, f, l), with x-exponents taken relative to k."""
+    for n in translates:
+        q_pref, y_pow = n * e, n * f
         if n > 0:
             # (q^n x - z)^{-l} = (-z)^{-l} sum_j C(l-1+j, j) (x/z)^j q^{nj}
             base = (-z) ** (-l)
             j = 0
             while q_pref + n * j <= q_max:
-                coeff = base * math.comb(l - 1 + j, j) * z ** (-j)
-                add(q_pref + n * j, k + j, y_pow, coeff)
+                key = (q_pref + n * j, j, y_pow)
+                acc[key] = acc.get(key, 0j) + \
+                    base * math.comb(l - 1 + j, j) * z ** (-j)
                 j += 1
         else:
             m = -n
             # (q^{-m} x - z)^{-l} = q^{ml} x^{-l} sum_j C(l-1+j,j) (z/x)^j q^{mj}
             j = 0
             while q_pref + m * l + m * j <= q_max:
-                coeff = math.comb(l - 1 + j, j) * z ** j
-                add(q_pref + m * l + m * j, k - l - j, y_pow, coeff)
+                key = (q_pref + m * l + m * j, -l - j, y_pow)
+                acc[key] = acc.get(key, 0j) + math.comb(l - 1 + j, j) * z ** j
                 j += 1
     return acc
 
@@ -542,23 +539,26 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
     """Independent expansion certificate for the cusp predicates.
 
     The averaged section is expanded at translate cutoffs n_cut and
-    n_cut + 5; the sum extends over the cusp iff no negative q-powers
-    appear, coefficients at common keys agree between the cutoffs, and the
-    minimum y-exponent of each q-shell does not drop (new keys may appear
-    only at higher y-powers, where the limit is a power series in y).
+    n_cut + 5 (the larger expansion adds the translates n_cut < |n| <=
+    n_cut + 5 to the smaller); the sum extends over the cusp iff no
+    negative q-powers appear, coefficients at common keys agree between
+    the cutoffs, and the minimum y-exponent of each q-shell does not drop
+    (new keys may appear only at higher y-powers, where the limit is a
+    power series in y).
     """
     if super_case is None:
         super_case = not (cap_k == 0 and charge == 0)
-    small = _cusp_expansion(delta, k, l, cap_k, charge, n_cut, q_max, z,
-                            super_case)
-    large = _cusp_expansion(delta, k, l, cap_k, charge, n_cut + 5, q_max, z,
-                            super_case)
+    e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
+    inner = [n for n in range(-n_cut, n_cut + 1) if n]
+    outer = [s * n for n in range(n_cut + 1, n_cut + 6) for s in (-1, 1)]
+    small = _add_translates({}, e, f, l, inner, q_max, z)
+    large = _add_translates(dict(small), e, f, l, outer, q_max, z)
     scale = max((abs(v) for v in large.values()), default=1.0)
     for key, v in large.items():
         if key[0] < 0 and abs(v) > tol * scale:
             return False
     for key, v in small.items():
-        if abs(v - large.get(key, 0j)) > tol * scale:
+        if abs(v - large[key]) > tol * scale:
             return False
     min_y_small = {}
     min_y_large = {}
@@ -572,8 +572,8 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
         if qp in min_y_small and ymin < min_y_small[qp]:
             return False
         if qp not in min_y_small and qp <= q_max:
-            # a whole new q-shell appeared: only acceptable if it came with
-            # nonnegative... new shells indicate non-stabilization
+            # a whole q-shell that the smaller cutoff lacks: the sum has
+            # not stabilized
             return False
     return True
 
@@ -582,22 +582,30 @@ def cusp_grid_check(delta_range=range(0, 6), k_range=range(0, 8),
                     l_range=range(1, 5), super_grid=False,
                     charge_range=range(-3, 4), cap_k_values=(0, 1)):
     """Compare predicate and certificate over a parameter grid; returns the
-    list of mismatches (empty iff they agree everywhere)."""
+    list of mismatches (empty iff they agree everywhere).  The certificate
+    is computed once per ``cusp_class`` and the predicate at every point."""
+    certs = {}
+
+    def certificate(*args):
+        key = cusp_class(*args, super_case=super_grid)
+        if key not in certs:
+            certs[key] = cusp_certificate(*args, super_case=super_grid)
+        return certs[key]
+
     mismatches = []
     for delta in delta_range:
         for k in k_range:
             for l in l_range:
                 if not super_grid:
                     pred = cusp_predicate(delta, k, l)
-                    cert = cusp_certificate(delta, k, l, super_case=False)
+                    cert = certificate(delta, k, l)
                     if pred != cert:
                         mismatches.append((delta, k, l, pred, cert))
                 else:
                     for c in charge_range:
                         for cap_k in cap_k_values:
                             pred = super_cusp_predicate(delta, k, l, cap_k, c)
-                            cert = cusp_certificate(delta, k, l, cap_k, c,
-                                                    super_case=True)
+                            cert = certificate(delta, k, l, cap_k, c)
                             if pred != cert:
                                 mismatches.append(
                                     (delta, k, l, cap_k, c, pred, cert))

@@ -13,6 +13,7 @@ import cmath
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 from . import characters as ch
@@ -29,12 +30,15 @@ SUITES = {}
 
 def suite(fn):
     """Register ``fn`` in SUITES under its name and label every row it
-    returns with that name."""
+    returns with that name and the wall time of the call."""
     @functools.wraps(fn)
     def run(*args, **kwargs):
+        start = time.perf_counter()
         rows = fn(*args, **kwargs)
+        elapsed = time.perf_counter() - start
         for r in rows:
             r.suite = fn.__name__
+            r.elapsed_s = elapsed
         return rows
     SUITES[fn.__name__] = run
     return run
@@ -50,7 +54,7 @@ def _row(identity, ref, element, resid, tol, point=None):
 def _max_abs(*vectors):
     """Largest absolute coefficient of some AlgebraVectors (0 if none)."""
     return max((abs(c) for v in vectors for c in v.terms.values()),
-               default=Fraction(0))
+               default=0)
 
 
 @suite
@@ -251,9 +255,9 @@ def characters(q_order=10, fock_q_order=4):
     lat = ch.e8_lattice()
     prod = ch.chi_character(lat, q_order, "product").chi
     closed = ch.chi_character(lat, q_order, "closed").chi
-    fock = ch.fock_oracle(lat, fock_q_order)
-    theta = ch.lattice_theta(lat, fock_q_order)
     counts = ch.count_vectors_by_norm(lat, fock_q_order)
+    fock = ch.fock_oracle(lat, fock_q_order, counts=counts)
+    theta = ch.lattice_theta(lat, fock_q_order)
     rows = [
         _row("character-product-vs-closed", "character-formulas",
              f"E8,q^{q_order}", prod.normalized_distance(closed), 1e-9),

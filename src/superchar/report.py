@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 
 CSV_HEADER = ["suite", "identity", "paper_ref", "element", "point",
-              "residual", "tolerance", "pass"]
+              "residual", "tolerance", "pass", "elapsed_s"]
 
 
 def format_sig(x, digits=15):
@@ -20,8 +20,9 @@ def format_sig(x, digits=15):
 @dataclass
 class VerificationRow:
     """One verified identity at one point (or one exact check).  ``suite``
-    names the suite of ``superchar.checks`` that produced the row; a check
-    called outside a suite leaves it empty."""
+    names the suite of ``superchar.checks`` that produced the row and
+    ``elapsed_s`` the wall time in seconds of that suite's call; a check
+    called outside a suite leaves them empty and None."""
 
     suite: str
     identity: str
@@ -31,6 +32,7 @@ class VerificationRow:
     residual: float
     tolerance: float
     passed: bool
+    elapsed_s: float | None = None
 
     def to_json_obj(self):
         return {
@@ -42,6 +44,7 @@ class VerificationRow:
             "residual": self.residual,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "elapsed_s": self.elapsed_s,
         }
 
     def point_str(self):
@@ -69,6 +72,7 @@ def rows_to_csv(rows):
             r.suite, r.identity, r.paper_ref, r.element, r.point_str(),
             format_sig(r.residual), format_sig(r.tolerance),
             "true" if r.passed else "false",
+            "" if r.elapsed_s is None else format_sig(r.elapsed_s),
         ])
     return buf.getvalue()
 
@@ -78,9 +82,12 @@ def rows_to_pretty(rows):
     for r in sort_rows(rows):
         status = "PASS" if r.passed else "FAIL"
         pt = f" @ ({r.point_str()})" if r.point is not None else ""
+        took = "" if r.elapsed_s is None else \
+            f" elapsed={format_sig(r.elapsed_s, 3)}s"
         lines.append(
             f"[{status}] {r.suite}/{r.identity} [{r.paper_ref}] {r.element}{pt}"
             f"  residual={format_sig(r.residual, 6)} tol={format_sig(r.tolerance, 6)}"
+            f"{took}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -112,5 +119,7 @@ def rows_from_json(text):
             residual=float(obj["residual"]),
             tolerance=float(obj["tolerance"]),
             passed=bool(obj["pass"]),
+            elapsed_s=None if obj.get("elapsed_s") is None
+            else float(obj["elapsed_s"]),
         ))
     return rows

@@ -4,7 +4,9 @@ GL(1|1) supermatrix actions, and second-order jet data.
 
 Basis keys are ("L", m), ("J", m), ("Q", m), ("H", m) and the central
 element ("C",); L, J, C are even, Q, H odd.  Coefficients are exact
-fractions so all bracket identities are checked exactly.
+rationals: a Python int where the value is integral and a Fraction only
+where it is not (the central terms m/3 and (m^2 +- m)/6 of the bracket
+table), so all bracket identities are checked exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .grassmann import (DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian,
 
 EVEN_GENERATORS = {"L", "J", "C"}
 ODD_GENERATORS = {"Q", "H"}
+CENTRAL = ("C",)
 
 
 def parity(gen):
@@ -27,9 +30,25 @@ def parity(gen):
     raise ValueError(f"unknown generator {gen!r}")
 
 
+def _exact(c):
+    """``c`` as an exact rational: an int if it is integral, else a
+    Fraction (floats are converted exactly)."""
+    if type(c) is not Fraction:
+        if type(c) is int:
+            return c
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ratio(num, den):
+    """num / den for ints, as an int when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 class AlgebraVector:
-    """A finite linear combination of mode-algebra basis elements with
-    Fraction coefficients."""
+    """A finite linear combination of mode-algebra basis elements with exact
+    coefficients (int where integral, Fraction otherwise); ``terms`` maps
+    basis keys to nonzero coefficients."""
 
     __slots__ = ("terms",)
 
@@ -37,34 +56,34 @@ class AlgebraVector:
         self.terms = {}
         if terms:
             for key, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = _exact(c)
                 if c:
                     self.terms[key] = c
 
     @classmethod
     def basis(cls, gen, mode=None, coeff=1):
-        key = ("C",) if gen == "C" else (gen, int(mode))
+        key = CENTRAL if gen == "C" else (gen, int(mode))
         return cls({key: coeff})
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return AlgebraVector(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, 0) - c
         return AlgebraVector(out)
 
     def __neg__(self):
         return AlgebraVector({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        return AlgebraVector({k: c * Fraction(scalar)
-                              for k, c in self.terms.items()})
+        scalar = _exact(scalar)
+        return AlgebraVector({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -88,7 +107,7 @@ class AlgebraVector:
 
     def __repr__(self):
         def label(key):
-            return "C" if key == ("C",) else f"{key[0]}_{key[1]}"
+            return "C" if key == CENTRAL else f"{key[0]}_{key[1]}"
         body = " + ".join(f"({c})*{label(k)}"
                           for k, c in sorted(self.terms.items()))
         return f"AV[{body or '0'}]"
@@ -111,11 +130,12 @@ def H(m, coeff=1):
 
 
 def C(coeff=1):
-    return AlgebraVector({("C",): coeff})
+    return AlgebraVector({CENTRAL: coeff})
 
 
 def _basis_bracket(g1, m, g2, n):
-    """Bracket of two basis modes, returned as an AlgebraVector.
+    """Bracket of two basis modes, returned as a dict {key: coefficient}
+    (coefficients may be zero).
 
     [L_m, L_n] = (m-n) L_{m+n}
     [L_m, J_n] = -n J_{m+n} + ((m^2+m)/6) C delta_{m,-n}
@@ -128,59 +148,63 @@ def _basis_bracket(g1, m, g2, n):
     [Q, Q] = [H, H] = 0; C is central.
     """
     if g1 == "C" or g2 == "C":
-        return AlgebraVector()
+        return {}
     if g1 == "L":
         if g2 == "L":
-            return L(m + n, m - n)
+            return {("L", m + n): m - n}
         if g2 == "J":
-            out = J(m + n, -n)
             if m + n == 0:
-                out = out + C(Fraction(m * m + m, 6))
-            return out
+                return {("J", 0): -n, CENTRAL: _ratio(m * m + m, 6)}
+            return {("J", m + n): -n}
         if g2 == "H":
-            return H(m + n, -n)
+            return {("H", m + n): -n}
         if g2 == "Q":
-            return Q(m + n, m - n)
+            return {("Q", m + n): m - n}
     if g1 == "J":
         if g2 == "J":
-            return C(Fraction(m, 3)) if m + n == 0 else AlgebraVector()
+            return {CENTRAL: _ratio(m, 3)} if m + n == 0 else {}
         if g2 == "Q":
-            return Q(m + n)
+            return {("Q", m + n): 1}
         if g2 == "H":
-            return H(m + n, -1)
+            return {("H", m + n): -1}
     if g1 == "H" and g2 == "Q":
-        out = L(m + n) + J(m + n, -m)
         if m + n == 0:
-            out = out + C(Fraction(m * m - m, 6))
-        return out
-    if g1 == "Q" and g2 == "Q":
-        return AlgebraVector()
-    if g1 == "H" and g2 == "H":
-        return AlgebraVector()
+            return {("L", 0): 1, ("J", 0): -m, CENTRAL: _ratio(m * m - m, 6)}
+        return {("L", m + n): 1, ("J", m + n): -m}
+    if g1 == g2:  # [Q, Q] = [H, H] = 0
+        return {}
     # remaining pairs via super-antisymmetry: [x, y] = -(-1)^{|x||y|} [y, x]
-    sign = -1 if (parity(g1) * parity(g2)) == 0 else 1
-    return _basis_bracket(g2, n, g1, m) * sign
+    swapped = _basis_bracket(g2, n, g1, m)
+    if parity(g1) * parity(g2) == 0:
+        return {k: -c for k, c in swapped.items()}
+    return swapped
 
 
 def mode_bracket(x, y):
     """Super bracket of two (bilinear combinations of) basis modes."""
-    out = AlgebraVector()
+    out = {}
     for k1, c1 in x.terms.items():
+        if k1 == CENTRAL:
+            continue
         for k2, c2 in y.terms.items():
-            g1, m = (k1[0], k1[1] if len(k1) > 1 else 0)
-            g2, n = (k2[0], k2[1] if len(k2) > 1 else 0)
-            out = out + _basis_bracket(g1, m, g2, n) * (c1 * c2)
-    return out
+            if k2 == CENTRAL:
+                continue
+            c = c1 * c2
+            for key, b in _basis_bracket(k1[0], k1[1], k2[0], k2[1]).items():
+                out[key] = out.get(key, 0) + b * c
+    return AlgebraVector(out)
 
 
 def jacobi_residual(x, y, z):
     """(-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]]
     for homogeneous vectors; zero iff the graded Jacobi identity holds."""
     px, py, pz = x.parity(), y.parity(), z.parity()
-    out = mode_bracket(x, mode_bracket(y, z)) * ((-1) ** (px * pz))
-    out = out + mode_bracket(y, mode_bracket(z, x)) * ((-1) ** (py * px))
-    out = out + mode_bracket(z, mode_bracket(x, y)) * ((-1) ** (pz * py))
-    return out
+    out = {}
+    for a, b, c, odd_sign in ((x, y, z, px * pz), (y, z, x, py * px),
+                              (z, x, y, pz * py)):
+        for key, v in mode_bracket(a, mode_bracket(b, c)).terms.items():
+            out[key] = out.get(key, 0) + (-v if odd_sign else v)
+    return AlgebraVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +221,20 @@ def jacobi_residual(x, y, z):
 
 def realize_basis(gen, n=0):
     """The super vector field for one basis mode, as a function from a
-    monomial (a, e) to a list of (coefficient, monomial) pairs."""
+    monomial (a, e) to a list of (integer coefficient, monomial) pairs."""
     if gen == "C":
         return lambda a, e: []
     if gen == "L":
         def op(a, e):
-            out = []
-            if a != 0 or e != 0:
-                coeff = Fraction(-a) if e == 0 else Fraction(-a - (n + 1))
-                if coeff != 0:
-                    out.append((coeff, (a + n, e)))
-            return out
+            coeff = -a if e == 0 else -a - (n + 1)
+            return [(coeff, (a + n, e))] if coeff else []
         return op
     if gen == "J":
-        return lambda a, e: ([(Fraction(-1), (a + n, 1))] if e == 1 else [])
+        return lambda a, e: ([(-1, (a + n, 1))] if e == 1 else [])
     if gen == "Q":
-        return lambda a, e: ([(Fraction(-1), (a + n + 1, 0))] if e == 1 else [])
+        return lambda a, e: ([(-1, (a + n + 1, 0))] if e == 1 else [])
     if gen == "H":
-        return lambda a, e: ([(Fraction(a), (a + n - 1, 1))]
+        return lambda a, e: ([(a, (a + n - 1, 1))]
                              if (e == 0 and a != 0) else [])
     raise ValueError(f"unknown generator {gen!r}")
 
@@ -223,13 +243,11 @@ def _apply_vector(vec, poly):
     """Apply the realization of an AlgebraVector to a polynomial
     {(a, e): coeff}."""
     out = {}
-    for key, c in vec.terms.items():
-        gen = key[0]
-        n = key[1] if len(key) > 1 else 0
-        op = realize_basis(gen, n)
+    for (gen, *n), c in vec.terms.items():
+        op = realize_basis(gen, *n)
         for (a, e), pc in poly.items():
             for oc, mono in op(a, e):
-                out[mono] = out.get(mono, Fraction(0)) + c * pc * oc
+                out[mono] = out.get(mono, 0) + c * pc * oc
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -241,27 +259,25 @@ def realization_commutator(x, y, poly):
     second = _apply_vector(y, _apply_vector(x, poly))
     out = dict(first)
     for k, v in second.items():
-        out[k] = out.get(k, Fraction(0)) - sign * v
+        out[k] = out.get(k, 0) - sign * v
     return {k: v for k, v in out.items() if v != 0}
 
 
 def homomorphism_residual(x, y, monomials=None):
-    """Max deviation (as exact fractions) between [D_x, D_y] and the
-    realization of [x, y] with C sent to zero, over test monomials."""
+    """Max deviation (exact) between [D_x, D_y] and the realization of
+    [x, y] with C sent to zero, over test monomials."""
     if monomials is None:
         monomials = [(a, e) for a in range(-6, 7) for e in (0, 1)]
     bracket = mode_bracket(x, y)
     bracket = AlgebraVector({k: c for k, c in bracket.terms.items()
-                             if k != ("C",)})
-    worst = Fraction(0)
+                             if k != CENTRAL})
+    worst = 0
     for mono in monomials:
-        poly = {mono: Fraction(1)}
+        poly = {mono: 1}
         lhs = realization_commutator(x, y, poly)
         rhs = _apply_vector(bracket, poly)
-        keys = set(lhs) | set(rhs)
-        for k in keys:
-            diff = abs(lhs.get(k, Fraction(0)) - rhs.get(k, Fraction(0)))
-            worst = max(worst, diff)
+        for k in set(lhs) | set(rhs):
+            worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
     return worst
 
 
@@ -272,18 +288,17 @@ def homomorphism_residual(x, y, monomials=None):
 def nabla_operator(f):
     """For a Laurent polynomial f = {a: coeff}, the mode-algebra element
     Res_t f(t) (L(t) + d_t J(t)) = sum_a f_a (L_{a-1} - a J_{a-1})."""
-    out = AlgebraVector()
+    out = {}
     for a, c in f.items():
-        out = out + L(a - 1, c) + J(a - 1, -a * Fraction(c))
-    return out
+        c = _exact(c)
+        out[("L", a - 1)] = c
+        out[("J", a - 1)] = -a * c
+    return AlgebraVector(out)
 
 
 def current_operator(g):
     """Res_t g(t) J(t) = sum_b g_b J_b."""
-    out = AlgebraVector()
-    for b, c in g.items():
-        out = out + J(b, c)
-    return out
+    return AlgebraVector({("J", b): c for b, c in g.items()})
 
 
 def nabla_commutator(f, g, truncation=None):
@@ -304,24 +319,25 @@ def nabla_commutator(f, g, truncation=None):
         spread = max((abs(a) for a in f), default=0) + \
             max((abs(b) for b in g), default=0)
         truncation = spread + 3
-    residue = AlgebraVector()
+    residue = {}
     for a, fa in f.items():
         for b, gb in g.items():
-            coeff = Fraction(fa) * Fraction(gb)
-            for n in range(-truncation, truncation + 1):
-                # delta(t,t') contributes t^n t'^{-1-n}
-                if a + n != -1:
-                    continue
-                # term 1: delta * d'J: Res_{t'} t'^b t'^{-1-n} d'J(t')
-                p = a + b - 1
-                residue = residue + J(p, coeff * (-(1 + p)))
-                # term 2: J(t') d'delta: d' acts on t'^{-1-n}
-                residue = residue + J(p, coeff * (-1 - n))
-                # term 3: -(C/6) d'^2 delta
-                if b - 2 == n:
-                    residue = residue + C(
-                        coeff * Fraction(-(-1 - n) * (-2 - n), 6))
-    return direct, residue
+            coeff = _exact(fa) * _exact(gb)
+            # delta(t,t') contributes t^n t'^{-1-n}; only n = -1 - a
+            # survives the residue in t
+            n = -1 - a
+            if abs(n) > truncation:
+                continue
+            p = a + b - 1
+            # term 1: delta * d'J: Res_{t'} t'^b t'^{-1-n} d'J(t') gives
+            # -(1 + p) J_p; term 2: J(t') d'delta gives (-1 - n) J_p
+            residue[("J", p)] = residue.get(("J", p), 0) + \
+                coeff * (-(1 + p) - 1 - n)
+            # term 3: -(C/6) d'^2 delta
+            if b - 2 == n:
+                residue[CENTRAL] = residue.get(CENTRAL, 0) + \
+                    coeff * _ratio(-(n + 1) * (n + 2), 6)
+    return direct, AlgebraVector(residue)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from superchar import characters, checks
 from superchar.characters import (
     EvenLattice, chi_character, count_vectors_by_norm, cusp_certificate,
     cusp_grid_check, cusp_predicate, e8_lattice, fock_oracle,
@@ -171,6 +172,28 @@ class TestCharacter:
         with pytest.raises(ValueError):
             chi_character(e8_lattice(), 4, "nope")
 
+    def test_fock_oracle_takes_the_vector_counts(self):
+        lat = e8_lattice()
+        counts = count_vectors_by_norm(lat, 3)
+        assert fock_oracle(lat, 3, counts=counts).coeffs == \
+            fock_oracle(lat, 3).coeffs
+
+    def test_characters_suite_enumerates_e8_once(self, monkeypatch):
+        # the Fock oracle reuses the suite's counts; enumerations to q^0
+        # (the E4/Delta path's vector counts) are trivial
+        calls = []
+        real = characters.count_vectors_by_norm
+
+        def counted(lattice, max_norm):
+            calls.append(max_norm)
+            return real(lattice, max_norm)
+
+        monkeypatch.setattr(characters, "count_vectors_by_norm", counted)
+        for _ in range(2):
+            calls.clear()
+            assert all(r.passed for r in checks.characters())
+            assert [n for n in calls if n > 0] == [4]
+
     def test_product_matches_fock_oracle(self):
         lat = e8_lattice()
         orc = fock_oracle(lat, 5)
@@ -246,6 +269,69 @@ class TestCuspPredicates:
 
     def test_grid_super(self):
         assert cusp_grid_check(super_grid=True) == []
+
+
+GRID = [(d, k, l) for d in range(6) for k in range(8) for l in range(1, 5)]
+
+
+class TestCuspCertificatePerClass:
+    """``cusp_grid_check`` computes one certificate per (e, f, l) class; the
+    per-point ``cusp_certificate`` is the oracle."""
+
+    @pytest.mark.parametrize("super_grid", [False, True])
+    def test_class_certificate_is_the_point_certificate(self, monkeypatch,
+                                                        super_grid):
+        # a predicate that matches nothing makes every point a mismatch,
+        # so the grid check reports the certificate it used at each point
+        monkeypatch.setattr(characters, "cusp_predicate", lambda *a: None)
+        monkeypatch.setattr(characters, "super_cusp_predicate",
+                            lambda *a: None)
+        got = cusp_grid_check(super_grid=super_grid)
+        if super_grid:
+            points = [(d, k, l, cap_k, c) for d, k, l in GRID
+                      for c in range(-3, 4) for cap_k in (0, 1)]
+            assert [m[:5] for m in got] == points
+            for m in got:
+                assert m[6] == cusp_certificate(*m[:5], super_case=True), m
+        else:
+            assert [m[:3] for m in got] == GRID
+            for m in got:
+                assert m[4] == cusp_certificate(*m[:3], super_case=False), m
+
+    def test_mismatches_are_counted_per_point(self, monkeypatch):
+        # branch (b) of the super predicate weakened from K > 1 + c to
+        # K >= 1 + c: the per-point certificates disagree at 44 points
+        def weakened(delta, k, l, cap_k, charge):
+            s = cap_k + k
+            return (delta + l > s > delta
+                    or (s == delta and cap_k >= 1 + charge)
+                    or (s == delta + l and cap_k < 1 + charge))
+
+        monkeypatch.setattr(characters, "super_cusp_predicate", weakened)
+        per_point = sum(
+            weakened(d, k, l, cap_k, c)
+            != cusp_certificate(d, k, l, cap_k, c, super_case=True)
+            for d, k, l in GRID for c in range(-3, 4) for cap_k in (0, 1))
+        assert per_point == 44
+        assert len(cusp_grid_check(super_grid=True)) == per_point
+        row = checks.cusp()[1]
+        assert row.residual == per_point and not row.passed
+
+    def test_every_call_computes_its_certificates(self, monkeypatch):
+        # one certificate per class and no memo across calls: 52 classes
+        # cover the 192 plain points and 440 the 2688 super points
+        calls = []
+        real = characters.cusp_certificate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(characters, "cusp_certificate", counted)
+        for super_grid, classes in ((False, 52), (True, 440)) * 2:
+            calls.clear()
+            assert cusp_grid_check(super_grid=super_grid) == []
+            assert len(calls) == classes
 
 
 class TestJacobiCharacter:

@@ -105,7 +105,7 @@ class TestVerify:
         assert result.exit_code == 0
         head = result.output.splitlines()[0]
         assert head == "suite,identity,paper_ref,element,point,residual," \
-            "tolerance,pass"
+            "tolerance,pass,elapsed_s"
 
     def test_zero_tolerance_fails(self, runner):
         result = runner.invoke(
@@ -147,6 +147,32 @@ class TestReport:
         rows = json.loads(result.output)
         assert rows == json.loads(verify.output)
         assert {obj["suite"] for obj in rows} == {"flatness"}
+
+    def test_rows_carry_their_suite_runtime(self, runner, tmp_path):
+        verify = runner.invoke(
+            main, ["verify", "--suite", "flatness", "--suite", "cusp",
+                   "--format", "json"])
+        assert verify.exit_code == 0
+        rows = json.loads(verify.output)
+        took = {obj["suite"]: obj["elapsed_s"] for obj in rows}
+        assert set(took) == {"flatness", "cusp"}
+        for obj in rows:
+            assert type(obj["elapsed_s"]) is float and obj["elapsed_s"] > 0
+            assert obj["elapsed_s"] == took[obj["suite"]]
+        src = tmp_path / "rows.json"
+        src.write_text(verify.output)
+        back = runner.invoke(
+            main, ["report", "--input", str(src), "--format", "json"])
+        assert json.loads(back.output) == rows
+        table = runner.invoke(
+            main, ["report", "--input", str(src), "--format", "csv"])
+        lines = table.output.strip().splitlines()
+        assert lines[0].endswith(",elapsed_s")
+        from_csv = sorted({float(line.rsplit(",", 1)[1])
+                           for line in lines[1:]})
+        assert from_csv == pytest.approx(sorted(took.values()), rel=1e-14)
+        pretty = runner.invoke(main, ["report", "--input", str(src)])
+        assert pretty.output.count(" elapsed=") == len(rows)
 
     def test_malformed_report_is_usage_error(self, runner, tmp_path):
         src = tmp_path / "rows.json"

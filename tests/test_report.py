@@ -54,8 +54,18 @@ class TestSerialization:
         text = rows_to_csv([row(), row(residual=5.0, tol=1.0)])
         lines = text.strip().splitlines()
         assert lines[0] == ("suite,identity,paper_ref,element,point,"
-                            "residual,tolerance,pass")
+                            "residual,tolerance,pass,elapsed_s")
         assert len(lines) == 3
+        # a row built outside a suite has no runtime: the column is empty
+        assert lines[1].endswith(",true,")
+
+    def test_elapsed_round_trips(self):
+        timed = row()
+        timed.elapsed_s = 0.1 + 0.2
+        back = rows_from_json(rows_to_json([timed, row("t")]))
+        assert back[0].elapsed_s == 0.1 + 0.2
+        assert back[1].elapsed_s is None
+        assert json.loads(rows_to_json([row()]))[0]["elapsed_s"] is None
 
     def test_pretty_has_pass_fail_markers(self):
         text = emit_report([row(), row(residual=5.0, tol=1.0)], "pretty")

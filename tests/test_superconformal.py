@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superchar import checks, superconformal
 from superchar.grassmann import (
     DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian, odd,
 )
@@ -82,6 +85,106 @@ class TestJacobiIdentity:
                 for z in BASIS:
                     assert vec_is_zero(jacobi_residual(x, y, z)), \
                         (x, y, z)
+
+
+def ref_basis_bracket(g1, m, g2, n):
+    """The bracket table in Fraction arithmetic, as an independent oracle
+    for the int/Fraction coefficients of ``mode_bracket``."""
+    F = Fraction
+    out = {}
+    if "C" in (g1, g2) or (g1, g2) in (("Q", "Q"), ("H", "H")):
+        return out
+    central = m + n == 0
+    if (g1, g2) == ("L", "L"):
+        out[("L", m + n)] = F(m - n)
+    elif (g1, g2) == ("L", "J"):
+        out[("J", m + n)] = F(-n)
+        if central:
+            out[("C",)] = F(m * m + m, 6)
+    elif (g1, g2) == ("L", "H"):
+        out[("H", m + n)] = F(-n)
+    elif (g1, g2) == ("L", "Q"):
+        out[("Q", m + n)] = F(m - n)
+    elif (g1, g2) == ("J", "J"):
+        if central:
+            out[("C",)] = F(m, 3)
+    elif (g1, g2) == ("J", "Q"):
+        out[("Q", m + n)] = F(1)
+    elif (g1, g2) == ("J", "H"):
+        out[("H", m + n)] = F(-1)
+    elif (g1, g2) == ("H", "Q"):
+        out[("L", m + n)] = F(1)
+        out[("J", m + n)] = F(-m)
+        if central:
+            out[("C",)] = F(m * m - m, 6)
+    else:
+        both_odd = g1 in "QH" and g2 in "QH"
+        return {k: (c if both_odd else -c)
+                for k, c in ref_basis_bracket(g2, n, g1, m).items()}
+    return out
+
+
+def ref_bracket(x, y):
+    """Bilinear extension of ``ref_basis_bracket`` to {key: Fraction}."""
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            g1, m = k1[0], (k1[1] if len(k1) > 1 else 0)
+            g2, n = k2[0], (k2[1] if len(k2) > 1 else 0)
+            for k, c in ref_basis_bracket(g1, m, g2, n).items():
+                out[k] = out.get(k, Fraction(0)) + c1 * c2 * c
+    return {k: c for k, c in out.items() if c}
+
+
+basis_modes = st.tuples(st.sampled_from("LJQHC"), st.integers(-6, 6))
+
+
+def as_vector(mode):
+    return AlgebraVector.basis(*mode)
+
+
+def as_ref(mode):
+    return {("C",) if mode[0] == "C" else mode: Fraction(1)}
+
+
+def assert_exact(vec, ref):
+    for c in vec.terms.values():
+        # int where integral, a Fraction only where it is not
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    assert vec.terms == ref
+
+
+class TestExactCoefficients:
+    @settings(max_examples=300, deadline=None)
+    @given(basis_modes, basis_modes, basis_modes)
+    def test_nested_brackets_match_fraction_reference(self, a, b, c):
+        x, y, z = map(as_vector, (a, b, c))
+        assert_exact(mode_bracket(x, y), ref_bracket(as_ref(a), as_ref(b)))
+        assert_exact(mode_bracket(x, mode_bracket(y, z)),
+                     ref_bracket(as_ref(a), ref_bracket(as_ref(b),
+                                                        as_ref(c))))
+
+    def test_integral_fractions_become_ints(self):
+        assert type(C(Fraction(4, 2)).terms[("C",)]) is int
+        assert type((J(1, Fraction(1, 2)) * 2).terms[("J", 1)]) is int
+        assert (L(0, 0.5) * 3).terms == {("L", 0): Fraction(3, 2)}
+
+    def test_perturbed_central_term_fails_the_jacobi_row(self, monkeypatch):
+        # C(m/6) added to the [H_m, Q_{-m}] central term breaks the graded
+        # Jacobi identity; the exact row must see it
+        real = superconformal._basis_bracket
+
+        def skewed(g1, m, g2, n):
+            out = dict(real(g1, m, g2, n))
+            if (g1, g2) == ("H", "Q") and m + n == 0:
+                out[("C",)] = out.get(("C",), 0) + Fraction(m, 6)
+            return out
+
+        monkeypatch.setattr(superconformal, "_basis_bracket", skewed)
+        rows = {r.identity: r for r in checks.algebra()}
+        jac = rows["graded-jacobi-identity"]
+        assert not jac.passed
+        assert jac.residual == float(Fraction(2, 3))
 
 
 class TestVectorFieldRealization:
