@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import divisor_sigma
 from .jacobi_forms import (JacobiForm, OffsetSeries, _theta_mantissa,
+                           discriminant_series, eisenstein_e4,
                            theta_sum_terms, transformation_check)
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product,
@@ -199,72 +199,41 @@ def _orthogonal_components(gram):
     return parts
 
 
-def _mul(a, b):
-    """Product of two integer coefficient lists of equal length, truncated
-    at that length."""
-    n = len(a)
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j in range(n - i):
-                out[i + j] += x * b[j]
-    return out
-
-
-def _pow(a, k):
-    out = [1] + [0] * (len(a) - 1)
-    for _ in range(k):
-        out = _mul(out, a)
-    return out
-
-
-def _eta24(size):
-    """prod_n (1 - q^n)^24 = Delta / q, as integers to q^(size - 1)."""
-    euler = [1] + [0] * (size - 1)
-    for n in range(1, size):
-        for i in range(size - 1, n - 1, -1):
-            euler[i] -= euler[i - n]
-    return _pow(euler, 24)
-
-
 def _unimodular_theta(lattice, n_q):
-    """Theta series of an even unimodular lattice of rank 8m, as exact
-    integers to q^n_q.  It is a modular form of weight 4m for SL(2, Z), so
+    """Theta series of an even unimodular lattice of rank 8m, exactly, to
+    q^n_q.  It is a modular form of weight 4m for SL(2, Z), so
     Theta = sum_{j <= m/3} c_j E4^{m-3j} Delta^j (Serre, A Course in
     Arithmetic, ch. VII).  Delta^j = q^j + O(q^{j+1}), so the c_j follow by
-    back-substitution from the vector counts through q^{m/3}."""
+    back-substitution from the vector counts through q^{m/3}; below rank 24
+    the only count needed is the zero vector's."""
     m = lattice.rank // 8
-    top = m // 3
-    size = max(n_q, top) + 1
-    e4 = [1] + [240 * divisor_sigma(3, n) for n in range(1, size)]
-    counts = count_vectors_by_norm(lattice, top)
-    theta = [0] * size
-    delta_j = [1] + [0] * (size - 1)  # Delta^j / q^j
-    for j in range(top + 1):
-        form = _mul(_pow(e4, m - 3 * j), delta_j)
-        c = counts[j] - theta[j]
-        for n in range(j, size):
-            theta[n] += c * form[n - j]
-        if j < top:
-            delta_j = _mul(delta_j, _eta24(size))
-    return theta[:n_q + 1]
+    e4 = eisenstein_e4(n_q)
+    theta = e4 ** m  # c_0 = 1, the zero vector
+    if m >= 3:
+        counts = count_vectors_by_norm(lattice, m // 3)
+        delta = discriminant_series(n_q)
+        for j in range(1, m // 3 + 1):
+            form = e4 ** (m - 3 * j) * delta ** j
+            theta = theta + form * (counts[j] - theta.exact_coeff(j))
+    return theta
 
 
 def lattice_theta(lattice, n_q=DEFAULT_Q_ORDER):
-    """Theta function of the lattice, sum_v q^{(v,v)/2}, as a y-free
+    """Theta function of the lattice, sum_v q^{(v,v)/2}, as an exact y-free
     QYSeries.  The lattice is split into orthogonal summands; an even
     unimodular summand (its rank is then a multiple of 8) takes its theta
     series from E4 and Delta, every other summand from Fincke-Pohst
-    enumeration, and the product is taken in exact integers."""
-    theta = [1] + [0] * n_q
+    enumeration."""
+    theta = QYSeries.one(n_q)
     for idx in _orthogonal_components(lattice.gram):
         part = EvenLattice([[lattice.gram[i][j] for j in idx] for i in idx])
         if part.is_unimodular():
-            counts = _unimodular_theta(part, n_q)
+            theta = theta * _unimodular_theta(part, n_q)
         else:
             counts = count_vectors_by_norm(part, n_q)
-        theta = _mul(theta, counts)
-    return QYSeries({(n, 0): float(c) for n, c in enumerate(theta)}, n_q)
+            theta = theta * QYSeries(
+                {(n, 0): c for n, c in enumerate(counts)}, n_q)
+    return theta
 
 
 class CharacterSeries:
@@ -297,12 +266,12 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
     theta_l = lattice_theta(lattice, n_q)
     if mode == "product":
         def factor(n):
-            return QYSeries({(0, 0): 1.0, (n, 2): -1.0, (n - 1, -2): -1.0,
-                             (2 * n - 1, 0): 1.0}, n_q)
+            return QYSeries({(0, 0): 1, (n, 2): -1, (n - 1, -2): -1,
+                             (2 * n - 1, 0): 1}, n_q)
         osc = infinite_product(factor, n_q, min_degree=lambda n: n - 1)
         osc = osc ** (r // 2)
         den = euler_product(n_q) ** r
-        prefactor = QYSeries.monomial(1.0, 0, r // 2, n_q)  # y^{r/4}
+        prefactor = QYSeries.monomial(1, 0, r // 2, n_q)  # y^{r/4}
         chi = prefactor * osc * den.invert() * theta_l
         return CharacterSeries(chi, r, mode)
     if mode == "closed":
@@ -378,12 +347,9 @@ def fock_oracle(lattice, n_q, counts=None):
     lat = {(w, 0): c for w, c in enumerate(counts)}
     total = _convolve(_convolve(_convolve(bos, ferm_plus, n_q),
                                 ferm_minus, n_q), lat, n_q)
-    out = QYSeries.zero(n_q)
-    for (w, charge), v in total.items():
-        # include the y^{r/4} prefactor (doubled exponent r/2)
-        out._set(w, 2 * charge + r // 2, out.coeff(w, 2 * charge + r // 2)
-                 + float(v))
-    return out
+    # include the y^{r/4} prefactor (doubled exponent r/2)
+    return QYSeries({(w, 2 * charge + r // 2): v
+                     for (w, charge), v in total.items()}, n_q)
 
 
 def fock_weighted_trace(lattice, n_q, insertion, fock=None):
@@ -395,12 +361,9 @@ def fock_weighted_trace(lattice, n_q, insertion, fock=None):
         raise ValueError("insertion must be 'L0' or 'J0'")
     if fock is None:
         fock = fock_oracle(lattice, n_q)
-    out = QYSeries.zero(n_q)
-    for (w, r2), v in fock.coeffs.items():
-        factor = w if insertion == "L0" else r2 / 2.0
-        if factor != 0:
-            out._set(w, r2, v * factor)
-    return out
+    # the states are summed into coefficients by (weight, charge), so the
+    # weighting acts on each coefficient as q d/dq or y d/dy
+    return fock.q_d_dq() if insertion == "L0" else fock.y_d_dy()
 
 
 def trace_identity_check(lattice, n_q, tol=0.0, fock=None):
@@ -441,22 +404,19 @@ def jacobi_triple_product(n_q=DEFAULT_Q_ORDER):
     prod_n (1-q^n)(1-y q^n)(1-y^{-1} q^{n-1})  and  sum_k (-y)^k q^{k(k+1)/2}.
     """
     def factor(n):
-        return (QYSeries({(0, 0): 1.0, (n, 0): -1.0}, n_q)
-                * QYSeries({(0, 0): 1.0, (n, 2): -1.0}, n_q)
-                * QYSeries({(0, 0): 1.0, (n - 1, -2): -1.0}, n_q))
+        return (QYSeries({(0, 0): 1, (n, 0): -1}, n_q)
+                * QYSeries({(0, 0): 1, (n, 2): -1}, n_q)
+                * QYSeries({(0, 0): 1, (n - 1, -2): -1}, n_q))
     lhs = infinite_product(factor, n_q, min_degree=lambda n: n - 1)
-    rhs = QYSeries.zero(n_q)
-    for n, k, sign in theta_sum_terms(n_q):
-        rhs._set(n, 2 * k, rhs.coeff(n, 2 * k) + float(sign))
+    rhs = QYSeries({(n, 2 * k): sign for n, k, sign in theta_sum_terms(n_q)},
+                   n_q)
     return lhs, rhs
 
 
 def triple_product_check(n_q=30):
     """Exact coefficient comparison of the triple product identity."""
     lhs, rhs = jacobi_triple_product(n_q)
-    keys = set(lhs.coeffs) | set(rhs.coeffs)
-    resid = max((abs(lhs.coeff(*k) - rhs.coeff(*k)) for k in keys),
-                default=0.0)
+    resid = (lhs - rhs).max_abs_coeff()
     return VerificationRow(
         suite="",
         identity="triple-product",

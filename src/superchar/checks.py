@@ -266,7 +266,7 @@ def characters(q_order=10, fock_q_order=4):
              (prod - fock).max_abs_coeff(), 0.0),
         _row("fock-oracle-integrality", "supertrace-state-sum",
              f"E8,q^{fock_q_order}",
-             max(abs(c - round(c.real)) for c in fock.coeffs.values()), 0.0),
+             max(abs(c - round(c.real)) for _, _, c in fock.terms()), 0.0),
         _row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
              f"E8,q^{fock_q_order}",
              max(abs(theta.coeff(n) - c) for n, c in enumerate(counts)), 0.0),

@@ -153,7 +153,7 @@ def p_bar_constant_series(n_q):
     """The q-series 1/12 + b_0/(2 pi i)^2 = 2 sum_m sigma_1(m) q^m, the
     additive normalization constant relating p_bar to the classical
     p-function: p_2 = p + b_0 = (2 pi i)^2 p_bar."""
-    coeffs = {(m, 0): 2.0 * divisor_sigma(1, m) for m in range(1, n_q + 1)}
+    coeffs = {(m, 0): 2 * divisor_sigma(1, m) for m in range(1, n_q + 1)}
     return QYSeries(coeffs, q_order=n_q)
 
 
@@ -164,7 +164,7 @@ def zeta_tilde_taylor(n_t, n_q):
     n = 0
     while 2 * n + 1 <= n_t:
         b = eisenstein_b(n, n_q).series
-        for (m, _), c in b.coeffs.items():
+        for m, _, c in b.terms():
             out._set(2 * n + 1, m, out.coeff(2 * n + 1, m)
                      - c / (2 * n + 1))
         n += 1

@@ -20,7 +20,8 @@ import numpy as np
 
 from .elliptic import TWO_PI_I, divisor_sigma
 from .report import VerificationRow
-from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product)
+from .series_core import (DEFAULT_Q_ORDER, EXACT_I, EXACT_TWO_PI_I, EvalPoint,
+                          QYSeries, euler_product)
 
 
 class OffsetSeries:
@@ -41,8 +42,6 @@ class OffsetSeries:
         if isinstance(other, OffsetSeries):
             return OffsetSeries(self.series * other.series,
                                 self.q_offset + other.q_offset)
-        if isinstance(other, QYSeries):
-            return OffsetSeries(self.series * other, self.q_offset)
         return OffsetSeries(self.series * other, self.q_offset)
 
     __rmul__ = __mul__
@@ -69,11 +68,12 @@ class OffsetSeries:
         n = int(self.q_offset)
         if n == 0:
             return self.series
-        return self.series * QYSeries.monomial(1.0, n, 0, self.series.q_order)
+        return self.series * QYSeries.monomial(1, n, 0, self.series.q_order)
 
     def alpha_derivative(self):
         """d/d alpha = 2 pi i * (y d/dy) on the mantissa."""
-        return OffsetSeries(self.series.y_d_dy() * TWO_PI_I, self.q_offset)
+        return OffsetSeries(self.series.y_d_dy() * EXACT_TWO_PI_I,
+                            self.q_offset)
 
     def evaluate(self, point):
         value, bound = self.series.evaluate(point)
@@ -104,10 +104,8 @@ def theta_sum_terms(n_q):
 
 def _theta_mantissa(n_q):
     """sum_k (-i)(-1)^k q^{k(k+1)/2} y^{k+1/2} (the q^{1/8} offset removed)."""
-    out = QYSeries.zero(n_q, half_integral=True)
-    for n, k, sign in theta_sum_terms(n_q):
-        out._set(n, 2 * k + 1, out.coeff(n, 2 * k + 1) + -1j * sign)
-    return out
+    terms = {(n, 2 * k + 1): -sign for n, k, sign in theta_sum_terms(n_q)}
+    return QYSeries(terms, n_q, half_integral=True) * EXACT_I
 
 
 def theta_offset_series(n_q=DEFAULT_Q_ORDER):
@@ -174,50 +172,30 @@ def theta_form(n_q=DEFAULT_Q_ORDER):
 # ---------------------------------------------------------------------------
 
 def eisenstein_e4(n_q=DEFAULT_Q_ORDER):
-    coeffs = {(0, 0): 1.0}
+    coeffs = {(0, 0): 1}
     for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = 240.0 * divisor_sigma(3, m)
+        coeffs[(m, 0)] = 240 * divisor_sigma(3, m)
     return QYSeries(coeffs, n_q)
 
 
 def eisenstein_e6(n_q=DEFAULT_Q_ORDER):
-    coeffs = {(0, 0): 1.0}
+    coeffs = {(0, 0): 1}
     for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = -504.0 * divisor_sigma(5, m)
+        coeffs[(m, 0)] = -504 * divisor_sigma(5, m)
     return QYSeries(coeffs, n_q)
 
 
-def _ext_gcd(a, b):
-    """Returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    return old_r, old_u, old_v
-
-
-def _completion_min_b(c, d):
-    """An SL2 completion (a, b) of the coprime bottom row (c, d) with
-    a*d - b*c = 1 and |b| minimal."""
-    g, u, v = _ext_gcd(d, c)
-    if g < 0:
-        g, u, v = -g, -u, -v
-    if g != 1:
-        raise ValueError("row (c, d) is not coprime")
-    a, b = u, -v
-    if d != 0:
-        t = round(-b / d)
-        best = None
-        for tt in (t - 1, t, t + 1):
-            cand = (a + tt * c, b + tt * d)
-            if best is None or abs(cand[1]) < abs(best[1]):
-                best = cand
-        a, b = best
-    return a, b
+def _completions(c, box):
+    """The d in ``box`` coprime to c, with SL2 completions (a, b) of the
+    bottom rows (c, d), a d - b c = 1 and |b| minimal, as integer arrays."""
+    d = np.array([d for d in box if math.gcd(c, d) == 1])
+    if c == 0:  # d = +-1
+        return d, d, 0 * d
+    # a = d^-1 mod |c| (any a for |c| = 1), then (a, b) -> (a + t c, b + t d)
+    a = np.argmax(np.outer(d, np.arange(abs(c))) % abs(c) == 1 % abs(c), axis=1)
+    b = (a * d - 1) // c
+    t = np.rint(-b / np.where(d == 0, 1, d)).astype(int) * (d != 0)
+    return d, a + t * c, b + t * d
 
 
 def jacobi_eisenstein_numeric(k, m, point, cutoff=40):
@@ -229,25 +207,27 @@ def jacobi_eisenstein_numeric(k, m, point, cutoff=40):
 
     with tau' = (a tau + b)/(c tau + d), alpha' = alpha/(c tau + d), the
     completion (a, b) chosen with |b| minimal; both the (c, d) box and the
-    lambda range are truncated at ``cutoff``.
+    lambda range are truncated at ``cutoff``.  Each c is one numpy pass
+    over its (d, lambda) grid, with the lambda terms from the recurrence
+    w_{l+1} = w_l e(m ((2l + 1) tau' +- 2 alpha')), e(x) = exp(2 pi i x):
+    products in place of one complex exponential per term.
     """
     tau = point.tau
     alpha = point.alpha
-    lam = np.arange(-cutoff, cutoff + 1, dtype=float)
+    box = range(-cutoff, cutoff + 1)
     total = 0j
-    for c in range(-cutoff, cutoff + 1):
-        for d in range(-cutoff, cutoff + 1):
-            if c == 0 and d == 0:
-                continue
-            if math.gcd(abs(c), abs(d)) != 1:
-                continue
-            a, b = _completion_min_b(c, d)
-            denom = c * tau + d
-            tau_p = (a * tau + b) / denom
-            alpha_p = alpha / denom
-            phase = (lam * lam * tau_p + 2.0 * lam * alpha_p
-                     - c * alpha * alpha / denom)
-            total += denom ** (-k) * np.exp(TWO_PI_I * m * phase).sum()
+    for c in box:
+        d, a, b = _completions(c, box)
+        denom = c * tau + d
+        tau_p = ((a * tau + b) / denom)[:, None]
+        alpha_p = (alpha / denom)[:, None]
+        # e(2 m l tau') for l = 0 .. cutoff - 1
+        steps = np.exp(2 * TWO_PI_I * m * tau_p) ** np.arange(cutoff)
+        lam_sum = 1 + sum(
+            np.cumprod(np.exp(TWO_PI_I * m * (tau_p + 2 * sign * alpha_p))
+                       * steps, axis=1).sum(axis=1) for sign in (1, -1))
+        const = np.exp(-TWO_PI_I * m * c * alpha * alpha / denom)
+        total += (denom ** (-k) * const * lam_sum).sum()
     return 0.5 * total
 
 
@@ -267,16 +247,16 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER, cutoff=40):
       (E_4^2 E_{4,1} - E_6 E_{6,1}) / 144;
     * ``phi_0_1``: weight 0 index 1, numeric, phi_12_1 / Delta.
     """
-    if name == "phi_m1_half":
-        num = theta_offset_series(n_q)
-        den = theta_prime_zero(n_q)
-        ratio = (num / den).require_integral()
-        return JacobiForm(name, -1, Fraction(1, 2),
-                          OffsetSeries(ratio, 0))
-    if name == "phi_m2_1":
-        base = phi_weak("phi_m1_half", n_q)
-        series = base.offset_series.series ** 2 * (TWO_PI_I ** 2)
-        return JacobiForm(name, -2, 1, OffsetSeries(series, 0))
+    if name in ("phi_m1_half", "phi_m2_1"):
+        # phi_m2_1 squares theta and theta' before dividing: theta^2 is
+        # sparse, phi_m1_half^2 is not
+        k = 1 if name == "phi_m1_half" else 2
+        ratio = (theta_offset_series(n_q) ** k
+                 / theta_prime_zero(n_q) ** k).require_integral()
+        if k == 1:
+            return JacobiForm(name, -1, Fraction(1, 2), OffsetSeries(ratio, 0))
+        return JacobiForm(name, -2, 1,
+                          OffsetSeries(ratio * EXACT_TWO_PI_I ** 2, 0))
     if name == "phi_10_1":
         base = phi_weak("phi_m2_1", n_q)
         series = base.offset_series.series * discriminant_series(n_q)

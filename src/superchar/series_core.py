@@ -1,11 +1,22 @@
 """Truncated bivariate Laurent series in q and y^(1/2), series in (t, q),
 evaluation points on the upper half plane, and guarded infinite products.
 
-A ``QYSeries`` stores complex coefficients keyed by ``(n, r2)`` where the
-monomial is ``q^n * y^(r2/2)``: y-exponents are doubled so that half-integral
-powers of y stay integer keys.  Series are truncated at q-order ``q_order``
-(terms with q-exponent > q_order are dropped) and carry a ``half_integral``
-flag saying whether odd ``r2`` keys are permitted.
+A ``QYSeries`` is a dense block of coefficients: row i, column j holds the
+coefficient of q^(n0 + i) * y^((r0 + 2 j)/2).  y-exponents are doubled so
+that half-integral powers of y stay integers; within one series they step
+by whole powers of y.  Series are truncated at q-order ``q_order`` (terms
+with q-exponent > q_order are dropped) and carry a ``half_integral`` flag
+saying whether odd doubled y-exponents are permitted.
+
+Exact series hold Python integers times one symbolic ``Prefactor``
+r * i^a * (2 pi)^b, so products, powers and inverses of integer series stay
+exact at every order and the powers of 2 pi i cancel exactly.  Series given
+with float coefficients (the Eisenstein rows b_n, JSON input) hold complex
+doubles.  Products of dense blocks use Kronecker substitution: each block is
+packed into one Python integer and the two are multiplied once (D. Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+J. Symb. Comput. 44, 2009); a factor of a few terms is applied as shifted
+copies instead.
 """
 
 from __future__ import annotations
@@ -15,10 +26,14 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
+
 
 DEFAULT_Q_ORDER = 20
 Y_EXPONENT_GUARD = 200  # |r2| <= 2 * Y_EXPONENT_GUARD
 COEFF_TOL = 1e-12
+SPARSE_TERMS = 8  # a factor with at most this many terms is applied by shifts
 
 
 class EvalPoint:
@@ -49,40 +64,208 @@ class EvalPoint:
         return f"EvalPoint(tau={self.tau}, alpha={self.alpha})"
 
 
-def _check_y_guard(r2):
-    if abs(r2) > 2 * Y_EXPONENT_GUARD:
-        raise OverflowError(
-            f"y-exponent {r2}/2 exceeds the guard +-{Y_EXPONENT_GUARD}")
+class Prefactor:
+    """The exact scalar (num / den) * i^a * (2 pi)^b with num / den a
+    reduced fraction (den > 0), a in {0, 1} (a factor i^2 = -1 is folded
+    into num) and b an integer."""
+
+    __slots__ = ("num", "den", "a", "b")
+
+    def __init__(self, r=1, a=0, b=0):
+        num, self.den = r.as_integer_ratio()
+        self.num = -num if a % 4 >= 2 else num
+        self.a, self.b = a % 2, b
+
+    def is_one(self):
+        return self.num == self.den == 1 and not (self.a or self.b)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Prefactor(other)
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
+        out = Prefactor.__new__(Prefactor)
+        num, den = self.num * other.num, self.den * other.den
+        g = math.gcd(num, den)
+        a = self.a + other.a
+        out.num = (num if a < 2 else -num) // g
+        out.den, out.a, out.b = den // g, a % 2, self.b + other.b
+        return out
+
+    def __pow__(self, k):
+        r = Fraction(self.num, self.den) ** k
+        return Prefactor(r, self.a * k, self.b * k)
+
+    def ratio(self):
+        """Integers (num, den) with num / den = (num / den) (2 pi)^b: exact
+        when b = 0, else to a relative 2^-190, far inside one rounding of a
+        double."""
+        if not self.b:
+            return self.num, self.den
+        with mpmath.workprec(192):
+            man, exp = (abs(self.num) / mpmath.mpf(self.den)
+                        * (2 * mpmath.pi) ** self.b).man_exp
+        man = man if self.num > 0 else -man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+    def __complex__(self):
+        num, den = self.ratio()
+        return complex(0.0, num / den) if self.a else complex(num / den, 0.0)
+
+
+EXACT_I = Prefactor(1, 1)
+EXACT_TWO_PI_I = Prefactor(1, 1, 1)
+_SCALARS = (int, float, complex, Fraction, Prefactor)
+
+
+def _padded(block, stride, dtype):
+    """``block`` row-major with each row padded to ``stride`` entries."""
+    out = np.zeros((block.shape[0], stride), dtype)
+    out[:, :block.shape[1]] = block
+    return out.ravel()
+
+
+def _half_digits(width, count):
+    """The integer with ``count`` digits in base 2^(8 width), each half the
+    base: added to a number in signed digits, it makes every digit
+    nonnegative."""
+    half = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(half * count, "little")
+
+
+def _kronecker(a, b, n_rows):
+    """The first ``n_rows`` rows of the product of two integer blocks (object
+    arrays; rows are q-powers, columns whole y-powers).  Each block is
+    packed into one integer, one row (or column) per ``stride`` digits so
+    that product rows cannot overlap, in signed digits wide enough for every
+    product coefficient; one big-integer product then does the whole
+    convolution.  CPython multiplies integers of n and m < n digits in
+    about n m^0.585 steps, so q runs along the integer (columns packed one
+    after another) when that makes the smaller factor short enough, as for
+    a y-free factor."""
+    square = a is b
+    a, b = a[:n_rows], b[:n_rows]
+    (ra, wa), (rb, wb) = a.shape, b.shape
+
+    def cost(x, y):
+        return max(x, y) * min(x, y) ** 0.585
+
+    if (cost(wa, wb) * (ra + rb - 1) ** 1.585
+            < cost(ra, rb) * (wa + wb - 1) ** 1.585):
+        return _packed_product(a.T, b.T, wa + wb - 1, square).T[:n_rows]
+    return _packed_product(a, b, n_rows, square)
+
+
+def _packed_product(a, b, n_rows, square):
+    """The first ``n_rows`` rows of the product of two integer blocks, each
+    packed row-major into one integer; masking off the low digits of the
+    product truncates it."""
+    stride = a.shape[1] + b.shape[1] - 1
+    bound = (max(map(abs, a.ravel().tolist()))
+             * max(map(abs, b.ravel().tolist()))
+             * min(a.shape[0], b.shape[0]) * min(a.shape[1], b.shape[1]))
+    width = bound.bit_length() // 8 + 1  # bytes per digit, sign included
+    half = 1 << (8 * width - 1)
+
+    def pack(block):
+        flat = _padded(block, stride, object).tolist()
+        data = b"".join([(c + half).to_bytes(width, "little") for c in flat])
+        return int.from_bytes(data, "little") - _half_digits(width, len(flat))
+
+    packed = pack(a)
+    product = packed * (packed if square else pack(b))
+    count = n_rows * stride
+    mask = (1 << (8 * width * count)) - 1
+    low = (product + _half_digits(width, count)) & mask
+    data = low.to_bytes(width * count, "little")
+    return np.array([int.from_bytes(data[k:k + width], "little") - half
+                     for k in range(0, len(data), width)],
+                    dtype=object).reshape(n_rows, stride)
+
+
+def _shifted_sum(dense, sparse, n_rows):
+    """The first ``n_rows`` rows of dense * sparse as one shifted copy of
+    ``dense`` per nonzero term of ``sparse``."""
+    rows, cols = dense.shape
+    out = np.zeros((n_rows, cols + sparse.shape[1] - 1), dense.dtype)
+    for i, j in zip(*np.nonzero(sparse)):
+        m = min(n_rows - i, rows)
+        if m > 0:
+            c = sparse[i, j]
+            out[i:i + m, j:j + cols] += (dense[:m] if c == 1 else -dense[:m]
+                                         if c == -1 else c * dense[:m])
+    return out
 
 
 class QYSeries:
     """Truncated Laurent series sum_{n, r2} c_{n,r2} q^n y^(r2/2).
 
-    q-exponents are integers >= some (possibly negative) minimum and are
-    truncated above ``q_order``.  Coefficients are complex doubles.
+    ``rows`` is the dense block from q^n0 y^(r0/2) on, trimmed of zero edge
+    rows and columns and never modified after construction.  An exact series
+    holds Python ints (an object array) of content 1 and its value is
+    ``scale`` times them; a float series holds complex doubles and ``scale``
+    is None.  ``coeff``, ``coeffs`` and ``terms`` give each coefficient as
+    the complex double nearest its value.
     """
 
-    __slots__ = ("q_order", "half_integral", "coeffs")
+    __slots__ = ("q_order", "half_integral", "n0", "r0", "rows", "scale",
+                 "_floats", "_terms")
 
-    def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER, half_integral=False):
+    def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER,
+                 half_integral=False):
+        """``coeffs`` maps (n, r2) to the coefficient of q^n y^(r2/2); the
+        series is exact when every coefficient is an int or a Fraction."""
+        items = [((int(n), int(r2)), c) for (n, r2), c in (coeffs or {}).items()
+                 if n <= q_order]
+        scale = None
+        if all(isinstance(c, (int, Fraction)) for _, c in items):
+            den = math.lcm(*(c.denominator for _, c in items))
+            items = [(k, int(c * den)) for k, c in items]
+            scale = Prefactor(Fraction(1, den) if den > 1 else 1)
+        if len({r2 % 2 for (_, r2), _ in items}) > 1:
+            raise ValueError(
+                "doubled y-exponents of both parities in one series")
+        ns = [n for (n, _), _ in items] or [0]
+        r2s = [r2 for (_, r2), _ in items] or [0]
+        n0, r0 = min(ns), min(r2s)
+        rows = np.zeros((max(ns) - n0 + 1, (max(r2s) - r0) // 2 + 1),
+                        complex if scale is None else object)
+        for (n, r2), c in items:
+            rows[n - n0, (r2 - r0) // 2] = c
+        self._assign(rows, n0, r0, scale, q_order, half_integral)
+
+    def _assign(self, rows, n0, r0, scale, q_order, half_integral):
         self.q_order = int(q_order)
         self.half_integral = bool(half_integral)
-        self.coeffs = {}
-        if coeffs:
-            for (n, r2), c in coeffs.items():
-                self._set(int(n), int(r2), complex(c))
-
-    def _set(self, n, r2, c):
-        if n > self.q_order:
-            return
-        _check_y_guard(r2)
-        if r2 % 2 != 0 and not self.half_integral:
-            raise ValueError(
-                f"odd doubled y-exponent {r2} in an integral-y series")
-        if c != 0:
-            self.coeffs[(n, r2)] = c
+        rows = rows[:max(self.q_order - n0 + 1, 0)]
+        i, j = np.nonzero(rows)
+        if i.size:
+            j = j.tolist()
+            rows = rows[i[0]:i[-1] + 1, min(j):max(j) + 1]
+            n0, r0 = n0 + int(i[0]), r0 + 2 * min(j)
+            r2 = max(-r0, r0 + 2 * rows.shape[1] - 2)
+            if r2 > 2 * Y_EXPONENT_GUARD:
+                raise OverflowError(f"y-exponent +-{r2}/2 exceeds the guard "
+                                    f"+-{Y_EXPONENT_GUARD}")
+            if r0 % 2 and not self.half_integral:
+                raise ValueError(
+                    f"odd doubled y-exponent {r0} in an integral-y series")
+            content = scale is not None and math.gcd(*rows.ravel().tolist())
+            if content > 1:
+                rows, scale = rows // content, scale * content
         else:
-            self.coeffs.pop((n, r2), None)
+            rows, n0, r0 = rows[:0, :0], 0, 0
+            scale = None if scale is None else Prefactor()
+        self.rows, self.n0, self.r0, self.scale = rows, n0, r0, scale
+        self._floats = self._terms = None
+
+    @classmethod
+    def _make(cls, rows, n0, r0, scale, q_order, half_integral):
+        out = cls.__new__(cls)
+        out._assign(rows, n0, r0, scale, q_order, half_integral)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -92,7 +275,7 @@ class QYSeries:
 
     @classmethod
     def one(cls, q_order=DEFAULT_Q_ORDER, half_integral=False):
-        return cls({(0, 0): 1.0}, q_order, half_integral)
+        return cls({(0, 0): 1}, q_order, half_integral)
 
     @classmethod
     def monomial(cls, coeff, n, r2, q_order=DEFAULT_Q_ORDER, half_integral=None):
@@ -100,107 +283,191 @@ class QYSeries:
             half_integral = (r2 % 2 != 0)
         return cls({(n, r2): coeff}, q_order, half_integral)
 
-    def copy(self):
-        out = QYSeries.zero(self.q_order, self.half_integral)
-        out.coeffs = dict(self.coeffs)
-        return out
-
     # -- basic queries -----------------------------------------------------
 
+    def _values(self):
+        """The block as complex doubles, each correctly rounded."""
+        if self.scale is None:
+            return self.rows
+        if self._floats is None:
+            num, den = self.scale.ratio()
+            parts = np.array([c * num / den for c in self.rows.ravel().tolist()],
+                             dtype=float).reshape(self.rows.shape)
+            self._floats = np.zeros(self.rows.shape, complex)
+            if self.scale.a:
+                self._floats.imag = parts
+            else:
+                self._floats.real = parts
+        return self._floats
+
+    def terms(self):
+        """The nonzero terms (n, r2, c), sorted by (n, r2)."""
+        if self._terms is None:
+            i, j = np.nonzero(self.rows)
+            self._terms = tuple(zip((self.n0 + i).tolist(),
+                                    (self.r0 + 2 * j).tolist(),
+                                    self._values()[i, j].tolist()))
+        return self._terms
+
+    @property
+    def coeffs(self):
+        """{(n, r2): c} over the nonzero terms."""
+        return {(n, r2): c for n, r2, c in self.terms()}
+
+    def _index(self, n, r2):
+        i, j = int(n) - self.n0, int(r2) - self.r0
+        if 0 <= i < self.rows.shape[0] and 0 <= j < 2 * self.rows.shape[1] \
+                and j % 2 == 0:
+            return i, j // 2
+        return None
+
     def coeff(self, n, r2=0):
-        return self.coeffs.get((int(n), int(r2)), 0j)
+        at = self._index(n, r2)
+        return 0j if at is None else complex(self._values()[at])
 
-    def q_row(self, n):
-        """Coefficients of q^n as a dict {r2: c}."""
-        return {r2: c for (m, r2), c in self.coeffs.items() if m == n}
+    def exact_coeff(self, n, r2=0):
+        """The coefficient of q^n y^(r2/2) as an int or a Fraction."""
+        if self.scale is None or self.scale.a or self.scale.b:
+            raise ValueError("the coefficients of this series are not rational")
+        at = self._index(n, r2)
+        c = 0 if at is None else Fraction(self.rows[at] * self.scale.num,
+                                          self.scale.den)
+        return int(c) if c.denominator == 1 else c
 
-    def q_min(self):
-        return min((n for (n, _) in self.coeffs), default=0)
+    def _is_one(self):
+        return (self.rows.shape == (1, 1) and self.n0 == self.r0 == 0
+                and self.scale is not None and self.scale.is_one()
+                and self.rows[0, 0] == 1)
 
     def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return self.max_abs_coeff() <= tol
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def trim(self, tol=COEFF_TOL):
-        """Drop coefficients at or below ``tol`` (relative to the largest)."""
-        scale = self.max_abs_coeff()
-        if scale == 0.0:
-            return self
-        out = QYSeries.zero(self.q_order, self.half_integral)
-        out.coeffs = {k: c for k, c in self.coeffs.items()
-                      if abs(c) > tol * scale}
-        return out
+        if not self.rows.size:
+            return 0.0
+        if self.scale is None:
+            return float(np.abs(self.rows).max())
+        num, den = self.scale.ratio()
+        return abs(max(map(abs, self.rows.ravel().tolist())) * num / den)
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, QYSeries):
             return other
-        if isinstance(other, (int, float, complex, Fraction)):
-            return QYSeries({(0, 0): complex(other)}, self.q_order,
-                            self.half_integral)
+        if isinstance(other, Prefactor):
+            return QYSeries.one(self.q_order, self.half_integral) * other
+        if isinstance(other, _SCALARS):
+            return QYSeries({(0, 0): other}, self.q_order, self.half_integral)
         return None
+
+    def _combine(self, other, sign, q_order):
+        """self + sign * other, truncated at ``q_order``.  Exact series whose
+        prefactors differ only in r add exactly, over the largest common
+        r; any other pair adds in complex doubles."""
+        half = self.half_integral or other.half_integral
+        if not (self.rows.size and other.rows.size):
+            live = other * sign if self.rows.size == 0 else self
+            return QYSeries._make(live.rows, live.n0, live.r0, live.scale,
+                                  q_order, half)
+        if (self.r0 - other.r0) % 2:
+            raise ValueError("cannot add series of opposite y-parity")
+        p, s = self.scale, other.scale
+        if p is not None and s is not None and (p.a, p.b) == (s.a, s.b):
+            num = math.gcd(p.num, s.num)
+            den = math.lcm(p.den, s.den)
+            scale = p if (p.num, p.den) == (num, den) else Prefactor(
+                Fraction(num, den), p.a, p.b)
+            blocks = [block if m == 1 else block * m for block, m in (
+                (self.rows, p.num // num * (den // p.den)),
+                (other.rows, sign * s.num // num * (den // s.den)))]
+        else:
+            scale, blocks = None, (self._values(), other._values() * sign)
+        n0, r0 = min(self.n0, other.n0), min(self.r0, other.r0)
+        top = min(max(self.n0 + self.rows.shape[0],
+                      other.n0 + other.rows.shape[0]), q_order + 1)
+        right = max(self.r0 + 2 * self.rows.shape[1],
+                    other.r0 + 2 * other.rows.shape[1])
+        out = np.zeros((max(top - n0, 0), (right - r0) // 2), blocks[0].dtype)
+        for block, s in zip(blocks, (self, other)):
+            block = block[:max(top - s.n0, 0)]
+            i, j = s.n0 - n0, (s.r0 - r0) // 2
+            out[i:i + block.shape[0], j:j + block.shape[1]] += block
+        return QYSeries._make(out, n0, r0, scale, q_order, half)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        q_order = min(self.q_order, other.q_order)
-        out = QYSeries.zero(q_order, self.half_integral or other.half_integral)
-        for (n, r2), c in self.coeffs.items():
-            if n <= q_order:
-                out.coeffs[(n, r2)] = out.coeffs.get((n, r2), 0j) + c
-        for (n, r2), c in other.coeffs.items():
-            if n <= q_order:
-                out.coeffs[(n, r2)] = out.coeffs.get((n, r2), 0j) + c
-        out.coeffs = {k: c for k, c in out.coeffs.items() if c != 0}
-        return out
+        return self._combine(other, 1, min(self.q_order, other.q_order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = QYSeries.zero(self.q_order, self.half_integral)
-        out.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return out
+        return self * -1
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1, min(self.q_order, other.q_order))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1, min(self.q_order, other.q_order))
+
+    def _scaled(self, s):
+        if (s.is_one() if isinstance(s, Prefactor)
+                else isinstance(s, (int, Fraction)) and s == 1):
+            return self
+        if self.scale is not None and isinstance(s, (int, Fraction, Prefactor)):
+            scale = self.scale * s
+            return QYSeries._make(self.rows if scale.num else self.rows[:0],
+                                  self.n0, self.r0, scale, self.q_order,
+                                  self.half_integral)
+        return QYSeries._make(self._values() * complex(s), self.n0, self.r0,
+                              None, self.q_order, self.half_integral)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            s = complex(other)
-            out = QYSeries.zero(self.q_order, self.half_integral)
-            if s != 0:
-                out.coeffs = {k: c * s for k, c in self.coeffs.items()}
-            return out
+        if isinstance(other, _SCALARS):
+            return self._scaled(other)
         if not isinstance(other, QYSeries):
             return NotImplemented
         q_order = min(self.q_order, other.q_order)
-        # half + half = integral under multiplication of pure parities, but a
-        # general product may mix; permit odd keys if either factor does.
-        out = QYSeries.zero(q_order, self.half_integral or other.half_integral)
-        acc = {}
-        for (n1, r1), c1 in self.coeffs.items():
-            for (n2, r2), c2 in other.coeffs.items():
-                n = n1 + n2
-                if n > q_order:
-                    continue
-                key = (n, r1 + r2)
-                _check_y_guard(key[1])
-                acc[key] = acc.get(key, 0j) + c1 * c2
-        out.coeffs = {k: c for k, c in acc.items() if c != 0}
-        return out
+        # half + half = integral under multiplication of pure parities, but
+        # the flag only says whether odd keys are permitted
+        half = self.half_integral or other.half_integral
+        for unit, factor in ((self, other), (other, self)):
+            if unit._is_one():
+                return QYSeries._make(factor.rows, factor.n0, factor.r0,
+                                      factor.scale, q_order, half)
+        n0 = self.n0 + other.n0
+        n_rows = min(q_order - n0 + 1,
+                     self.rows.shape[0] + other.rows.shape[0] - 1)
+        if n_rows <= 0:
+            return QYSeries.zero(q_order, half)
+        exact = self.scale is not None and other.scale is not None
+        a, b = (self.rows, other.rows) if exact else (self._values(),
+                                                      other._values())
+        if np.count_nonzero(a) < np.count_nonzero(b):
+            a, b = b, a
+        # shifted copies for a factor of a few terms, and for blocks too
+        # small for packing to pay off
+        if np.count_nonzero(b) <= SPARSE_TERMS or a.size + b.size <= 64:
+            rows = _shifted_sum(a, b, n_rows)
+        elif exact:
+            rows = _kronecker(a, b, n_rows)
+        else:  # one direct convolution of the same flattened layout
+            a, b = a[:n_rows], b[:n_rows]
+            stride = a.shape[1] + b.shape[1] - 1
+            rows = np.convolve(_padded(a, stride, complex),
+                               _padded(b, stride, complex))
+            rows = rows[:n_rows * stride].reshape(n_rows, stride)
+        return QYSeries._make(rows, n0, self.r0 + other.r0,
+                              self.scale * other.scale if exact else None,
+                              q_order, half)
 
     __rmul__ = __mul__
 
@@ -209,20 +476,26 @@ class QYSeries:
             return NotImplemented
         if k < 0:
             return self.invert() ** (-k)
-        result = QYSeries.one(self.q_order, self.half_integral)
-        base = self
+        if k == 0:
+            return QYSeries.one(self.q_order, self.half_integral)
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
-            return self * (1.0 / complex(other))
         if isinstance(other, QYSeries):
             return self * other.invert()
+        if isinstance(other, (int, Fraction)):
+            other = Prefactor(other)
+        if isinstance(other, Prefactor):
+            return self * other ** -1
+        if isinstance(other, (float, complex)):
+            return self * (1.0 / complex(other))
         return NotImplemented
 
     def invert(self):
@@ -230,77 +503,62 @@ class QYSeries:
 
         Requires the lowest q-row to be a single nonzero monomial c*y^(r0/2);
         otherwise the inverse would need unbounded y-exponents at fixed
-        q-order.
+        q-order.  Dividing out c q^n0 y^(r0/2) leaves 1 - x with x = O(q),
+        and 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)..., a product of about
+        log2(q-range) factors.  The inverse of an exact series is exact:
+        1/c goes into the prefactor.
         """
-        if not self.coeffs:
+        if not self.rows.size:
             raise ZeroDivisionError("cannot invert the zero series")
-        n0 = self.q_min()
-        row0 = self.q_row(n0)
-        if len(row0) != 1:
+        lead = np.flatnonzero(self.rows[0])
+        if len(lead) != 1:
             raise ValueError(
                 "inverse requires a monomial lowest q-row, got "
-                f"{len(row0)} terms at q^{n0}")
-        (r0, c0), = row0.items()
-        # a = c0 q^n0 y^(r0/2) (1 + u) with u of positive q-order after
-        # factoring; solve b row by row: b_m = -b_0 sum_{j>=1} a_{n0+j} b_{m-j}
-        q_order = self.q_order
-        out = QYSeries.zero(q_order, self.half_integral)
-        rows = {}  # q-exponent offset m >= 0 -> {r2: coeff} of inverse mantissa
-        inv0 = {-r0: 1.0 / c0}
-        rows[0] = inv0
-        # mantissa rows of a relative to the leading monomial
-        a_rows = {}
-        for (n, r2), c in self.coeffs.items():
-            a_rows.setdefault(n - n0, {})[r2] = c
-        max_m = q_order + abs(n0)  # generous; out-of-range rows are dropped
-        for m in range(1, max_m + 1):
-            acc = {}
-            for j in range(1, m + 1):
-                aj = a_rows.get(j)
-                if not aj:
-                    continue
-                bm = rows.get(m - j)
-                if not bm:
-                    continue
-                for r2a, ca in aj.items():
-                    for r2b, cb in bm.items():
-                        key = r2a + r2b
-                        acc[key] = acc.get(key, 0j) + ca * cb
-            new = {}
-            for r2, c in acc.items():
-                for r0b, c0b in inv0.items():
-                    key = r2 + r0b
-                    new[key] = new.get(key, 0j) - c * c0b
-            if new:
-                rows[m] = new
-        for m, row in rows.items():
-            for r2, c in row.items():
-                out._set(m - n0, r2, out.coeff(m - n0, r2) + c)
-        return out
+                f"{len(lead)} terms at q^{self.n0}")
+        j = int(lead[0])
+        c = self.rows[0, j]
+        exact = self.scale is not None
+        # rows 0 .. n_rows - 1 of the inverse mantissa land in the q-range
+        n_rows = self.q_order + self.n0 + 1
+        power = 1 - QYSeries._make(self.rows, 0, -2 * j,
+                                   Prefactor() if exact else None,
+                                   n_rows - 1, False) / c
+        inverse = 1 + power
+        while (power := power * power).rows.size:
+            inverse = inverse + inverse * power
+        inverse = inverse / c
+        return QYSeries._make(
+            inverse.rows, inverse.n0 - self.n0, inverse.r0 - self.r0 - 2 * j,
+            inverse.scale * self.scale ** -1 if exact else None,
+            self.q_order, self.half_integral)
 
     # -- calculus ----------------------------------------------------------
 
+    def _reweighted(self, weights, factor):
+        """Each coefficient times its entry of the integer array ``weights``
+        (broadcast over the block) and the rational ``factor``."""
+        if self.scale is None:
+            return QYSeries._make(self.rows * (weights * float(factor)),
+                                  self.n0, self.r0, None, self.q_order,
+                                  self.half_integral)
+        return QYSeries._make(self.rows * weights.astype(object), self.n0,
+                              self.r0, self.scale * factor, self.q_order,
+                              self.half_integral)
+
     def q_d_dq(self):
         """q d/dq: multiplies each term by its q-exponent."""
-        out = QYSeries.zero(self.q_order, self.half_integral)
-        out.coeffs = {k: c * k[0] for k, c in self.coeffs.items() if k[0] != 0}
-        return out
+        n = np.arange(self.n0, self.n0 + self.rows.shape[0])
+        return self._reweighted(n[:, None], 1)
 
     def y_d_dy(self):
         """y d/dy: multiplies each term by its y-exponent r2/2."""
-        out = QYSeries.zero(self.q_order, self.half_integral)
-        out.coeffs = {k: c * (k[1] / 2.0) for k, c in self.coeffs.items()
-                      if k[1] != 0}
-        return out
+        r2 = np.arange(self.r0, self.r0 + 2 * self.rows.shape[1], 2)
+        return self._reweighted(r2[None, :], Fraction(1, 2))
 
     def y_substitute_one(self):
         """Set y = 1: collapse to a pure q-series."""
-        out = QYSeries.zero(self.q_order, half_integral=False)
-        acc = {}
-        for (n, r2), c in self.coeffs.items():
-            acc[n] = acc.get(n, 0j) + c
-        out.coeffs = {(n, 0): c for n, c in acc.items() if c != 0}
-        return out
+        return QYSeries._make(self.rows.sum(axis=1, keepdims=True), self.n0,
+                              0, self.scale, self.q_order, False)
 
     # -- evaluation --------------------------------------------------------
 
@@ -312,22 +570,20 @@ class QYSeries:
         Raises if |q| >= 1.
         """
         q = point.q
-        y = point.y
         if abs(q) >= 1.0:
             raise ValueError(f"|q| = {abs(q)} >= 1: series diverges")
         value = 0j
         shells = {}
         # y^(1/2) is defined through alpha, not a branch cut in y
         sqrt_y = cmath.exp(1j * cmath.pi * point.alpha)
-        for (n, r2), c in self.coeffs.items():
+        # term by term in (n, r2) order: the character constants that
+        # transformation_check prints in its row labels carry the rounding
+        # of this sum
+        for n, r2, c in self.terms():
             term = c * q ** n * sqrt_y ** r2
             value += term
             shells[n] = shells.get(n, 0.0) + abs(term)
-        if shells:
-            bound = shells.get(max(shells), 0.0)
-        else:
-            bound = 0.0
-        return value, bound
+        return value, shells[max(shells)] if shells else 0.0
 
     # -- comparison and serialization --------------------------------------
 
@@ -337,39 +593,34 @@ class QYSeries:
         scale = max(self.max_abs_coeff(), other.max_abs_coeff())
         if scale == 0.0:
             return 0.0
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max(abs(self.coeff(*k) - other.coeff(*k)) for k in keys) / scale
-
-    def approx_equal(self, other, tol=COEFF_TOL):
-        return self.normalized_distance(other) <= tol
+        diff = self._combine(other, -1, max(self.q_order, other.q_order))
+        return diff.max_abs_coeff() / scale
 
     def __eq__(self, other):
         if not isinstance(other, QYSeries):
             return NotImplemented
-        return self.trim(0.0).coeffs == other.trim(0.0).coeffs
+        if self.rows.size and other.rows.size and (self.r0 - other.r0) % 2:
+            return False
+        return self.normalized_distance(other) == 0.0
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())[:6]
-        body = " + ".join(f"({c:.6g})q^{n}y^{r2}/2" for (n, r2), c in items)
-        more = "..." if len(self.coeffs) > 6 else ""
+        terms = self.terms()
+        body = " + ".join(f"({c:.6g})q^{n}y^{r2}/2" for n, r2, c in terms[:6])
+        more = "..." if len(terms) > 6 else ""
         return f"QYSeries[{body}{more}; q_order={self.q_order}]"
 
     def to_json_obj(self):
-        terms = [[n, r2, c.real, c.imag]
-                 for (n, r2), c in sorted(self.coeffs.items())]
         return {"q_order": self.q_order,
                 "half_integral": self.half_integral,
-                "terms": terms}
+                "terms": [[n, r2, c.real, c.imag] for n, r2, c in self.terms()]}
 
     def to_json(self):
         return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj):
-        out = cls.zero(obj["q_order"], obj["half_integral"])
-        for n, r2, re, im in obj["terms"]:
-            out._set(int(n), int(r2), complex(re, im))
-        return out
+        return cls({(n, r2): complex(re, im) for n, r2, re, im in obj["terms"]},
+                   obj["q_order"], obj["half_integral"])
 
     @classmethod
     def from_json(cls, text):
@@ -382,7 +633,8 @@ def infinite_product(factor, n_q, exponent=1, min_degree=None, max_factors=None)
 
     ``min_degree(n)`` must give a lower bound for the q-order of
     ``factor(n) - 1`` that grows without bound (stabilization); factors are
-    consumed until ``min_degree(n) > n_q``.  Defaults to ``n``.
+    consumed until ``min_degree(n) > n_q``.  Defaults to ``n``.  A factor of
+    a few terms costs one shifted copy of the partial product per term.
     """
     if min_degree is None:
         min_degree = lambda n: n
@@ -395,24 +647,22 @@ def infinite_product(factor, n_q, exponent=1, min_degree=None, max_factors=None)
             raise RuntimeError(
                 "infinite product failed to stabilize within "
                 f"{max_factors} factors at q-order {n_q}")
-        f = factor(n)
-        if f.q_order > n_q:
-            f = f.copy()
-            f.q_order = n_q
-            f.coeffs = {k: c for k, c in f.coeffs.items() if k[0] <= n_q}
-        result = result * f
+        result = result * factor(n)
         n += 1
-    if exponent == 1:
-        return result
-    if exponent < 0:
-        return result.invert() ** (-exponent)
-    return result ** exponent
+    return result if exponent == 1 else result ** exponent
 
 
 def euler_product(n_q):
-    """prod_{n>=1} (1 - q^n), truncated at q-order n_q."""
-    return infinite_product(
-        lambda n: QYSeries({(0, 0): 1.0, (n, 0): -1.0}, n_q), n_q)
+    """prod_{n>=1} (1 - q^n), truncated at q-order n_q, by Euler's
+    pentagonal number theorem: sum over all integers k of
+    (-1)^k q^{k(3k-1)/2}."""
+    terms = {}
+    k = 0
+    while k * (3 * k - 1) // 2 <= n_q:
+        for j in (k, -k):
+            terms[(j * (3 * j - 1) // 2, 0)] = (-1) ** (j % 2)
+        k += 1
+    return QYSeries(terms, n_q)
 
 
 class TXSeries:
@@ -458,10 +708,8 @@ class TXSeries:
 
     def t_row(self, k):
         """Coefficient of t^k as a pure q-series (QYSeries, y-free)."""
-        out = QYSeries.zero(self.q_order)
-        out.coeffs = {(n, 0): c for (kk, n), c in self.coeffs.items()
-                      if kk == k and c != 0}
-        return out
+        return QYSeries({(n, 0): c for (kk, n), c in self.coeffs.items()
+                         if kk == k}, self.q_order)
 
     def residue_t(self):
         """Coefficient of t^(-1) as a q-series."""

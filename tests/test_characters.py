@@ -140,6 +140,15 @@ class TestVectorCounts:
         assert th.q_order == n_q
         assert th.coeffs == {(n, 0): c for n, c in enumerate(counts) if c}
 
+    def test_e8_summands_need_no_enumeration(self, monkeypatch):
+        # below rank 24 the E4/Delta path needs only the zero vector's count
+        def refuse(lattice, max_norm):
+            raise AssertionError(f"enumerated rank {lattice.rank}")
+
+        monkeypatch.setattr(characters, "count_vectors_by_norm", refuse)
+        assert lattice_theta(e8_lattice(), 6) == eisenstein_e4(6)
+        assert lattice_theta(e8_power(2), 6) == eisenstein_e4(6) ** 2
+
     def test_theta_of_d24_plus_has_a_delta_term(self):
         # Theta = E4^3 + (1104 - 720) Delta.  Independent counts: norm 2,
         # 48 vectors (+-2, 0^23) and 16 C(24, 4) of shape (+-1^4, 0^20);

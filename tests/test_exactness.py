@@ -1,0 +1,141 @@
+"""Exact coefficients at high q-order.  The E8 character and the weak
+Jacobi forms phi_{-2,1} and phi_{10,1} are compared with references built
+here from plain integer dict products, one binomial factor at a time; the
+packed product and the inverse are compared with naive integer
+arithmetic."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import mpmath
+from hypothesis import given, settings, strategies as st
+
+from superchar.characters import chi_character, e8_lattice
+from superchar.jacobi_forms import phi_weak
+from superchar.series_core import SPARSE_TERMS, QYSeries, euler_product
+
+
+def mul(a, b, n_q):
+    """Product of {(n, r2): int} dicts, truncated above q^n_q."""
+    out = {}
+    for (n1, r1), c1 in a.items():
+        for (n2, r2), c2 in b.items():
+            if n1 + n2 <= n_q:
+                key = (n1 + n2, r1 + r2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def euler_power(k, n_q):
+    """prod_{n>=1} (1 - q^n)^k, multiplying (k > 0) or dividing (k < 0) by
+    one binomial at a time."""
+    out = [1] + [0] * n_q
+    for n in range(1, n_q + 1):
+        for _ in range(abs(k)):
+            if k > 0:
+                for m in range(n_q, n - 1, -1):
+                    out[m] -= out[m - n]
+            else:
+                for m in range(n, n_q + 1):
+                    out[m] += out[m - n]
+    return {(m, 0): c for m, c in enumerate(out) if c}
+
+
+@lru_cache(maxsize=None)
+def triple_product(n_q):
+    """T = prod_{n>=1} (1 - q^n)(1 - y q^n)(1 - y^{-1} q^{n-1})."""
+    out = {(0, 0): 1}
+    for n in range(1, n_q + 2):
+        for dn, dr2 in ((n, 0), (n, 2), (n - 1, -2)):
+            out = mul(out, {(0, 0): 1, (dn, dr2): -1}, n_q)
+    return out
+
+
+def shifted(a, dn, dr2, n_q):
+    return {(n + dn, r2 + dr2): c for (n, r2), c in a.items() if n + dn <= n_q}
+
+
+def assert_exactly(series, ref):
+    """Every coefficient of ``series`` is the integer of ``ref``, and the
+    JSON output prints each as its correctly rounded double."""
+    keys = set(ref) | set(series.coeffs)
+    assert {k: series.exact_coeff(*k) for k in keys} == \
+        {k: ref.get(k, 0) for k in keys}
+    printed = {(n, r2): (re, im)
+               for n, r2, re, im in series.to_json_obj()["terms"]}
+    assert printed == {k: (float(c), 0.0) for k, c in ref.items()}
+
+
+def test_e8_character_at_q45_in_both_modes():
+    # y^{r/4} T^{r/2} prod (1 - q^n)^{-3r/2} Theta with r = 8, Theta = E4
+    n_q = 45
+    sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+              for m in range(n_q + 1)]
+    theta = {(m, 0): 240 * sigma3[m] if m else 1 for m in range(n_q + 1)}
+    t = {k: c for k, c in triple_product(100).items() if k[0] <= n_q}
+    t4 = mul(mul(t, t, n_q), mul(t, t, n_q), n_q)
+    ref = shifted(mul(mul(t4, euler_power(-12, n_q), n_q), theta, n_q),
+                  0, 4, n_q)
+    assert max(abs(c) for c in ref.values()) > 2 ** 64
+    for mode in ("product", "closed"):
+        assert_exactly(chi_character(e8_lattice(), n_q, mode).chi, ref)
+
+
+def test_phi_m2_1_and_phi_10_1_at_q100():
+    # phi_{-2,1} = y T^2 prod (1 - q^n)^{-6}; phi_{10,1} = Delta phi_{-2,1}
+    n_q = 100
+    t2 = mul(triple_product(n_q), triple_product(n_q), n_q)
+    ref = shifted(mul(t2, euler_power(-6, n_q), n_q), 0, 2, n_q)
+    assert_exactly(phi_weak("phi_m2_1", n_q).offset_series.series, ref)
+    ref = shifted(mul(t2, euler_power(18, n_q), n_q), 1, 2, n_q)
+    assert_exactly(phi_weak("phi_10_1", n_q).offset_series.series, ref)
+
+
+def test_phi_m1_half_prints_correctly_rounded_values():
+    # phi_{-1,1/2} = y^{1/2} T prod (1 - q^n)^{-3} / (2 pi i): the powers of
+    # 2 pi i stay symbolic, so each printed value is -c/(2 pi) rounded once
+    n_q = 30
+    t = {k: c for k, c in triple_product(100).items() if k[0] <= n_q}
+    ref = shifted(mul(t, euler_power(-3, n_q), n_q), 0, 1, n_q)
+    with mpmath.workdps(60):
+        expect = {k: (0.0, float(-c / (2 * mpmath.pi))) for k, c in ref.items()}
+    series = phi_weak("phi_m1_half", n_q).offset_series.series
+    assert {(n, r2): (re, im) for n, r2, re, im
+            in series.to_json_obj()["terms"]} == expect
+
+
+def test_inverse_is_exact():
+    partitions = euler_product(100).invert()
+    assert partitions.exact_coeff(100) == 190569292
+    # a lead of 2: the inverse has denominators 2^(n+1)
+    s = QYSeries({(0, 0): 2, (1, 2): 3, (2, -2): -1}, 12)
+    inv = s.invert()
+    assert inv.exact_coeff(1, 2) == Fraction(-3, 4)
+    assert s * inv == QYSeries.one(12)
+
+
+def int_series(parity, min_size):
+    """{(n, r2): int} with negative q-exponents, doubled y-exponents of one
+    parity, and coefficients up to 2^90."""
+    keys = st.tuples(st.integers(-3, 7),
+                     st.integers(-5, 4).map(lambda r: 2 * r + parity))
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 90, 2 ** 90))
+    return st.dictionaries(keys, coeffs.filter(bool), min_size=min_size,
+                           max_size=40)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_product_matches_naive_convolution(data):
+    # the product is packed when both factors have more than SPARSE_TERMS
+    # terms and shifted copy by copy otherwise
+    min_size = data.draw(st.sampled_from([1, SPARSE_TERMS + 1]))
+    q_order = data.draw(st.integers(-2, 9))
+    a, b = (data.draw(int_series(data.draw(st.integers(0, 1)), min_size))
+            for _ in range(2))
+    a, b = ({k: c for k, c in x.items() if k[0] <= q_order} for x in (a, b))
+    prod = QYSeries(a, q_order, True) * QYSeries(b, q_order, True)
+    ref = mul(a, b, q_order)
+    keys = set(ref) | set(prod.coeffs)
+    assert {k: prod.exact_coeff(*k) for k in keys} == \
+        {k: ref.get(k, 0) for k in keys}

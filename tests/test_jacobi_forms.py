@@ -1,6 +1,8 @@
 import cmath
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superchar.jacobi_forms import (
@@ -171,6 +173,65 @@ class TestJacobiEisensteinNumeric:
         num = jacobi_eisenstein_numeric(6, 1, pt, cutoff=60)
         ser, _ = OffsetSeries(eisenstein_e6(30)).evaluate(pt)
         assert abs(num - ser) < 1e-5 * abs(ser)
+
+    @pytest.mark.parametrize("k, point", [
+        (4, EvalPoint(0.13 + 1.21j, 0.07 + 0.03j)),
+        (6, EvalPoint(-0.31 + 0.92j, 0.24 - 0.06j))])
+    @pytest.mark.parametrize("cutoff", [40, 100])
+    def test_matches_pair_by_pair_loop(self, k, point, cutoff):
+        fast = jacobi_eisenstein_numeric(k, 1, point, cutoff)
+        slow = _eisenstein_pair_by_pair(k, 1, point, cutoff)
+        assert abs(fast - slow) <= 1e-12 * abs(slow)
+
+
+def _ext_gcd(a, b):
+    """Returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r != 0:
+        qt = old_r // r
+        old_r, r = r, old_r - qt * r
+        old_u, u = u, old_u - qt * u
+        old_v, v = v, old_v - qt * v
+    return old_r, old_u, old_v
+
+
+def _completion_min_b(c, d):
+    """An SL2 completion (a, b) of the coprime bottom row (c, d) with
+    a*d - b*c = 1 and |b| minimal, by the extended Euclidean algorithm."""
+    g, u, v = _ext_gcd(d, c)
+    if g < 0:
+        g, u, v = -g, -u, -v
+    assert g == 1
+    a, b = u, -v
+    if d != 0:
+        t = round(-b / d)
+        a, b = min(((a + tt * c, b + tt * d) for tt in (t - 1, t, t + 1)),
+                   key=lambda ab: abs(ab[1]))
+    return a, b
+
+
+def _eisenstein_pair_by_pair(k, m, point, cutoff):
+    """The Jacobi-Eisenstein sum one coprime row (c, d) at a time, each with
+    its completion from the extended Euclidean algorithm: the oracle for
+    the vectorized ``jacobi_eisenstein_numeric``."""
+    tau, alpha = point.tau, point.alpha
+    lam = np.arange(-cutoff, cutoff + 1, dtype=float)
+    total = 0j
+    for c in range(-cutoff, cutoff + 1):
+        for d in range(-cutoff, cutoff + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            a, b = _completion_min_b(c, d)
+            denom = c * tau + d
+            tau_p = (a * tau + b) / denom
+            alpha_p = alpha / denom
+            phase = (lam * lam * tau_p + 2.0 * lam * alpha_p
+                     - c * alpha * alpha / denom)
+            total += denom ** (-k) * np.exp(
+                2j * math.pi * m * phase).sum()
+    return 0.5 * total
 
 
 class TestRatioLemma:
