@@ -191,8 +191,8 @@ def _completions(c, box):
     d = np.array([d for d in box if math.gcd(c, d) == 1])
     if c == 0:  # d = +-1
         return d, d, 0 * d
-    # a = d^-1 mod |c| (any a for |c| = 1), then (a, b) -> (a + t c, b + t d)
-    a = np.argmax(np.outer(d, np.arange(abs(c))) % abs(c) == 1 % abs(c), axis=1)
+    # a = d^-1 mod |c| (0 for |c| = 1), then (a, b) -> (a + t c, b + t d)
+    a = np.array([pow(int(x), -1, abs(c)) for x in d])
     b = (a * d - 1) // c
     t = np.rint(-b / np.where(d == 0, 1, d)).astype(int) * (d != 0)
     return d, a + t * c, b + t * d

@@ -15,8 +15,8 @@ with float coefficients (the Eisenstein rows b_n, JSON input) hold complex
 doubles.  Products of dense blocks use Kronecker substitution: each block is
 packed into one Python integer and the two are multiplied once (D. Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-J. Symb. Comput. 44, 2009); a factor of a few terms is applied as shifted
-copies instead.
+J. Symb. Comput. 44, 2009); a factor of a few terms, and a float series,
+is applied as shifted copies instead.
 """
 
 from __future__ import annotations
@@ -110,21 +110,10 @@ class Prefactor:
         man = man if self.num > 0 else -man
         return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
-    def __complex__(self):
-        num, den = self.ratio()
-        return complex(0.0, num / den) if self.a else complex(num / den, 0.0)
-
 
 EXACT_I = Prefactor(1, 1)
 EXACT_TWO_PI_I = Prefactor(1, 1, 1)
 _SCALARS = (int, float, complex, Fraction, Prefactor)
-
-
-def _padded(block, stride, dtype):
-    """``block`` row-major with each row padded to ``stride`` entries."""
-    out = np.zeros((block.shape[0], stride), dtype)
-    out[:, :block.shape[1]] = block
-    return out.ravel()
 
 
 def _half_digits(width, count):
@@ -170,7 +159,9 @@ def _packed_product(a, b, n_rows, square):
     half = 1 << (8 * width - 1)
 
     def pack(block):
-        flat = _padded(block, stride, object).tolist()
+        padded = np.zeros((block.shape[0], stride), object)
+        padded[:, :block.shape[1]] = block
+        flat = padded.ravel().tolist()
         data = b"".join([(c + half).to_bytes(width, "little") for c in flat])
         return int.from_bytes(data, "little") - _half_digits(width, len(flat))
 
@@ -334,11 +325,6 @@ class QYSeries:
                                           self.scale.den)
         return int(c) if c.denominator == 1 else c
 
-    def _is_one(self):
-        return (self.rows.shape == (1, 1) and self.n0 == self.r0 == 0
-                and self.scale is not None and self.scale.is_one()
-                and self.rows[0, 0] == 1)
-
     def is_zero(self, tol=0.0):
         return self.max_abs_coeff() <= tol
 
@@ -355,9 +341,7 @@ class QYSeries:
     def _coerce(self, other):
         if isinstance(other, QYSeries):
             return other
-        if isinstance(other, Prefactor):
-            return QYSeries.one(self.q_order, self.half_integral) * other
-        if isinstance(other, _SCALARS):
+        if isinstance(other, (int, float, complex, Fraction)):
             return QYSeries({(0, 0): other}, self.q_order, self.half_integral)
         return None
 
@@ -439,10 +423,6 @@ class QYSeries:
         # half + half = integral under multiplication of pure parities, but
         # the flag only says whether odd keys are permitted
         half = self.half_integral or other.half_integral
-        for unit, factor in ((self, other), (other, self)):
-            if unit._is_one():
-                return QYSeries._make(factor.rows, factor.n0, factor.r0,
-                                      factor.scale, q_order, half)
         n0 = self.n0 + other.n0
         n_rows = min(q_order - n0 + 1,
                      self.rows.shape[0] + other.rows.shape[0] - 1)
@@ -453,18 +433,12 @@ class QYSeries:
                                                       other._values())
         if np.count_nonzero(a) < np.count_nonzero(b):
             a, b = b, a
-        # shifted copies for a factor of a few terms, and for blocks too
-        # small for packing to pay off
-        if np.count_nonzero(b) <= SPARSE_TERMS or a.size + b.size <= 64:
+        # shifted copies for a factor of a few terms, and for float series,
+        # which no computation here multiplies at length
+        if not exact or np.count_nonzero(b) <= SPARSE_TERMS:
             rows = _shifted_sum(a, b, n_rows)
-        elif exact:
+        else:
             rows = _kronecker(a, b, n_rows)
-        else:  # one direct convolution of the same flattened layout
-            a, b = a[:n_rows], b[:n_rows]
-            stride = a.shape[1] + b.shape[1] - 1
-            rows = np.convolve(_padded(a, stride, complex),
-                               _padded(b, stride, complex))
-            rows = rows[:n_rows * stride].reshape(n_rows, stride)
         return QYSeries._make(rows, n0, self.r0 + other.r0,
                               self.scale * other.scale if exact else None,
                               q_order, half)
