@@ -260,7 +260,7 @@ def characters(q_order=10, fock_q_order=4):
     theta = ch.lattice_theta(lat, fock_q_order)
     rows = [
         _row("character-product-vs-closed", "character-formulas",
-             f"E8,q^{q_order}", prod.normalized_distance(closed), 1e-9),
+             f"E8,q^{q_order}", (prod - closed).max_abs_coeff(), 0.0),
         _row("character-vs-fock-oracle", "supertrace-state-sum",
              f"E8,q^{fock_q_order}",  # the difference stops at q^fock_q_order
              (prod - fock).max_abs_coeff(), 0.0),

@@ -112,6 +112,14 @@ def _series_json(obj):
     raise TypeError
 
 
+def _echo_terms(doc):
+    """Print ``doc``, whose one list of lists is the terms of a series, as
+    JSON with one term per line: the C encoder writes it compactly, where
+    ``indent`` would take the pure-Python encoder, which costs more than
+    building most series."""
+    click.echo(json.dumps(doc).replace("], [", "],\n["))
+
+
 def _series_registry(n_q):
     reg = {
         "eta": lambda: jf.eta_series(n_q),
@@ -126,7 +134,7 @@ def _series_registry(n_q):
     }
     for k in range(4):
         reg[f"b{k}"] = lambda k=k: el.eisenstein_b(k, n_q).series
-    for name in ("phi_m1_half", "phi_m2_1", "phi_10_1"):
+    for name in ("phi_m1_half", "phi_m2_1", "phi_0_1", "phi_10_1", "phi_12_1"):
         reg[name] = lambda name=name: jf.phi_weak(name, n_q).offset_series
     return reg
 
@@ -142,9 +150,6 @@ def _eval_registry(n_q):
     reg["zeta_tilde"] = lambda p: (el.zeta_tilde_eval(p.alpha, p.tau), 0.0)
     for k in (1, 2, 3, 4):
         reg[f"wp{k}"] = lambda p, k=k: (el.wp_numeric(k, p.tau, p.alpha), 0.0)
-    for name in ("phi_12_1", "phi_0_1"):
-        reg[name] = lambda p, name=name: (
-            jf.phi_weak(name, n_q).evaluate(p), 0.0)
     return reg
 
 
@@ -176,7 +181,7 @@ def main(ctx, config_path):
 def series(ctx, name, q_order):
     """Print the truncated series NAME as JSON."""
     make = _choose("series", name, _series_registry(_q_order(ctx, q_order)))
-    click.echo(json.dumps(_series_json(make()), indent=2))
+    _echo_terms(_series_json(make()))
 
 
 @main.command("eval")
@@ -246,13 +251,13 @@ def character(ctx, lattice_path, mode, q_order):
         cs = ch.chi_character(lat, n_q, mode)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    click.echo(json.dumps({
+    _echo_terms({
         "rank": lat.rank,
         "central_charge": str(cs.central_charge),
         "index": str(cs.index),
         "mode": mode,
         "chi": cs.chi.to_json_obj(),
-    }, indent=2))
+    })
 
 
 @main.command()

@@ -13,8 +13,8 @@ Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
 * ``zeta_tilde(t) = 1/t - b_0 t - b_1 t^3/3 - b_2 t^5/5 - ...`` and
   ``zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})``.
 * ``p_2 = (2 pi i)^2 p_bar`` equals the classical p-function plus b_0;
-  ``p_k`` for k >= 3 is the absolutely convergent lattice sum, evaluated by
-  resumming each row with Hurwitz zeta values.
+  ``p_k`` for k >= 3 is the absolutely convergent lattice sum, each row
+  summed in closed form by the Lipschitz formula.
 """
 
 from __future__ import annotations
@@ -247,9 +247,14 @@ def zeta_tilde_eval(t, tau, tol=1e-14):
     return TWO_PI_I * zeta_bar_eval(cmath.exp(TWO_PI_I * t), q, tol)
 
 
-def _row_sum(z, k):
-    """sum_{n in Z} (z + n)^{-k} via Hurwitz zeta values."""
-    return complex(mpmath.zeta(k, z) + (-1) ** k * mpmath.zeta(k, 1 - z))
+def _eulerian(n):
+    """The Eulerian numbers A(n, 0..n-1) (A(0, 0) = 1), the coefficients of
+    the polynomial A_n with w A_n(w) / (1 - w)^(n+1) = sum_{d>=1} d^n w^d."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [(j + 1) * (row[j] if j < len(row) else 0)
+               + (m - j) * (row[j - 1] if j else 0) for j in range(m)]
+    return row
 
 
 def wp_numeric(k, tau, alpha, tol=1e-13):
@@ -258,7 +263,12 @@ def wp_numeric(k, tau, alpha, tol=1e-13):
     k = 1: the odd zeta function zeta_tilde(alpha);
     k = 2: (2 pi i)^2 p_bar(e^{2 pi i alpha}) (classical p plus b_0);
     k >= 3: the absolutely convergent lattice sum
-            sum_{(m,n)} (alpha + m tau + n)^{-k}, rows resummed exactly.
+            sum_{(m,n)} (alpha + m tau + n)^{-k}.  By the Lipschitz formula
+            each row is sum_n (z + n)^{-k} = ((-2 pi i)^k / (k-1)!)
+            Li_{1-k}(w), w = e^{2 pi i z}, and Li_{1-k}(w) is the rational
+            function w A_{k-1}(w) / (1 - w)^k (Eulerian polynomial A); the
+            inversion Li_{1-k}(1/w) = (-1)^k Li_{1-k}(w) folds row -m onto
+            w = q^m / x, so the rows form one partial-fraction shell sum.
     """
     tau = complex(tau)
     alpha = complex(alpha)
@@ -270,13 +280,20 @@ def wp_numeric(k, tau, alpha, tol=1e-13):
         return TWO_PI_I ** 2 * p_bar_eval(x, q, tol)
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = _row_sum(alpha, k)
-    for m in range(1, _MAX_SHELLS + 1):
-        t = _row_sum(alpha + m * tau, k) + _row_sum(alpha - m * tau, k)
-        total += t
-        if abs(t) <= tol * max(1.0, abs(total)):
-            return total
-    raise RuntimeError("lattice row sum failed to converge")
+    eulerian = _eulerian(k - 1)
+    sign = (-1) ** k
+
+    def polylog(w):
+        """Li_{1-k}(w)."""
+        return (w * sum(c * w ** j for j, c in enumerate(eulerian))
+                / (1.0 - w) ** k)
+
+    def term(m):
+        qm = q ** m
+        return polylog(qm * x) + sign * polylog(qm / x)
+
+    return ((-TWO_PI_I) ** k / math.factorial(k - 1)
+            * (polylog(x) + _shell_sum(term, tol)))
 
 
 def wp_lattice_direct(k, tau, alpha, cutoff):
@@ -291,19 +308,6 @@ def wp_lattice_direct(k, tau, alpha, cutoff):
         for n in range(-cutoff, cutoff + 1):
             total += (alpha + m * tau + n) ** (-k)
     return total
-
-
-def b_n_lattice_sum(n, tau, cutoff):
-    """Lattice sum for b_n = (2n+1) sum' gamma^{-2n-2} over gamma = m tau + j,
-    summed row by row (inner integer direction resummed exactly), matching
-    the conditionally convergent prescription for n = 0."""
-    tau = complex(tau)
-    k = 2 * n + 2
-    total = 2 * complex(mpmath.zeta(k))  # the m = 0 row
-    for m in range(1, cutoff + 1):
-        # sum_j (m tau + j)^{-k} + (-m tau + j)^{-k} via Hurwitz zeta rows
-        total += _row_sum(m * tau, k) + _row_sum(-m * tau, k)
-    return (2 * n + 1) * total
 
 
 # ---------------------------------------------------------------------------

@@ -121,45 +121,25 @@ def theta_prime_zero(n_q=DEFAULT_Q_ORDER):
 
 
 class JacobiForm:
-    """A (weak/quasi) Jacobi form: weight, index, and either an exact series
-    representation or a numeric evaluator."""
+    """A (weak/quasi) Jacobi form: weight, index and its exact series."""
 
-    __slots__ = ("name", "weight", "index", "offset_series", "evaluator")
+    __slots__ = ("name", "weight", "index", "offset_series")
 
-    def __init__(self, name, weight, index, offset_series=None, evaluator=None):
-        if offset_series is None and evaluator is None:
-            raise ValueError("a JacobiForm needs a series or an evaluator")
+    def __init__(self, name, weight, index, offset_series):
         self.name = name
         self.weight = weight
         self.index = Fraction(index)
         self.offset_series = offset_series
-        self.evaluator = evaluator
 
     def evaluate(self, point):
-        if self.offset_series is not None:
-            return self.offset_series.evaluate(point)[0]
-        return self.evaluator(point)
+        return self.offset_series.evaluate(point)[0]
 
     def alpha_derivative_at_zero(self, order, tau):
         """Numeric value of (d/d alpha)^order f at (tau, 0)."""
-        if self.offset_series is not None:
-            d = self.offset_series
-            for _ in range(order):
-                d = d.alpha_derivative()
-            return d.evaluate(EvalPoint(tau, 0.0))[0]
-        # central finite differences as a fallback for numeric-only forms
-        h = 1e-3
-        weights = {0: [1], 1: [-0.5, 0, 0.5], 2: [1, -2, 1],
-                   3: [-0.5, 1, 0, -1, 0.5]}
-        if order not in weights:
-            raise NotImplementedError
-        w = weights[order]
-        half = len(w) // 2
-        total = 0j
-        for j, c in enumerate(w):
-            if c:
-                total += c * self.evaluator(EvalPoint(tau, (j - half) * h))
-        return total / h ** order
+        d = self.offset_series
+        for _ in range(order):
+            d = d.alpha_derivative()
+        return d.evaluate(EvalPoint(tau, 0.0))[0]
 
 
 def theta_form(n_q=DEFAULT_Q_ORDER):
@@ -168,21 +148,25 @@ def theta_form(n_q=DEFAULT_Q_ORDER):
 
 
 # ---------------------------------------------------------------------------
-# classical Eisenstein series and the Jacobi-Eisenstein numeric sum
+# classical Eisenstein series, and the numeric Jacobi-Eisenstein sum: the
+# independent oracle for the exact phi_10_1 and phi_12_1
 # ---------------------------------------------------------------------------
 
-def eisenstein_e4(n_q=DEFAULT_Q_ORDER):
-    coeffs = {(0, 0): 1}
-    for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = 240 * divisor_sigma(3, m)
+def _eisenstein(k, n_q):
+    """E_k = 1 + c_k sum_m sigma_{k-1}(m) q^m for k = 2, 4, 6, with
+    c_k = -2k/B_k = -24, 240, -504."""
+    c = {2: -24, 4: 240, 6: -504}[k]
+    coeffs = {(m, 0): c * divisor_sigma(k - 1, m) for m in range(1, n_q + 1)}
+    coeffs[(0, 0)] = 1
     return QYSeries(coeffs, n_q)
+
+
+def eisenstein_e4(n_q=DEFAULT_Q_ORDER):
+    return _eisenstein(4, n_q)
 
 
 def eisenstein_e6(n_q=DEFAULT_Q_ORDER):
-    coeffs = {(0, 0): 1}
-    for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = -504 * divisor_sigma(5, m)
-    return QYSeries(coeffs, n_q)
+    return _eisenstein(6, n_q)
 
 
 def _completions(c, box):
@@ -235,17 +219,18 @@ def jacobi_eisenstein_numeric(k, m, point, cutoff=40):
 # weak Jacobi forms
 # ---------------------------------------------------------------------------
 
-def phi_weak(name, n_q=DEFAULT_Q_ORDER, cutoff=40):
-    """The standard generators of weak Jacobi forms:
+def phi_weak(name, n_q=DEFAULT_Q_ORDER):
+    """The standard generators of weak Jacobi forms, as exact series:
 
     * ``phi_m1_half``: weight -1 index 1/2, theta / theta'(tau, 0)
       (leading Taylor coefficient in alpha exactly 1);
     * ``phi_m2_1``: weight -2 index 1, (2 pi i)^2 phi_m1_half^2;
-    * ``phi_10_1``: weight 10 index 1, the cusp form Delta * phi_m2_1
-      with Delta = q prod (1-q^n)^24;
-    * ``phi_12_1``: weight 12 index 1, numeric,
-      (E_4^2 E_{4,1} - E_6 E_{6,1}) / 144;
-    * ``phi_0_1``: weight 0 index 1, numeric, phi_12_1 / Delta.
+    * ``phi_0_1``: weight 0 index 1, the heat operator applied to phi_m2_1
+      (Eichler-Zagier, The Theory of Jacobi Forms, section 3 and
+      Thm 9.3): 6 ((y d/dy)^2 - 4 q d/dq) phi_m2_1 - 5 E_2 phi_m2_1,
+      y + 10 + y^-1 at q^0;
+    * ``phi_10_1`` and ``phi_12_1``: weight 10 and 12 index 1, the cusp
+      forms Delta * phi_m2_1 and Delta * phi_0_1, Delta = q prod (1-q^n)^24.
     """
     if name in ("phi_m1_half", "phi_m2_1"):
         # phi_m2_1 squares theta and theta' before dividing: theta^2 is
@@ -257,30 +242,15 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER, cutoff=40):
             return JacobiForm(name, -1, Fraction(1, 2), OffsetSeries(ratio, 0))
         return JacobiForm(name, -2, 1,
                           OffsetSeries(ratio * EXACT_TWO_PI_I ** 2, 0))
-    if name == "phi_10_1":
-        base = phi_weak("phi_m2_1", n_q)
-        series = base.offset_series.series * discriminant_series(n_q)
-        return JacobiForm(name, 10, 1, OffsetSeries(series, 0))
-    if name == "phi_12_1":
-        e4 = eisenstein_e4(n_q)
-        e6 = eisenstein_e6(n_q)
-
-        def evaluator(point):
-            e41 = jacobi_eisenstein_numeric(4, 1, point, cutoff)
-            e61 = jacobi_eisenstein_numeric(6, 1, point, cutoff)
-            v4 = e4.evaluate(point)[0]
-            v6 = e6.evaluate(point)[0]
-            return (v4 * v4 * e41 - v6 * e61) / 144.0
-
-        return JacobiForm(name, 12, 1, evaluator=evaluator)
     if name == "phi_0_1":
-        inner = phi_weak("phi_12_1", n_q, cutoff)
-        delta = discriminant_series(n_q)
-
-        def evaluator(point):
-            return inner.evaluate(point) / delta.evaluate(point)[0]
-
-        return JacobiForm(name, 0, 1, evaluator=evaluator)
+        base = phi_weak("phi_m2_1", n_q).offset_series.series
+        series = (6 * (base.y_d_dy().y_d_dy() - 4 * base.q_d_dq())
+                  - 5 * _eisenstein(2, n_q) * base)
+        return JacobiForm(name, 0, 1, OffsetSeries(series, 0))
+    if name in ("phi_10_1", "phi_12_1"):
+        base = phi_weak("phi_m2_1" if name == "phi_10_1" else "phi_0_1", n_q)
+        series = base.offset_series.series * discriminant_series(n_q)
+        return JacobiForm(name, base.weight + 12, 1, OffsetSeries(series, 0))
     raise ValueError(f"unknown weak Jacobi form {name!r}")
 
 

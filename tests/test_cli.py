@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import pytest
 from click.testing import CliRunner
 
@@ -39,6 +40,16 @@ class TestSeries:
         result = runner.invoke(main, ["--config", str(cfg), "series", "eta"])
         assert result.exit_code == 2
 
+    def test_prints_one_term_per_line(self, runner):
+        result = runner.invoke(main, ["series", "phi_10_1", "--q-order", "8"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        terms = json.loads(result.output)["series"]["terms"]
+        assert len(terms) > 30
+        assert len(lines) == len(terms)
+        assert [json.loads(line.rstrip(","))
+                for line in lines[1:-1]] == terms[1:-1]
+
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])
         b = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])
@@ -56,6 +67,29 @@ class TestEval:
         expected = zeta_bar_eval(pt.y, pt.q)
         assert obj["value"][0] == pytest.approx(expected.real, abs=1e-12)
         assert obj["value"][1] == pytest.approx(expected.imag, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["phi_0_1", "phi_12_1"])
+    @pytest.mark.parametrize("tau, alpha", [
+        (0.2 + 1.1j, 0.31 + 0.07j), (-0.45 + 0.8j, 0.12 - 0.1j)])
+    def test_weak_forms_match_theta_quotients(self, runner, name, tau,
+                                              alpha):
+        # phi_{0,1} = 4 sum_{i=2,3,4} (theta_i(z) / theta_i(0))^2 with
+        # z = pi alpha, and phi_{12,1} = eta^24 phi_{0,1}
+        result = runner.invoke(main, ["eval", name, "--tau", f"{tau}",
+                                      "--alpha", f"{alpha}"])
+        assert result.exit_code == 0
+        value = complex(*json.loads(result.output)["value"])
+        with mpmath.workdps(30):
+            nome = mpmath.exp(1j * mpmath.pi * tau)
+            z = mpmath.pi * alpha
+            ref = 4 * sum((mpmath.jtheta(i, z, nome)
+                           / mpmath.jtheta(i, 0, nome)) ** 2
+                          for i in (2, 3, 4))
+            if name == "phi_12_1":
+                ref *= (mpmath.exp(2j * mpmath.pi * tau / 24)
+                        * mpmath.qp(nome ** 2)) ** 24
+            ref = complex(ref)
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
     def test_accepts_j_suffix(self, runner):
         result = runner.invoke(

@@ -1,8 +1,8 @@
 """Exact coefficients at high q-order.  The E8 character and the weak
-Jacobi forms phi_{-2,1} and phi_{10,1} are compared with references built
-here from plain integer dict products, one binomial factor at a time; the
-packed product and the inverse are compared with naive integer
-arithmetic."""
+Jacobi forms phi_{-2,1}, phi_{10,1} and phi_{0,1} are compared with
+references built here from plain integer dict products, one binomial
+factor at a time; the packed product and the inverse are compared with
+naive integer arithmetic."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -89,6 +89,59 @@ def test_phi_m2_1_and_phi_10_1_at_q100():
     assert_exactly(phi_weak("phi_m2_1", n_q).offset_series.series, ref)
     ref = shifted(mul(t2, euler_power(18, n_q), n_q), 1, 2, n_q)
     assert_exactly(phi_weak("phi_10_1", n_q).offset_series.series, ref)
+
+
+def sparse_mul(a, b, n_q):
+    """``mul`` for a large ``a`` and a ``b`` of many q-rows: each term of
+    ``a`` meets only the rows of ``b`` that stay below q^n_q."""
+    rows = {}
+    for (n, r2), c in b.items():
+        rows.setdefault(n, []).append((r2, c))
+    out = {}
+    for (n1, r1), c1 in a.items():
+        for n2 in range(n_q - n1 + 1):
+            for r2, c2 in rows.get(n2, ()):
+                key = (n1 + n2, r1 + r2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def test_phi_0_1_at_q100_matches_the_wp_formula():
+    # phi_{0,1} = (3 / pi^2) wp phi_{-2,1}, written as
+    #   phi_{-2,1} (1 + 12 sum_n sum_{d|n} d (y^d - 2 + y^-d) q^n) + 12 P,
+    #   P = prod_n (1 - y q^n)^2 (1 - y^-1 q^n)^2 / (1 - q^n)^4,
+    # with phi_{-2,1} = (y - 2 + y^-1) P
+    n_q = 100
+    half = {(0, 0): 1}
+    for n in range(1, n_q + 1):
+        for dr2 in (2, -2):
+            half = mul(half, {(0, 0): 1, (n, dr2): -1}, n_q)
+    p = mul(mul(half, half, n_q), euler_power(-4, n_q), n_q)
+    phi_m2 = mul(p, {(0, 2): 1, (0, 0): -2, (0, -2): 1}, n_q)
+    wp = {(0, 0): 1}
+    for n in range(1, n_q + 1):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                for r2, c in ((2 * d, 12 * d), (0, -24 * d), (-2 * d, 12 * d)):
+                    wp[(n, r2)] = wp.get((n, r2), 0) + c
+    ref = sparse_mul(phi_m2, wp, n_q)
+    for k, c in p.items():
+        ref[k] = ref.get(k, 0) + 12 * c
+    ref = {k: c for k, c in ref.items() if c}
+    assert ref[(1, 0)] == 108 and ref[(n_q, 0)] > 2 ** 64
+    assert_exactly(phi_weak("phi_0_1", n_q).offset_series.series, ref)
+
+
+def test_index_one_coefficients_depend_only_on_the_discriminant():
+    # c(n, r) of a Jacobi form of index 1 is a function of 4n - r^2
+    for name in ("phi_0_1", "phi_12_1"):
+        series = phi_weak(name, 100).offset_series.series
+        by_disc = {}
+        for n, r2, _ in series.terms():
+            by_disc.setdefault(4 * n - (r2 // 2) ** 2, set()).add(
+                series.exact_coeff(n, r2))
+        assert len(by_disc) >= 200
+        assert all(len(values) == 1 for values in by_disc.values()), name
 
 
 def test_phi_m1_half_prints_correctly_rounded_values():

@@ -150,8 +150,21 @@ class TestWeakForms:
             b = phi_10_1_eisenstein_numeric(pt, cutoff=80)
             assert abs(a - b) < 1e-3 * max(abs(a), abs(b))
 
+    def test_phi_12_1_matches_eisenstein_combination(self):
+        # phi_{12,1} = (E_4^2 E_{4,1} - E_6 E_{6,1}) / 144, the numeric
+        # Jacobi-Eisenstein sums as the independent oracle
+        f = phi_weak("phi_12_1", 40)
+        v4 = OffsetSeries(eisenstein_e4(40))
+        v6 = OffsetSeries(eisenstein_e6(40))
+        for pt in (POINT, EvalPoint(-0.3 + 1.35j, 0.21 - 0.06j)):
+            e4, e6 = v4.evaluate(pt)[0], v6.evaluate(pt)[0]
+            b = (e4 * e4 * jacobi_eisenstein_numeric(4, 1, pt, cutoff=80)
+                 - e6 * jacobi_eisenstein_numeric(6, 1, pt, cutoff=80)) / 144
+            a = f.evaluate(pt)
+            assert abs(a - b) < 1e-3 * max(abs(a), abs(b))
+
     def test_phi_0_1_times_discriminant(self):
-        # phi_0_1 = phi_12_1 / Delta by construction; cross-check numerically
+        # phi_12_1 = Delta phi_0_1 by construction; cross-check numerically
         f0 = phi_weak("phi_0_1", 30)
         f12 = phi_weak("phi_12_1", 30)
         d = discriminant_series(30)
@@ -285,8 +298,18 @@ class TestTransformationCheck:
 
     def test_phi_0_1_weight_zero(self):
         rows = transformation_check(
-            phi_weak("phi_0_1", 30, cutoff=100),
+            phi_weak("phi_0_1", 30),
             [("shift", 1, 0), ("sl2", 0, -1, 1, 0)],
-            self.POINTS, 1e-5)
+            self.POINTS, 1e-9)
+        for row in rows:
+            assert row.passed, (row.element, row.residual)
+
+    def test_phi_12_1_weight_twelve(self):
+        rows = transformation_check(
+            phi_weak("phi_12_1", 30),
+            [("shift", 1, 0), ("shift", 0, 1), ("sl2", 0, -1, 1, 0),
+             ("sl2", 1, 1, 0, 1)],
+            self.POINTS, 1e-9)
+        assert len(rows) == 8
         for row in rows:
             assert row.passed, (row.element, row.residual)
