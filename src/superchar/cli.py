@@ -18,7 +18,7 @@ from . import jacobi_forms as jf
 from .checks import SUITES
 from .grassmann import berezinian  # noqa: F401 (perfbench/spans.py wraps it)
 from .report import emit_report, format_sig, rows_from_json
-from .series_core import EvalPoint, QYSeries, TXSeries
+from .series_core import EvalPoint, QYSeries
 
 DEFAULTS = {"q_order": 20, "format": "pretty"}
 FORMATS = ("json", "csv", "pretty")
@@ -104,11 +104,6 @@ def _series_json(obj):
     if isinstance(obj, jf.OffsetSeries):
         return {"q_offset": str(obj.q_offset),
                 "series": obj.series.to_json_obj()}
-    if isinstance(obj, TXSeries):
-        return {"kind": "tx", "series": {
-            "q_order": obj.q_order, "t_range": obj.t_range,
-            "terms": [[k, n, c.real, c.imag]
-                      for (k, n), c in sorted(obj.coeffs.items())]}}
     raise TypeError
 
 
@@ -133,7 +128,7 @@ def _series_registry(n_q):
         "triple_product": lambda: ch.jacobi_triple_product(n_q)[1],
     }
     for k in range(4):
-        reg[f"b{k}"] = lambda k=k: el.eisenstein_b(k, n_q).series
+        reg[f"b{k}"] = lambda k=k: el.eisenstein_b(k, n_q)
     for name in ("phi_m1_half", "phi_m2_1", "phi_0_1", "phi_10_1", "phi_12_1"):
         reg[name] = lambda name=name: jf.phi_weak(name, n_q).offset_series
     return reg

@@ -4,6 +4,9 @@ evaluators, higher p-functions, and the Grassmann-extended zeta.
 
 Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
 
+* Every expansion is a ``QYSeries`` in which y stands for x (annulus
+  expansions) or for t (the Laurent expansion of zeta_tilde), at integral
+  exponents: the coefficient of x^k q^n is ``coeff(n, 2 k)``.
 * ``b_n = (2n+1) sum' gamma^(-2n-2)`` over nonzero lattice points, with the
   conditionally convergent n = 0 case summed row-by-row (inner sum over the
   integer direction first).
@@ -21,11 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 
 from .grassmann import GrassmannNumber, EPS, DELTA
-from .series_core import QYSeries, TXSeries, EvalPoint
+from .series_core import Prefactor, QYSeries
 
 TWO_PI_I = 2j * math.pi
 
@@ -35,118 +39,68 @@ def divisor_sigma(k, m):
     return sum(d ** k for d in range(1, m + 1) if m % d == 0)
 
 
-class EisensteinRow:
-    """The coefficient series b_n of the odd zeta Taylor expansion, as a
-    q-series with its transcendental constant term."""
-
-    __slots__ = ("n", "series")
-
-    def __init__(self, n, series):
-        self.n = n
-        self.series = series
-
-    def evaluate(self, point):
-        return self.series.evaluate(point)
-
-
 def eisenstein_b(n, n_q):
-    """b_n as a q-series: (2n+1) times the weight-(2n+2) Eisenstein series,
-    b_n = (2n+1)[2 zeta(2n+2)
-          + (2 (2 pi i)^{2n+2} / (2n+1)!) sum_m sigma_{2n+1}(m) q^m].
+    """b_n as an exact q-series: (2n+1) times the weight-(2n+2) Eisenstein
+    series.  With 2 zeta(w) = -B_w (2 pi i)^w / w! for w = 2n+2,
+    b_n = (2n+1) (2 pi i)^w [-B_w / w!
+                             + (2 / (2n+1)!) sum_m sigma_{2n+1}(m) q^m].
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     w = 2 * n + 2
-    const = (2 * n + 1) * 2.0 * float(mpmath.zeta(w))
-    two_pi_i_w = TWO_PI_I ** w
-    factor = (2 * n + 1) * 2.0 * two_pi_i_w / math.factorial(2 * n + 1)
-    coeffs = {(0, 0): const}
+    coeffs = {(0, 0): -Fraction(*mpmath.bernfrac(w)) / math.factorial(w)}
     for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = factor * divisor_sigma(2 * n + 1, m)
-    return EisensteinRow(n, QYSeries(coeffs, q_order=n_q))
+        coeffs[(m, 0)] = Fraction(2 * divisor_sigma(2 * n + 1, m),
+                                  math.factorial(2 * n + 1))
+    return QYSeries(coeffs, n_q) * Prefactor(2 * n + 1, w, w)
 
 
 # ---------------------------------------------------------------------------
 # annulus expansions (valid for |q| < |x| < 1)
 # ---------------------------------------------------------------------------
 
-def _recip_qmx_minus_1(m, n_x, n_q, t_range):
-    """Expansion of 1/(q^m x - 1) in the annulus |q| < |x| < 1."""
-    out = TXSeries.zero(n_q, t_range)
-    if m >= 0:
-        # -(sum_{k>=0} q^{mk} x^k)
-        k = 0
-        while (m * k) <= n_q and k <= n_x:
-            out._set(k, m * k, -1.0)
-            if m == 0 and k == n_x:
-                break
-            k += 1
-    else:
-        p = -m
-        # sum_{k>=1} q^{pk} x^{-k}
-        k = 1
-        while p * k <= n_q and k <= n_x:
-            out._set(-k, p * k, 1.0)
-            k += 1
-    return out
-
-
-def _qmx_over_sq(m, n_x, n_q, t_range):
-    """Expansion of q^m x / (1 - q^m x)^2 in the annulus |q| < |x| < 1."""
-    out = TXSeries.zero(n_q, t_range)
-    if m >= 0:
-        k = 1
-        while m * k <= n_q and k <= n_x:
-            out._set(k, m * k, float(k))
-            if m == 0 and k == n_x:
-                break
-            k += 1
-    else:
-        p = -m
-        k = 1
-        while p * k <= n_q and k <= n_x:
-            out._set(-k, p * k, float(k))
-            k += 1
-    return out
-
-
 def zeta_bar_series(n_x, n_q, shift=0):
-    """Annulus expansion of zeta_bar(q^shift x) as a TXSeries (t plays x).
+    """Annulus expansion of zeta_bar(q^shift x) to x^(+-n_x) and q^n_q, with
+    integer coefficients and the constant 1/2.
 
     The defining sum is expanded term by term without re-indexing, so the
     quasi-periodicity zeta_bar(q x) = zeta_bar(x) - 1 is a nontrivial check.
     """
+    coeffs = {(0, 0): Fraction(1, 2)}
+
+    def add(n, k, c):
+        coeffs[(n, 2 * k)] = coeffs.get((n, 2 * k), 0) + c
+
     n_big = n_q + abs(shift) + 2
-    out = TXSeries.monomial(0.5, 0, 0, n_q, n_x)
     for n in range(-n_big, n_big + 1):
-        out = out + _recip_qmx_minus_1(n + shift, n_x, n_q, n_x)
-        if n != 0:
-            # constant term -1/(q^n - 1)
-            c = TXSeries.zero(n_q, n_x)
-            if n >= 1:
-                k = 0
-                while n * k <= n_q:
-                    c._set(0, n * k, 1.0)  # -(-sum q^{nk})
-                    if n == 0:
-                        break
-                    k += 1
-            else:
-                p = -n
-                k = 1
-                while p * k <= n_q:
-                    c._set(0, p * k, -1.0)
-                    k += 1
-            out = out + c
-    return out
+        m = n + shift
+        # 1/(q^m x - 1) = -sum_{k>=0} (q^m x)^k if m >= 0, else
+        # sum_{k>=1} (q^-m / x)^k
+        for k in range(0 if m >= 0 else 1, n_x + 1):
+            if abs(m) * k > n_q:
+                break
+            add(abs(m) * k, k if m >= 0 else -k, -1 if m >= 0 else 1)
+        # -1/(q^n - 1): the same expansion at x = 1, with no bound on k
+        if n:
+            for k in range(0 if n > 0 else 1, n_q // abs(n) + 1):
+                add(abs(n) * k, 0, 1 if n > 0 else -1)
+    return QYSeries(coeffs, n_q)
 
 
 def p_bar_series(n_x, n_q, shift=0):
-    """Annulus expansion of p_bar(q^shift x) as a TXSeries."""
+    """Annulus expansion of p_bar(q^shift x) to x^(+-n_x) and q^n_q, with
+    integer coefficients: q^m x / (1 - q^m x)^2 = sum_{k>=1} k (q^m x)^k if
+    m >= 0, else sum_{k>=1} k (q^-m / x)^k."""
+    coeffs = {}
     n_big = n_q + abs(shift) + 2
-    out = TXSeries.zero(n_q, n_x)
     for n in range(-n_big, n_big + 1):
-        out = out + _qmx_over_sq(n + shift, n_x, n_q, n_x)
-    return out
+        m = n + shift
+        for k in range(1, n_x + 1):
+            if abs(m) * k > n_q:
+                break
+            key = (abs(m) * k, 2 * k if m >= 0 else -2 * k)
+            coeffs[key] = coeffs.get(key, 0) + k
+    return QYSeries(coeffs, n_q)
 
 
 def p_bar_constant_series(n_q):
@@ -158,15 +112,15 @@ def p_bar_constant_series(n_q):
 
 
 def zeta_tilde_taylor(n_t, n_q):
-    """Laurent expansion of the odd zeta function around t = 0:
-    1/t - b_0 t - b_1 t^3 / 3 - b_2 t^5 / 5 - ...  (TXSeries in t)."""
-    out = TXSeries.monomial(1.0, -1, 0, n_q, n_t)
+    """Laurent expansion of the odd zeta function around t = 0, with y in
+    the role of t: 1/t - b_0 t - b_1 t^3 / 3 - b_2 t^5 / 5 - ...  Each
+    column carries its own power of 2 pi i, so the sum is in complex
+    doubles."""
+    out = QYSeries.monomial(1, 0, -2, n_q)
     n = 0
     while 2 * n + 1 <= n_t:
-        b = eisenstein_b(n, n_q).series
-        for m, _, c in b.terms():
-            out._set(2 * n + 1, m, out.coeff(2 * n + 1, m)
-                     - c / (2 * n + 1))
+        out = out - eisenstein_b(n, n_q) * QYSeries.monomial(
+            Fraction(1, 2 * n + 1), 0, 4 * n + 2, n_q)
         n += 1
     return out
 
@@ -294,20 +248,6 @@ def wp_numeric(k, tau, alpha, tol=1e-13):
 
     return ((-TWO_PI_I) ** k / math.factorial(k - 1)
             * (polylog(x) + _shell_sum(term, tol)))
-
-
-def wp_lattice_direct(k, tau, alpha, cutoff):
-    """Raw truncated double lattice sum for p_k (k >= 3); slowly convergent,
-    kept as an independent cross-check of wp_numeric."""
-    if k < 3:
-        raise ValueError("direct double sum requires k >= 3")
-    tau = complex(tau)
-    alpha = complex(alpha)
-    total = 0j
-    for m in range(-cutoff, cutoff + 1):
-        for n in range(-cutoff, cutoff + 1):
-            total += (alpha + m * tau + n) ** (-k)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,34 @@ class TestSeries:
         assert [json.loads(line.rstrip(","))
                 for line in lines[1:-1]] == terms[1:-1]
 
+    @pytest.mark.parametrize("name, half", [
+        ("phi_m2_1", False), ("phi_0_1", False), ("phi_10_1", False),
+        ("phi_12_1", False), ("phi_m1_half", True), ("theta", True)])
+    def test_half_integral_flag_is_the_parity_of_the_terms(self, runner,
+                                                           name, half):
+        result = runner.invoke(main, ["series", name, "--q-order", "2"])
+        assert result.exit_code == 0
+        series = json.loads(result.output)["series"]
+        assert series["half_integral"] is half
+        assert {r2 % 2 for _, r2, _, _ in series["terms"]} == {int(half)}
+
+    def test_zeta_bar_rows(self, runner):
+        # x^k is y^k: x^0 is -1/2, x^k is -sum_{m>=0} q^{mk} and x^-k is
+        # sum_{m>=1} q^{mk}, to |k| <= 3 and q^3
+        result = runner.invoke(main, ["series", "zeta_bar", "--q-order", "3"])
+        assert result.exit_code == 0
+        obj = json.loads(result.output)
+        assert obj["q_offset"] == "0"
+        assert obj["series"]["q_order"] == 3
+        expected = {(0, 0): -0.5}
+        for k in (1, 2, 3):
+            for m in range(0, 3 // k + 1):
+                expected[(m * k, 2 * k)] = -1.0
+                if m:
+                    expected[(m * k, -2 * k)] = 1.0
+        assert {(n, r2): complex(re, im)
+                for n, r2, re, im in obj["series"]["terms"]} == expected
+
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])
         b = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -7,15 +9,20 @@ import pytest
 from superchar.elliptic import (
     divisor_sigma, eisenstein_b, p_bar_constant_series,
     p_bar_eval, p_bar_prime_eval, p_bar_series, super_zeta,
-    super_zeta_lemma_residual, wp_lattice_direct, wp_numeric, z_action,
+    super_zeta_lemma_residual, wp_numeric, z_action,
     zeta_bar_eval, zeta_bar_series, zeta_tilde_eval, zeta_tilde_taylor,
 )
 from superchar.grassmann import EPS, DELTA, GrassmannNumber, odd
-from superchar.series_core import EvalPoint, TXSeries
+from superchar.series_core import EvalPoint, Prefactor
 
 # sigma_1(1..10) and sigma_3(1..8)
 SIGMA1 = [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
 SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
+# the Bernoulli numbers B_2, B_4, B_6, B_8
+BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+             8: Fraction(-1, 30)}
+# (n_x, n_q) of the closed-form row tests
+ANNULUS_ORDERS = [(0, 0), (3, 7), (12, 12)]
 
 TAU = 0.2 + 1.3j
 Q = cmath.exp(2j * cmath.pi * TAU)
@@ -37,6 +44,37 @@ def b_n_lattice_sum(n, tau, cutoff):
     for m in range(1, cutoff + 1):
         total += _row_sum(m * tau, k) + _row_sum(-m * tau, k)
     return (2 * n + 1) * total
+
+
+def wp_lattice_direct(k, tau, alpha, cutoff):
+    """Raw truncated double lattice sum for p_k (k >= 3); slowly convergent,
+    an independent cross-check of wp_numeric."""
+    if k < 3:
+        raise ValueError("direct double sum requires k >= 3")
+    tau = complex(tau)
+    alpha = complex(alpha)
+    total = 0j
+    for m in range(-cutoff, cutoff + 1):
+        for n in range(-cutoff, cutoff + 1):
+            total += (alpha + m * tau + n) ** (-k)
+    return total
+
+
+def exact_terms(s):
+    """{(n, r2): c} over the nonzero terms of an exact rational series."""
+    return {(n, r2): s.exact_coeff(n, r2) for n, r2, _ in s.terms()}
+
+
+def annulus_rows(n_x, n_q, row):
+    """{(n, 2k): c} of sum_{0 < |k| <= n_x} row(k) x^k, where row(k) is the
+    list of (q-exponent, coefficient) of the x^k row."""
+    return {(n, 2 * k): c for k in range(-n_x, n_x + 1) if k
+            for n, c in row(k)}
+
+
+def at_point(tau, z):
+    """The EvalPoint at which y = z."""
+    return EvalPoint(tau, cmath.log(z) / (2j * cmath.pi))
 
 
 def wp_hurwitz_rows(k, tau, alpha, tol=1e-13):
@@ -66,7 +104,20 @@ class TestEisensteinB:
                     2: 2.0 * math.pi ** 6 / 189.0}
         for n, expected in pt_const.items():
             b = eisenstein_b(n, 10)
-            assert b.series.coeff(0, 0).real == pytest.approx(expected)
+            assert b.coeff(0, 0).real == pytest.approx(expected)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_rational_part_is_bernoulli_and_sigma(self, n):
+        # b_n / (2 pi i)^w = -(2n+1) B_w / w! + (2 (2n+1) / (2n+1)!)
+        # sum_m sigma_{2n+1}(m) q^m, w = 2n+2
+        w = 2 * n + 2
+        b = eisenstein_b(n, 20) * Prefactor(1, -w, -w)
+        assert b.exact_coeff(0) == -(2 * n + 1) * BERNOULLI[w] \
+            / math.factorial(w)
+        for m in range(1, 21):
+            assert b.exact_coeff(m) == Fraction(
+                2 * (2 * n + 1) * divisor_sigma(2 * n + 1, m),
+                math.factorial(2 * n + 1))
 
     def test_against_lattice_sum(self):
         # row-resummed lattice sum as an independent oracle
@@ -87,24 +138,31 @@ class TestEisensteinB:
 
 class TestAnnulusSeries:
     def test_zeta_bar_rows(self):
-        # x^0 row is the single constant -1/2; x^j row is -1 - sum_n q^{nj};
-        # x^-j row is sum_n q^{nj}
-        s = zeta_bar_series(10, 12)
-        for (k, n), c in s.coeffs.items():
-            if k == 0:
-                expected = -0.5 if n == 0 else 0.0
-            elif k > 0:
-                expected = -1.0 if (n == 0 or n % k == 0) else 0.0
-            else:
-                expected = 1.0 if (n > 0 and n % (-k) == 0) else 0.0
-            assert c == pytest.approx(expected)
-        assert s.coeff(0, 0) == pytest.approx(-0.5)
+        # x^0 row is the single constant -1/2 (-3/2 after the shift, as
+        # zeta_bar(q x) = zeta_bar(x) - 1); x^k row is -sum_{m>=0} q^{mk};
+        # x^-k row is sum_{m>=1} q^{mk}
+        for (n_x, n_q), shift in itertools.product(ANNULUS_ORDERS, (0, 1)):
+            s = zeta_bar_series(n_x, n_q, shift)
+            expected = annulus_rows(n_x, n_q, lambda k: [
+                (m * abs(k), -1 if k > 0 else 1)
+                for m in range(0 if k > 0 else 1, n_q // abs(k) + 1)])
+            expected[(0, 0)] = Fraction(-1, 2) - shift
+            assert exact_terms(s) == expected
+            assert s.exact_coeff(0, 0) == Fraction(-1, 2) - shift
+
+    def test_p_bar_rows(self):
+        # x^k row is k sum_{m>=0} q^{mk}; x^-k row is k sum_{m>=1} q^{mk}
+        for (n_x, n_q), shift in itertools.product(ANNULUS_ORDERS, (0, 1)):
+            expected = annulus_rows(n_x, n_q, lambda k: [
+                (m * abs(k), abs(k))
+                for m in range(0 if k > 0 else 1, n_q // abs(k) + 1)])
+            assert exact_terms(p_bar_series(n_x, n_q, shift)) == expected
 
     def test_zeta_quasi_periodicity_exact(self):
         n_x, n_q = 10, 12
         s0 = zeta_bar_series(n_x, n_q)
         s1 = zeta_bar_series(n_x, n_q, shift=1)
-        diff = s1 - (s0 + TXSeries.monomial(-1.0, 0, 0, n_q, n_x))
+        diff = s1 - (s0 - 1)
         assert diff.max_abs_coeff() == 0.0
 
     def test_p_bar_shift_invariance_exact(self):
@@ -117,15 +175,16 @@ class TestAnnulusSeries:
         n_x, n_q = 10, 12
         s = zeta_bar_series(n_x, n_q)
         p = p_bar_series(n_x, n_q)
-        assert (s.t_d_dt() + p).max_abs_coeff() == 0.0
+        assert (s.y_d_dy() + p).max_abs_coeff() == 0.0
 
     def test_series_matches_numeric_eval(self):
         q, x = 0.08, 0.55 + 0.1j
+        tau = cmath.log(q) / (2j * cmath.pi)
         s = zeta_bar_series(24, 14)
-        v = s.evaluate(x, q)
+        v, _ = s.evaluate(at_point(tau, x))
         assert abs(v - zeta_bar_eval(x, q)) < 1e-5
         p = p_bar_series(24, 14)
-        assert abs(p.evaluate(x, q) - p_bar_eval(x, q)) < 1e-4
+        assert abs(p.evaluate(at_point(tau, x))[0] - p_bar_eval(x, q)) < 1e-4
 
     def test_p_bar_constant_coefficients(self):
         s = p_bar_constant_series(10)
@@ -136,18 +195,19 @@ class TestAnnulusSeries:
 class TestOddZetaTaylor:
     def test_pole_row(self):
         s = zeta_tilde_taylor(8, 10)
-        assert s.coeff(-1, 0) == pytest.approx(1.0)
+        assert s.coeff(0, -2) == pytest.approx(1.0)
 
     def test_even_coefficients_vanish(self):
+        # y stands for t, so t^k is r2 = 2k
         s = zeta_tilde_taylor(8, 10)
-        for (k, n), c in s.coeffs.items():
-            if k % 2 == 0:
+        for n, r2, c in s.terms():
+            if r2 % 4 == 0:
                 assert c == 0j
 
     def test_taylor_matches_numeric(self):
         s = zeta_tilde_taylor(12, 20)
         t = 0.09 + 0.02j
-        v = sum(c * t ** k * Q ** n for (k, n), c in s.coeffs.items())
+        v = sum(c * t ** (r2 // 2) * Q ** n for n, r2, c in s.terms())
         assert abs(v - zeta_tilde_eval(t, TAU)) < 1e-9
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchar.series_core import (
-    EvalPoint, QYSeries, TXSeries, euler_product, infinite_product,
+    EvalPoint, QYSeries, euler_product, infinite_product,
 )
 
 # partition numbers p(0)..p(15)
@@ -74,6 +74,13 @@ class TestQYSeriesArithmetic:
             QYSeries({(0, 1): 1.0}, 10)
         s = QYSeries({(0, 1): 1.0}, 10, half_integral=True)
         assert s.coeff(0, 1) == 1.0
+
+    def test_product_flag_is_the_parity_of_its_exponents(self):
+        half = QYSeries({(0, 1): 1, (1, -1): 2}, 10, half_integral=True)
+        whole = QYSeries({(0, 0): 1, (1, 2): 3}, 10)
+        assert not (half * half).half_integral
+        assert (half * whole).half_integral
+        assert not (whole * whole).half_integral
 
     def test_y_guard(self):
         with pytest.raises(OverflowError):
@@ -232,44 +239,3 @@ class TestRingAxioms:
         worst = max((abs(c) for (n, r2), c in prod.coeffs.items()
                      if (n, r2) != (0, 0) and n < 8 - 1), default=0.0)
         assert worst < 1e-8
-
-
-class TestTXSeries:
-    def test_monomial_product(self):
-        a = TXSeries.monomial(2.0, 1, 1)
-        b = TXSeries.monomial(3.0, -4, 2)
-        assert (a * b).coeff(-3, 3) == 6.0
-
-    def test_t_range_truncation(self):
-        a = TXSeries.monomial(1.0, 15, 0, t_range=20)
-        assert (a * a).coeff(30, 0) == 0j
-
-    def test_residue_t(self):
-        s = TXSeries({(-1, 0): 2.0, (-1, 3): 5.0, (0, 1): 7.0}, 10, 10)
-        res = s.residue_t()
-        assert res.coeff(0, 0) == 2.0
-        assert res.coeff(3, 0) == 5.0
-        assert res.coeff(1, 0) == 0j
-
-    def test_d_dt_and_t_d_dt(self):
-        s = TXSeries({(3, 1): 2.0, (0, 0): 5.0}, 10, 10)
-        assert s.d_dt().coeff(2, 1) == 6.0
-        assert s.t_d_dt().coeff(3, 1) == 6.0
-        assert s.t_d_dt().coeff(0, 0) == 0j
-
-    def test_mul_t_power(self):
-        s = TXSeries.monomial(1.0, 2, 1, 10, 10)
-        assert s.mul_t_power(-3).coeff(-1, 1) == 1.0
-
-    def test_cancellation_leaves_no_stale_keys(self):
-        a = TXSeries({(0, 0): 1.0, (2, 1): 1.0}, 10, 10)
-        b = TXSeries({(2, 1): -1.0}, 10, 10)
-        total = TXSeries.zero(10, 10)
-        total = total + a
-        total = total + b
-        assert (2, 1) not in total.coeffs
-
-    def test_evaluate(self):
-        s = TXSeries({(1, 0): 2.0, (-2, 3): 1.0}, 10, 10)
-        t, q = 0.7 + 0.1j, 0.05
-        assert s.evaluate(t, q) == pytest.approx(2.0 * t + q ** 3 / t ** 2)
