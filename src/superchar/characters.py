@@ -75,14 +75,6 @@ class EvenLattice:
     def is_unimodular(self):
         return abs(self.determinant()) == 1
 
-    def norm(self, v):
-        """(v, v)/2 as an exact integer."""
-        g = self.gram
-        total = sum(v[i] * g[i][j] * v[j]
-                    for i in range(self.rank) for j in range(self.rank))
-        assert total % 2 == 0
-        return total // 2
-
     def to_json_obj(self):
         return {"rank": self.rank, "gram": self.gram}
 

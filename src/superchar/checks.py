@@ -23,7 +23,7 @@ from . import jacobi_forms as jf
 from . import superconformal as sc
 from .grassmann import DELTA, EPS, GrassmannNumber, SuperMatrix, odd
 from .report import VerificationRow
-from .series_core import EvalPoint
+from .series_core import EXACT_TWO_PI_I, EvalPoint
 
 SUITES = {}
 
@@ -67,19 +67,23 @@ def triple_product():
 @suite
 def elliptic(q_order=10):
     """Exact coefficient identities of the zeta-bar / p-bar expansions
-    (integer series in q and x), the odd Laurent shape of zeta-tilde, and
-    its Taylor series against the numeric evaluator."""
+    (integer series in q and x), the odd Laurent shape of zeta-tilde (exact,
+    in u = 2 pi i t), and its Taylor series against the numeric
+    evaluator."""
     n_x = 10
     zb = el.zeta_bar_series(n_x, q_order)
     pb = el.p_bar_series(n_x, q_order)
     zb_shift = el.zeta_bar_series(n_x, q_order, shift=1)
     pb_shift = el.p_bar_series(n_x, q_order, shift=1)
     zt = el.zeta_tilde_taylor(9, 16)
-    # y stands for t: even powers of t have r2 = 0 mod 4
-    even_worst = max((abs(c) for _, r2, c in zt.terms() if r2 % 4 == 0),
-                     default=0.0)
+    # y stands for u = 2 pi i t: even powers of u have r2 = 0 mod 4
+    rational = zt / EXACT_TWO_PI_I
+    even_worst = max((abs(rational.exact_coeff(n, r2))
+                      for n, r2, _ in rational.terms() if r2 % 4 == 0),
+                     default=0)
     tau, t = 0.1 + 1.2j, 0.21 + 0.05j
-    approx, _ = zt.evaluate(EvalPoint(tau, cmath.log(t) / (2j * cmath.pi)))
+    approx, _ = zt.evaluate(EvalPoint(
+        tau, cmath.log(2j * cmath.pi * t) / (2j * cmath.pi)))
     exact = el.zeta_tilde_eval(t, tau)
     return [
         _row("x-dx-zeta-bar", "log-derivative-relation", "series",
@@ -90,7 +94,7 @@ def elliptic(q_order=10):
              (pb_shift - pb).max_abs_coeff(), 0.0),
         _row("zeta-tilde-odd-laurent", "odd-zeta-expansion",
              "1/t-leading,even-powers-zero",
-             max(even_worst, abs(zt.coeff(0, -2) - 1.0)), 0.0),
+             max(even_worst, abs(rational.exact_coeff(0, -2) - 1)), 0.0),
         _row("zeta-tilde-taylor-vs-numeric", "odd-zeta-expansion",
              "t=0.21+0.05j", abs(approx - exact) / abs(exact), 1e-6,
              point=(tau.real, tau.imag, t.real, t.imag)),

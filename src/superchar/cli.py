@@ -122,8 +122,8 @@ def _series_registry(n_q):
         "discriminant": lambda: jf.discriminant_series(n_q),
         "e4": lambda: jf.eisenstein_e4(n_q),
         "e6": lambda: jf.eisenstein_e6(n_q),
-        "zeta_bar": lambda: el.zeta_bar_series(min(n_q, 12), min(n_q, 12)),
-        "p_bar": lambda: el.p_bar_series(min(n_q, 12), min(n_q, 12)),
+        "zeta_bar": lambda: el.zeta_bar_series(n_q, n_q),
+        "p_bar": lambda: el.p_bar_series(n_q, n_q),
         "zeta_tilde": lambda: el.zeta_tilde_taylor(7, n_q),
         "triple_product": lambda: ch.jacobi_triple_product(n_q)[1],
     }
@@ -176,7 +176,11 @@ def main(ctx, config_path):
 def series(ctx, name, q_order):
     """Print the truncated series NAME as JSON."""
     make = _choose("series", name, _series_registry(_q_order(ctx, q_order)))
-    _echo_terms(_series_json(make()))
+    try:
+        obj = make()
+    except OverflowError as exc:  # zeta_bar, p_bar: x^(+-q_order)
+        raise click.UsageError(str(exc))
+    _echo_terms(_series_json(obj))
 
 
 @main.command("eval")

@@ -4,9 +4,10 @@ evaluators, higher p-functions, and the Grassmann-extended zeta.
 
 Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
 
-* Every expansion is a ``QYSeries`` in which y stands for x (annulus
-  expansions) or for t (the Laurent expansion of zeta_tilde), at integral
-  exponents: the coefficient of x^k q^n is ``coeff(n, 2 k)``.
+* Every expansion is an exact ``QYSeries`` in which y stands for x
+  (annulus expansions) or for u = 2 pi i t (the Laurent expansion of
+  zeta_tilde), at integral exponents: the coefficient of x^k q^n is
+  ``coeff(n, 2 k)``.
 * ``b_n = (2n+1) sum' gamma^(-2n-2)`` over nonzero lattice points, with the
   conditionally convergent n = 0 case summed row-by-row (inner sum over the
   integer direction first).
@@ -14,7 +15,10 @@ Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
 * ``p_bar(x) = sum_{n in Z} q^n x / (1 - q^n x)^2`` so that
   ``x d/dx zeta_bar = -p_bar`` holds exactly, coefficient by coefficient.
 * ``zeta_tilde(t) = 1/t - b_0 t - b_1 t^3/3 - b_2 t^5/5 - ...`` and
-  ``zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})``.
+  ``zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})``.  With u = 2 pi i t and
+  b_n = (2n+1) (2 pi i)^(2n+2) beta_n this is
+  ``2 pi i (1/u - beta_0 u - beta_1 u^3 - ...)`` with rational q-series
+  beta_n.
 * ``p_2 = (2 pi i)^2 p_bar`` equals the classical p-function plus b_0;
   ``p_k`` for k >= 3 is the absolutely convergent lattice sum, each row
   summed in closed form by the Lipschitz formula.
@@ -29,7 +33,7 @@ from fractions import Fraction
 import mpmath
 
 from .grassmann import GrassmannNumber, EPS, DELTA
-from .series_core import Prefactor, QYSeries
+from .series_core import EXACT_TWO_PI_I, Prefactor, QYSeries
 
 TWO_PI_I = 2j * math.pi
 
@@ -112,17 +116,18 @@ def p_bar_constant_series(n_q):
 
 
 def zeta_tilde_taylor(n_t, n_q):
-    """Laurent expansion of the odd zeta function around t = 0, with y in
-    the role of t: 1/t - b_0 t - b_1 t^3 / 3 - b_2 t^5 / 5 - ...  Each
-    column carries its own power of 2 pi i, so the sum is in complex
-    doubles."""
+    """Laurent expansion of the odd zeta function around t = 0 to u^n_t,
+    exact, with y in the role of u = 2 pi i t:
+    2 pi i (1/u - beta_0 u - beta_1 u^3 - ...), where
+    beta_n = b_n / ((2n+1) (2 pi i)^(2n+2)) is a rational q-series."""
     out = QYSeries.monomial(1, 0, -2, n_q)
     n = 0
     while 2 * n + 1 <= n_t:
-        out = out - eisenstein_b(n, n_q) * QYSeries.monomial(
-            Fraction(1, 2 * n + 1), 0, 4 * n + 2, n_q)
+        w = 2 * n + 2
+        beta = eisenstein_b(n, n_q) / Prefactor(2 * n + 1, w, w)
+        out = out - beta * QYSeries.monomial(1, 0, 4 * n + 2, n_q)
         n += 1
-    return out
+    return out * EXACT_TWO_PI_I
 
 
 # ---------------------------------------------------------------------------

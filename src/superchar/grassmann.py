@@ -7,7 +7,6 @@ is a0 + a3*eps*delta, the odd part a1*eps + a2*delta.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -40,9 +39,6 @@ class GrassmannNumber:
 
     def odd_part(self):
         return GrassmannNumber(0, self.ce, self.cd, 0)
-
-    def is_even(self, tol=0.0):
-        return abs(self.ce) <= tol and abs(self.cd) <= tol
 
     def is_odd(self, tol=0.0):
         return abs(self.c0) <= tol and abs(self.ced) <= tol
@@ -126,28 +122,6 @@ class GrassmannNumber:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GrassmannNumber(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def sqrt(self):
-        """Principal square root (body must be nonzero)."""
-        import cmath
-        r0 = cmath.sqrt(self.c0)
-        # (r0 + u)^2 = c0 + 2 r0 u + u^2 with u nilpotent: solve to top order
-        n = self.nilpotent()
-        u = n * (0.5 / r0)
-        # correction for the eps*delta component of u^2 (odd parts of n square)
-        u2 = u * u
-        u = u - u2 * (0.5 / r0)
-        return GrassmannNumber(r0) + u
-
     # -- comparison --------------------------------------------------------
 
     def max_abs(self):
@@ -156,11 +130,6 @@ class GrassmannNumber:
     def distance(self, other):
         o = self._coerce(other)
         return (self - o).max_abs()
-
-    def approx_equal(self, other, tol=1e-12):
-        o = self._coerce(other)
-        scale = max(self.max_abs(), o.max_abs(), 1.0)
-        return self.distance(o) <= tol * scale
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -279,10 +248,6 @@ class SuperMatrix:
 
     def distance(self, other):
         return (self - other).max_abs()
-
-    def approx_equal(self, other, tol=1e-12):
-        scale = max(self.max_abs(), other.max_abs(), 1.0)
-        return self.distance(other) <= tol * scale
 
     def __repr__(self):
         return "SuperMatrix(" + ", ".join(repr(r) for r in self.rows) + ")"

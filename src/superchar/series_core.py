@@ -8,22 +8,20 @@ by whole powers of y.  Series are truncated at q-order ``q_order`` (terms
 with q-exponent > q_order are dropped) and carry a ``half_integral`` flag
 saying whether odd doubled y-exponents are permitted.
 
-Exact series hold Python integers times one symbolic ``Prefactor``
-r * i^a * (2 pi)^b, so products, powers and inverses of integer series stay
-exact at every order and the powers of 2 pi i cancel exactly.  A sum of
-exact series with different powers of i or 2 pi (the odd zeta function),
-and JSON input, hold complex doubles.  Products of dense blocks use
+Every series holds Python integers times one symbolic ``Prefactor``
+r * i^a * (2 pi)^b, so sums, products, powers and inverses stay exact at
+every order and the powers of 2 pi i cancel exactly.  Coefficients are
+ints or Fractions; a sum of series whose prefactors differ in their powers
+of i or 2 pi is an error, not a rounding.  Products of dense blocks use
 Kronecker substitution: each block is packed into one Python integer and
 the two are multiplied once (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009); a
-factor of a few terms, and a float series, is applied as shifted copies
-instead.
+factor of a few terms is applied as shifted copies instead.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from fractions import Fraction
 
@@ -113,7 +111,7 @@ class Prefactor:
 
 EXACT_I = Prefactor(1, 1)
 EXACT_TWO_PI_I = Prefactor(1, 1, 1)
-_SCALARS = (int, float, complex, Fraction, Prefactor)
+_SCALARS = (int, Fraction, Prefactor)
 
 
 def _half_digits(width, count):
@@ -194,11 +192,11 @@ class QYSeries:
     """Truncated Laurent series sum_{n, r2} c_{n,r2} q^n y^(r2/2).
 
     ``rows`` is the dense block from q^n0 y^(r0/2) on, trimmed of zero edge
-    rows and columns and never modified after construction.  An exact series
-    holds Python ints (an object array) of content 1 and its value is
-    ``scale`` times them; a float series holds complex doubles and ``scale``
-    is None.  ``coeff``, ``coeffs`` and ``terms`` give each coefficient as
-    the complex double nearest its value.
+    rows and columns and never modified after construction.  It holds
+    Python ints (an object array) of content 1, and the series is the
+    ``Prefactor`` ``scale`` times them.  ``coeff``, ``coeffs`` and ``terms``
+    give each coefficient as the complex double nearest its value;
+    ``exact_coeff`` gives it exactly when it is rational.
     """
 
     __slots__ = ("q_order", "half_integral", "n0", "r0", "rows", "scale",
@@ -206,26 +204,28 @@ class QYSeries:
 
     def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER,
                  half_integral=False):
-        """``coeffs`` maps (n, r2) to the coefficient of q^n y^(r2/2); the
-        series is exact when every coefficient is an int or a Fraction."""
-        items = [((int(n), int(r2)), c) for (n, r2), c in (coeffs or {}).items()
+        """``coeffs`` maps (n, r2) to the coefficient of q^n y^(r2/2), an
+        int or a Fraction."""
+        coeffs = coeffs or {}
+        for c in coeffs.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("series coefficients are ints or Fractions, "
+                                f"got {type(c).__name__} {c!r}")
+        items = [((int(n), int(r2)), c) for (n, r2), c in coeffs.items()
                  if n <= q_order]
-        scale = None
-        if all(isinstance(c, (int, Fraction)) for _, c in items):
-            den = math.lcm(*(c.denominator for _, c in items))
-            items = [(k, int(c * den)) for k, c in items]
-            scale = Prefactor(Fraction(1, den) if den > 1 else 1)
+        den = math.lcm(*(c.denominator for _, c in items))
+        items = [(k, int(c * den)) for k, c in items]
         if len({r2 % 2 for (_, r2), _ in items}) > 1:
             raise ValueError(
                 "doubled y-exponents of both parities in one series")
         ns = [n for (n, _), _ in items] or [0]
         r2s = [r2 for (_, r2), _ in items] or [0]
         n0, r0 = min(ns), min(r2s)
-        rows = np.zeros((max(ns) - n0 + 1, (max(r2s) - r0) // 2 + 1),
-                        complex if scale is None else object)
+        rows = np.zeros((max(ns) - n0 + 1, (max(r2s) - r0) // 2 + 1), object)
         for (n, r2), c in items:
             rows[n - n0, (r2 - r0) // 2] = c
-        self._assign(rows, n0, r0, scale, q_order, half_integral)
+        self._assign(rows, n0, r0, Prefactor(Fraction(1, den)), q_order,
+                     half_integral)
 
     def _assign(self, rows, n0, r0, scale, q_order, half_integral):
         self.q_order = int(q_order)
@@ -243,12 +243,11 @@ class QYSeries:
             if r0 % 2 and not self.half_integral:
                 raise ValueError(
                     f"odd doubled y-exponent {r0} in an integral-y series")
-            content = scale is not None and math.gcd(*rows.ravel().tolist())
+            content = math.gcd(*rows.ravel().tolist())
             if content > 1:
                 rows, scale = rows // content, scale * content
         else:
-            rows, n0, r0 = rows[:0, :0], 0, 0
-            scale = None if scale is None else Prefactor()
+            rows, n0, r0, scale = rows[:0, :0], 0, 0, Prefactor()
         self.rows, self.n0, self.r0, self.scale = rows, n0, r0, scale
         self._floats = self._terms = None
 
@@ -278,8 +277,6 @@ class QYSeries:
 
     def _values(self):
         """The block as complex doubles, each correctly rounded."""
-        if self.scale is None:
-            return self.rows
         if self._floats is None:
             num, den = self.scale.ratio()
             parts = np.array([c * num / den for c in self.rows.ravel().tolist()],
@@ -318,21 +315,16 @@ class QYSeries:
 
     def exact_coeff(self, n, r2=0):
         """The coefficient of q^n y^(r2/2) as an int or a Fraction."""
-        if self.scale is None or self.scale.a or self.scale.b:
+        if self.scale.a or self.scale.b:
             raise ValueError("the coefficients of this series are not rational")
         at = self._index(n, r2)
         c = 0 if at is None else Fraction(self.rows[at] * self.scale.num,
                                           self.scale.den)
         return int(c) if c.denominator == 1 else c
 
-    def is_zero(self, tol=0.0):
-        return self.max_abs_coeff() <= tol
-
     def max_abs_coeff(self):
         if not self.rows.size:
             return 0.0
-        if self.scale is None:
-            return float(np.abs(self.rows).max())
         num, den = self.scale.ratio()
         return abs(max(map(abs, self.rows.ravel().tolist())) * num / den)
 
@@ -341,14 +333,14 @@ class QYSeries:
     def _coerce(self, other):
         if isinstance(other, QYSeries):
             return other
-        if isinstance(other, (int, float, complex, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return QYSeries({(0, 0): other}, self.q_order, self.half_integral)
         return None
 
     def _combine(self, other, sign, q_order):
-        """self + sign * other, truncated at ``q_order``.  Exact series whose
-        prefactors differ only in r add exactly, over the largest common
-        r; any other pair adds in complex doubles."""
+        """self + sign * other, truncated at ``q_order``, over the largest
+        common rational part r of the two prefactors, which must agree in
+        their powers of i and 2 pi."""
         half = self.half_integral or other.half_integral
         if not (self.rows.size and other.rows.size):
             live = other * sign if self.rows.size == 0 else self
@@ -357,22 +349,22 @@ class QYSeries:
         if (self.r0 - other.r0) % 2:
             raise ValueError("cannot add series of opposite y-parity")
         p, s = self.scale, other.scale
-        if p is not None and s is not None and (p.a, p.b) == (s.a, s.b):
-            num = math.gcd(p.num, s.num)
-            den = math.lcm(p.den, s.den)
-            scale = p if (p.num, p.den) == (num, den) else Prefactor(
-                Fraction(num, den), p.a, p.b)
-            blocks = [block if m == 1 else block * m for block, m in (
-                (self.rows, p.num // num * (den // p.den)),
-                (other.rows, sign * s.num // num * (den // s.den)))]
-        else:
-            scale, blocks = None, (self._values(), other._values() * sign)
+        if (p.a, p.b) != (s.a, s.b):
+            raise ValueError("cannot add series whose prefactors differ in "
+                             "their powers of i or 2 pi")
+        num = math.gcd(p.num, s.num)
+        den = math.lcm(p.den, s.den)
+        scale = p if (p.num, p.den) == (num, den) else Prefactor(
+            Fraction(num, den), p.a, p.b)
+        blocks = [block if m == 1 else block * m for block, m in (
+            (self.rows, p.num // num * (den // p.den)),
+            (other.rows, sign * s.num // num * (den // s.den)))]
         n0, r0 = min(self.n0, other.n0), min(self.r0, other.r0)
         top = min(max(self.n0 + self.rows.shape[0],
                       other.n0 + other.rows.shape[0]), q_order + 1)
         right = max(self.r0 + 2 * self.rows.shape[1],
                     other.r0 + 2 * other.rows.shape[1])
-        out = np.zeros((max(top - n0, 0), (right - r0) // 2), blocks[0].dtype)
+        out = np.zeros((max(top - n0, 0), (right - r0) // 2), object)
         for block, s in zip(blocks, (self, other)):
             block = block[:max(top - s.n0, 0)]
             i, j = s.n0 - n0, (s.r0 - r0) // 2
@@ -406,13 +398,10 @@ class QYSeries:
         if (s.is_one() if isinstance(s, Prefactor)
                 else isinstance(s, (int, Fraction)) and s == 1):
             return self
-        if self.scale is not None and isinstance(s, (int, Fraction, Prefactor)):
-            scale = self.scale * s
-            return QYSeries._make(self.rows if scale.num else self.rows[:0],
-                                  self.n0, self.r0, scale, self.q_order,
-                                  self.half_integral)
-        return QYSeries._make(self._values() * complex(s), self.n0, self.r0,
-                              None, self.q_order, self.half_integral)
+        scale = self.scale * s
+        return QYSeries._make(self.rows if scale.num else self.rows[:0],
+                              self.n0, self.r0, scale, self.q_order,
+                              self.half_integral)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -430,20 +419,15 @@ class QYSeries:
                      self.rows.shape[0] + other.rows.shape[0] - 1)
         if n_rows <= 0:
             return QYSeries.zero(q_order, half)
-        exact = self.scale is not None and other.scale is not None
-        a, b = (self.rows, other.rows) if exact else (self._values(),
-                                                      other._values())
+        a, b = self.rows, other.rows
         if np.count_nonzero(a) < np.count_nonzero(b):
             a, b = b, a
-        # shifted copies for a factor of a few terms, and for float series,
-        # which no computation here multiplies at length
-        if not exact or np.count_nonzero(b) <= SPARSE_TERMS:
+        if np.count_nonzero(b) <= SPARSE_TERMS:
             rows = _shifted_sum(a, b, n_rows)
         else:
             rows = _kronecker(a, b, n_rows)
         return QYSeries._make(rows, n0, self.r0 + other.r0,
-                              self.scale * other.scale if exact else None,
-                              q_order, half)
+                              self.scale * other.scale, q_order, half)
 
     __rmul__ = __mul__
 
@@ -470,8 +454,6 @@ class QYSeries:
             other = Prefactor(other)
         if isinstance(other, Prefactor):
             return self * other ** -1
-        if isinstance(other, (float, complex)):
-            return self * (1.0 / complex(other))
         return NotImplemented
 
     def invert(self):
@@ -481,8 +463,8 @@ class QYSeries:
         otherwise the inverse would need unbounded y-exponents at fixed
         q-order.  Dividing out c q^n0 y^(r0/2) leaves 1 - x with x = O(q),
         and 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)..., a product of about
-        log2(q-range) factors.  The inverse of an exact series is exact:
-        1/c goes into the prefactor.
+        log2(q-range) factors.  The inverse is exact: 1/c goes into the
+        prefactor.
         """
         if not self.rows.size:
             raise ZeroDivisionError("cannot invert the zero series")
@@ -493,11 +475,9 @@ class QYSeries:
                 f"{len(lead)} terms at q^{self.n0}")
         j = int(lead[0])
         c = self.rows[0, j]
-        exact = self.scale is not None
         # rows 0 .. n_rows - 1 of the inverse mantissa land in the q-range
         n_rows = self.q_order + self.n0 + 1
-        power = 1 - QYSeries._make(self.rows, 0, -2 * j,
-                                   Prefactor() if exact else None,
+        power = 1 - QYSeries._make(self.rows, 0, -2 * j, Prefactor(),
                                    n_rows - 1, False) / c
         inverse = 1 + power
         while (power := power * power).rows.size:
@@ -505,18 +485,14 @@ class QYSeries:
         inverse = inverse / c
         return QYSeries._make(
             inverse.rows, inverse.n0 - self.n0, inverse.r0 - self.r0 - 2 * j,
-            inverse.scale * self.scale ** -1 if exact else None,
-            self.q_order, self.half_integral)
+            inverse.scale * self.scale ** -1, self.q_order,
+            self.half_integral)
 
     # -- calculus ----------------------------------------------------------
 
     def _reweighted(self, weights, factor):
         """Each coefficient times its entry of the integer array ``weights``
         (broadcast over the block) and the rational ``factor``."""
-        if self.scale is None:
-            return QYSeries._make(self.rows * (weights * float(factor)),
-                                  self.n0, self.r0, None, self.q_order,
-                                  self.half_integral)
         return QYSeries._make(self.rows * weights.astype(object), self.n0,
                               self.r0, self.scale * factor, self.q_order,
                               self.half_integral)
@@ -563,21 +539,16 @@ class QYSeries:
 
     # -- comparison and serialization --------------------------------------
 
-    def normalized_distance(self, other):
-        """Max coefficient difference after normalizing by the largest
-        coefficient magnitude of the two series."""
-        scale = max(self.max_abs_coeff(), other.max_abs_coeff())
-        if scale == 0.0:
-            return 0.0
-        diff = self._combine(other, -1, max(self.q_order, other.q_order))
-        return diff.max_abs_coeff() / scale
-
     def __eq__(self, other):
+        """Equal when the exact difference is the zero series."""
         if not isinstance(other, QYSeries):
             return NotImplemented
-        if self.rows.size and other.rows.size and (self.r0 - other.r0) % 2:
+        p, s = self.scale, other.scale
+        if self.rows.size and other.rows.size and (
+                (self.r0 - other.r0) % 2 or (p.a, p.b) != (s.a, s.b)):
             return False
-        return self.normalized_distance(other) == 0.0
+        return not self._combine(
+            other, -1, max(self.q_order, other.q_order)).rows.size
 
     def __repr__(self):
         terms = self.terms()
@@ -589,18 +560,6 @@ class QYSeries:
         return {"q_order": self.q_order,
                 "half_integral": self.half_integral,
                 "terms": [[n, r2, c.real, c.imag] for n, r2, c in self.terms()]}
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls({(n, r2): complex(re, im) for n, r2, re, im in obj["terms"]},
-                   obj["q_order"], obj["half_integral"])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
 
 def infinite_product(factor, n_q, exponent=1, min_degree=None, max_factors=None):

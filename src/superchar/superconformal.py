@@ -95,10 +95,6 @@ class AlgebraVector:
             return NotImplemented
         return self.terms == other.terms
 
-    def is_homogeneous(self):
-        parities = {parity(k[0]) for k in self.terms}
-        return len(parities) <= 1
-
     def parity(self):
         parities = {parity(k[0]) for k in self.terms}
         if len(parities) > 1:

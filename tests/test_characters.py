@@ -166,7 +166,7 @@ class TestCharacter:
         lat = e8_lattice()
         prod = chi_character(lat, 10, "product")
         closed = chi_character(lat, 10, "closed")
-        assert prod.chi.normalized_distance(closed.chi) < 1e-12
+        assert prod.chi == closed.chi
 
     def test_metadata(self):
         cs = chi_character(e8_lattice(), 4, "product")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import mpmath
 import pytest
@@ -77,6 +78,34 @@ class TestSeries:
                     expected[(m * k, -2 * k)] = 1.0
         assert {(n, r2): complex(re, im)
                 for n, r2, re, im in obj["series"]["terms"]} == expected
+
+    @pytest.mark.parametrize("name,top", [("zeta_bar", -1.0), ("p_bar", 20.0)])
+    def test_annulus_expansions_follow_the_q_order(self, runner, name, top):
+        result = runner.invoke(main, ["series", name, "--q-order", "20"])
+        assert result.exit_code == 0
+        series = json.loads(result.output)["series"]
+        assert series["q_order"] == 20
+        terms = {(n, r2): complex(re, im)
+                 for n, r2, re, im in series["terms"]}
+        assert max(n for n, _ in terms) == 20
+        assert terms[(0, 40)] == top  # x^20
+
+    def test_annulus_past_the_y_guard_is_usage_error(self, runner):
+        result = runner.invoke(main, ["series", "p_bar", "--q-order", "201"])
+        assert result.exit_code == 2
+        assert "exceeds the guard" in result.output
+
+    def test_zeta_tilde_prints_u_terms(self, runner):
+        # 2 pi i (1/u + u/12 - 2 q u - 6 q^2 u - u^3/720 + ...), u = 2 pi i t
+        result = runner.invoke(main, ["series", "zeta_tilde",
+                                      "--q-order", "2"])
+        assert result.exit_code == 0
+        terms = {(n, r2): complex(re, im) for n, r2, re, im
+                 in json.loads(result.output)["series"]["terms"]}
+        two_pi_i = 2j * math.pi
+        for key, c in {(0, -2): 1, (0, 2): 1 / 12, (0, 6): -1 / 720,
+                       (1, 2): -2, (2, 2): -6}.items():
+            assert terms[key] == pytest.approx(two_pi_i * c, rel=1e-15)
 
     def test_deterministic(self, runner):
         a = runner.invoke(main, ["series", "discriminant", "--q-order", "8"])

@@ -13,7 +13,7 @@ from superchar.elliptic import (
     zeta_bar_eval, zeta_bar_series, zeta_tilde_eval, zeta_tilde_taylor,
 )
 from superchar.grassmann import EPS, DELTA, GrassmannNumber, odd
-from superchar.series_core import EvalPoint, Prefactor
+from superchar.series_core import EXACT_TWO_PI_I, EvalPoint, Prefactor
 
 # sigma_1(1..10) and sigma_3(1..8)
 SIGMA1 = [1, 3, 4, 7, 6, 12, 8, 15, 13, 18]
@@ -193,21 +193,37 @@ class TestAnnulusSeries:
 
 
 class TestOddZetaTaylor:
+    # y stands for u = 2 pi i t, and the series is 2 pi i times a rational
+    # series in q and u
+
     def test_pole_row(self):
-        s = zeta_tilde_taylor(8, 10)
-        assert s.coeff(0, -2) == pytest.approx(1.0)
+        s = zeta_tilde_taylor(8, 10) / EXACT_TWO_PI_I
+        assert s.exact_coeff(0, -2) == 1
+        assert s.coeff(0, -2) == 1
+
+    def test_exact_coefficients(self):
+        s = zeta_tilde_taylor(5, 2) / EXACT_TWO_PI_I
+        # -beta_n: 1/12 = -B_2/2, -1/720 = B_4/(4 * 3!), 1/30240 =
+        # -B_6/(6 * 5!) at q^0; -2 sigma_1(m) q^m at u
+        assert {(n, r2): s.exact_coeff(n, r2) for n, r2, _ in s.terms()
+                if r2 <= 2 or n == 0} == {
+            (0, -2): 1, (0, 2): Fraction(1, 12), (0, 6): Fraction(-1, 720),
+            (0, 10): Fraction(1, 30240), (1, 2): -2, (2, 2): -6}
+        for n in (1, 2):
+            assert s.exact_coeff(n, 6) == Fraction(
+                -2 * divisor_sigma(3, n), math.factorial(3))
 
     def test_even_coefficients_vanish(self):
-        # y stands for t, so t^k is r2 = 2k
+        # u^k is r2 = 2k
         s = zeta_tilde_taylor(8, 10)
-        for n, r2, c in s.terms():
-            if r2 % 4 == 0:
-                assert c == 0j
+        assert s.terms()
+        assert all(r2 % 4 == 2 for _, r2, _ in s.terms())
 
     def test_taylor_matches_numeric(self):
         s = zeta_tilde_taylor(12, 20)
         t = 0.09 + 0.02j
-        v = sum(c * t ** (r2 // 2) * Q ** n for n, r2, c in s.terms())
+        u = 2j * cmath.pi * t
+        v = sum(c * u ** (r2 // 2) * Q ** n for n, r2, c in s.terms())
         assert abs(v - zeta_tilde_eval(t, TAU)) < 1e-9
 
 

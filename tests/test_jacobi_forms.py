@@ -58,8 +58,8 @@ class TestEtaAndDiscriminant:
         # 1728 Delta = E4^3 - E6^2
         e4 = eisenstein_e4(10)
         e6 = eisenstein_e6(10)
-        lhs = (e4 ** 3 - e6 ** 2) * (1.0 / 1728.0)
-        assert lhs.normalized_distance(discriminant_series(10)) < 1e-12
+        lhs = (e4 ** 3 - e6 ** 2) * Fraction(1, 1728)
+        assert lhs == discriminant_series(10)
 
     def test_eisenstein_coefficients(self):
         e4 = eisenstein_e4(8)
