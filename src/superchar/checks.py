@@ -271,10 +271,13 @@ def characters(q_order=10, fock_q_order=4):
              (prod - fock).max_abs_coeff(), 0.0),
         _row("fock-oracle-integrality", "supertrace-state-sum",
              f"E8,q^{fock_q_order}",
-             max(abs(c - round(c.real)) for _, _, c in fock.terms()), 0.0),
+             max(abs(c - round(c)) for c in (fock.exact_coeff(n, r2)
+                                             for n, r2, _ in fock.terms())),
+             0.0),
         _row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
              f"E8,q^{fock_q_order}",
-             max(abs(theta.coeff(n) - c) for n, c in enumerate(counts)), 0.0),
+             max(abs(theta.exact_coeff(n) - c)
+                 for n, c in enumerate(counts)), 0.0),
     ]
     return rows + ch.trace_identity_check(lat, fock_q_order, fock=fock)
 

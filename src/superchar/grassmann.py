@@ -2,16 +2,16 @@
 
 Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
 eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0, the even part
-is a0 + a3*eps*delta, the odd part a1*eps + a2*delta.
+is a0 + a3*eps*delta, the odd part a1*eps + a2*delta.  The public constructor
+coerces its arguments with ``complex()``; arithmetic builds its results with
+the unchecked ``_grassmann`` from components that are complex already.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _c(x):
-    return complex(x)
+_SCALARS = (int, float, complex, Fraction)
 
 
 class GrassmannNumber:
@@ -20,10 +20,10 @@ class GrassmannNumber:
     __slots__ = ("c0", "ce", "cd", "ced")
 
     def __init__(self, c0=0.0, ce=0.0, cd=0.0, ced=0.0):
-        self.c0 = _c(c0)
-        self.ce = _c(ce)
-        self.cd = _c(cd)
-        self.ced = _c(ced)
+        self.c0 = complex(c0)
+        self.ce = complex(ce)
+        self.cd = complex(cd)
+        self.ced = complex(ced)
 
     # -- structure ---------------------------------------------------------
 
@@ -52,63 +52,62 @@ class GrassmannNumber:
     def _coerce(x):
         if isinstance(x, GrassmannNumber):
             return x
-        if isinstance(x, (int, float, complex, Fraction)):
-            return GrassmannNumber(_c(x))
+        if isinstance(x, _SCALARS):
+            return _grassmann(complex(x), 0j, 0j, 0j)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GrassmannNumber(self.c0 + o.c0, self.ce + o.ce,
-                               self.cd + o.cd, self.ced + o.ced)
+    def __add__(self, o):
+        if isinstance(o, GrassmannNumber):
+            return _grassmann(self.c0 + o.c0, self.ce + o.ce,
+                              self.cd + o.cd, self.ced + o.ced)
+        if isinstance(o, _SCALARS):
+            return _grassmann(self.c0 + complex(o), self.ce, self.cd,
+                              self.ced)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannNumber(-self.c0, -self.ce, -self.cd, -self.ced)
+        return _grassmann(-self.c0, -self.ce, -self.cd, -self.ced)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    def __sub__(self, o):
+        if isinstance(o, GrassmannNumber):
+            return _grassmann(self.c0 - o.c0, self.ce - o.ce,
+                              self.cd - o.cd, self.ced - o.ced)
+        if isinstance(o, _SCALARS):
+            return _grassmann(self.c0 - complex(o), self.ce, self.cd,
+                              self.ced)
+        return NotImplemented
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    def __rsub__(self, o):
+        if isinstance(o, _SCALARS):
+            return _grassmann(complex(o) - self.c0, -self.ce, -self.cd,
+                              -self.ced)
+        return NotImplemented
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a0, a1, a2, a3 = self.components()
-        b0, b1, b2, b3 = o.components()
-        return GrassmannNumber(
-            a0 * b0,
-            a0 * b1 + a1 * b0,
-            a0 * b2 + a2 * b0,
-            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-        )
+    def __mul__(self, o):
+        a0, a1, a2, a3 = self.c0, self.ce, self.cd, self.ced
+        if isinstance(o, GrassmannNumber):
+            b0, b1, b2, b3 = o.c0, o.ce, o.cd, o.ced
+            return _grassmann(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
+                              a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1)
+        if isinstance(o, _SCALARS):
+            s = complex(o)
+            return _grassmann(a0 * s, a1 * s, a2 * s, a3 * s)
+        return NotImplemented
 
-    def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+    __rmul__ = __mul__  # a scalar commutes with every element
 
     def inverse(self):
-        """Inverse via the terminating geometric series (the nilpotent part
-        squares into the top component and cubes to zero)."""
+        """Inverse in closed form c0^-1 (1 - N/c0), N the nilpotent part:
+        N^2 = 0, since (a eps + b delta)^2 = ab (eps delta + delta eps) = 0
+        and every other term of N^2 has degree above two."""
         if self.c0 == 0:
             raise ZeroDivisionError("Grassmann number with zero body")
         inv0 = 1.0 / self.c0
-        n = self.nilpotent() * (-inv0)
-        # (c0 (1 - n'))^{-1} = inv0 (1 + n + n^2), n^3 = 0
-        out = GrassmannNumber(1.0) + n + n * n
-        return out * inv0
+        m = -inv0
+        return _grassmann(inv0, self.ce * m * inv0, self.cd * m * inv0,
+                          self.ced * m * inv0)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -140,6 +139,16 @@ class GrassmannNumber:
     def __repr__(self):
         return (f"G({self.c0:.6g} + ({self.ce:.6g})e + ({self.cd:.6g})d"
                 f" + ({self.ced:.6g})ed)")
+
+
+def _grassmann(c0, ce, cd, ced):
+    """The GrassmannNumber with four complex components, unchecked."""
+    out = object.__new__(GrassmannNumber)
+    out.c0 = c0
+    out.ce = ce
+    out.cd = cd
+    out.ced = ced
+    return out
 
 
 EPS = GrassmannNumber(0, 1, 0, 0)
@@ -212,7 +221,7 @@ class SuperMatrix:
             n = self.size
             return SuperMatrix([
                 [sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                     GrassmannNumber(0))
+                     ZERO)
                  for j in range(n)]
                 for i in range(n)])
         o = GrassmannNumber._coerce(other)

@@ -70,6 +70,9 @@ class Prefactor:
     __slots__ = ("num", "den", "a", "b")
 
     def __init__(self, r=1, a=0, b=0):
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError("a prefactor is an int or a Fraction, got "
+                            f"{type(r).__name__} {r!r}")
         num, self.den = r.as_integer_ratio()
         self.num = -num if a % 4 >= 2 else num
         self.a, self.b = a % 2, b

@@ -215,65 +215,65 @@ def jacobi_residual(x, y, z):
 # H_n = t^n zeta d_t
 # C   = 0
 
-def realize_basis(gen, n=0):
-    """The super vector field for one basis mode, as a function from a
-    monomial (a, e) to a list of (integer coefficient, monomial) pairs."""
-    if gen == "C":
-        return lambda a, e: []
+def _act(gen, n, a, e):
+    """The super vector field of the basis mode (gen, n) on t^a zeta^e, as
+    (integer coefficient, monomial), or None where it vanishes."""
     if gen == "L":
-        def op(a, e):
-            coeff = -a if e == 0 else -a - (n + 1)
-            return [(coeff, (a + n, e))] if coeff else []
-        return op
+        coeff = -a if e == 0 else -a - (n + 1)
+        return (coeff, (a + n, e)) if coeff else None
     if gen == "J":
-        return lambda a, e: ([(-1, (a + n, 1))] if e == 1 else [])
+        return (-1, (a + n, 1)) if e == 1 else None
     if gen == "Q":
-        return lambda a, e: ([(-1, (a + n + 1, 0))] if e == 1 else [])
+        return (-1, (a + n + 1, 0)) if e == 1 else None
     if gen == "H":
-        return lambda a, e: ([(a, (a + n - 1, 1))]
-                             if (e == 0 and a != 0) else [])
+        return (a, (a + n - 1, 1)) if e == 0 and a != 0 else None
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def _apply_vector(vec, poly):
-    """Apply the realization of an AlgebraVector to a polynomial
-    {(a, e): coeff}."""
+def _apply_vector(vec, stack):
+    """Apply the realization of an AlgebraVector (C acts as zero) to a
+    stack {(source, (a, e)): coeff} of polynomials, one per source."""
     out = {}
-    for (gen, *n), c in vec.terms.items():
-        op = realize_basis(gen, *n)
-        for (a, e), pc in poly.items():
-            for oc, mono in op(a, e):
-                out[mono] = out.get(mono, 0) + c * pc * oc
-    return {k: v for k, v in out.items() if v != 0}
+    for key, c in vec.terms.items():
+        if key == CENTRAL:
+            continue
+        gen, n = key
+        for (src, (a, e)), pc in stack.items():
+            hit = _act(gen, n, a, e)
+            if hit is not None:
+                k = (src, hit[1])
+                out[k] = out.get(k, 0) + c * pc * hit[0]
+    return out
+
+
+def _commutator(x, y, stack):
+    """D_x D_y - (-1)^{|x||y|} D_y D_x on a stack (x, y homogeneous)."""
+    sign = (-1) ** (x.parity() * y.parity())
+    out = _apply_vector(x, _apply_vector(y, stack))
+    for k, v in _apply_vector(y, _apply_vector(x, stack)).items():
+        out[k] = out.get(k, 0) - sign * v
+    return out
 
 
 def realization_commutator(x, y, poly):
     """[D_x, D_y] applied to ``poly`` with the super sign
     D_x D_y - (-1)^{|x||y|} D_y D_x (x, y homogeneous)."""
-    sign = (-1) ** (x.parity() * y.parity())
-    first = _apply_vector(x, _apply_vector(y, poly))
-    second = _apply_vector(y, _apply_vector(x, poly))
-    out = dict(first)
-    for k, v in second.items():
-        out[k] = out.get(k, 0) - sign * v
-    return {k: v for k, v in out.items() if v != 0}
+    out = _commutator(x, y, {(0, mono): c for mono, c in poly.items()})
+    return {mono: v for (_, mono), v in out.items() if v != 0}
 
 
 def homomorphism_residual(x, y, monomials=None):
     """Max deviation (exact) between [D_x, D_y] and the realization of
-    [x, y] with C sent to zero, over test monomials."""
+    [x, y] with C sent to zero, over test monomials, all applied at once
+    as one stack keyed by (source monomial, monomial)."""
     if monomials is None:
         monomials = [(a, e) for a in range(-6, 7) for e in (0, 1)]
-    bracket = mode_bracket(x, y)
-    bracket = AlgebraVector({k: c for k, c in bracket.terms.items()
-                             if k != CENTRAL})
+    stack = {(mono, mono): 1 for mono in monomials}
+    lhs = _commutator(x, y, stack)
+    rhs = _apply_vector(mode_bracket(x, y), stack)
     worst = 0
-    for mono in monomials:
-        poly = {mono: 1}
-        lhs = realization_commutator(x, y, poly)
-        rhs = _apply_vector(bracket, poly)
-        for k in set(lhs) | set(rhs):
-            worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
+    for k in lhs.keys() | rhs.keys():
+        worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
     return worst
 
 

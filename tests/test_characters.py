@@ -12,6 +12,7 @@ from superchar.characters import (
     trace_identity_check, triple_product_check,
 )
 from superchar.jacobi_forms import eisenstein_e4
+from superchar.series_core import QYSeries
 
 # sigma_3(1..8): E8 shell counts are 240 sigma_3(n)
 SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
@@ -202,6 +203,33 @@ class TestCharacter:
             calls.clear()
             assert all(r.passed for r in checks.characters())
             assert [n for n in calls if n > 0] == [4]
+
+    def test_characters_suite_reads_exact_coefficients(self, monkeypatch):
+        # 2^60 + 240 and 2^60 + 241 round to the same double, and so do
+        # 2^60 + k and 2^60 + k + 1/2 (to a whole number): only exact
+        # coefficients show these misses in the integrality and theta rows
+        big = 2 ** 60
+        counts, fock, theta = (characters.count_vectors_by_norm,
+                               characters.fock_oracle,
+                               characters.lattice_theta)
+
+        def bump(series, c):
+            return series + QYSeries.monomial(c, 1, 0, series.q_order,
+                                              series.half_integral)
+
+        monkeypatch.setattr(characters, "count_vectors_by_norm",
+                            lambda lat, n: [c + big * (k == 1) for k, c in
+                                            enumerate(counts(lat, n))])
+        monkeypatch.setattr(characters, "fock_oracle",
+                            lambda lat, n, counts=None:
+                            bump(fock(lat, n), big + Fraction(1, 2)))
+        monkeypatch.setattr(characters, "lattice_theta",
+                            lambda lat, n: bump(theta(lat, n), big + 1))
+        rows = {r.identity: r for r in checks.characters()}
+        assert rows["fock-oracle-integrality"].residual == 0.5
+        assert rows["lattice-theta-vs-enumeration"].residual == 1.0
+        assert not rows["fock-oracle-integrality"].passed
+        assert not rows["lattice-theta-vs-enumeration"].passed
 
     def test_product_matches_fock_oracle(self):
         lat = e8_lattice()

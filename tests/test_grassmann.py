@@ -1,3 +1,6 @@
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,3 +172,78 @@ class TestExpNilpotent:
         m = SuperMatrix([[g(1), g(0)], [g(0), g(1)]])
         with pytest.raises((ValueError, RuntimeError)):
             exp_nilpotent(m)
+
+
+# -- the arithmetic against a reference on component tuples -------------------
+#
+# The reference is the textbook form: a scalar is coerced to (s, 0, 0, 0),
+# every product is the full four-component product, and the inverse is the
+# geometric series c0^-1 (1 + n + n^2) with n = -N/c0.
+
+def ref_of(x):
+    if isinstance(x, GrassmannNumber):
+        return x.components()
+    return (complex(x), 0j, 0j, 0j)
+
+
+def ref_add(a, b):
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def ref_neg(a):
+    return tuple(-p for p in a)
+
+
+def ref_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
+            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1)
+
+
+def ref_inverse(a):
+    inv0 = 1.0 / a[0]
+    n = ref_mul((0j,) + a[1:], (-inv0, 0j, 0j, 0j))
+    series = ref_add(ref_add((1 + 0j, 0j, 0j, 0j), n), ref_mul(n, n))
+    return ref_mul(series, (inv0, 0j, 0j, 0j))
+
+
+REF_OPS = (
+    (operator.add, ref_add),
+    (operator.sub, lambda a, b: ref_add(a, ref_neg(b))),
+    (operator.mul, ref_mul),
+    (operator.truediv, lambda a, b: ref_mul(a, ref_inverse(b))),
+)
+
+parts = st.floats(-8, 8, allow_nan=False, allow_subnormal=False)
+cplx = st.builds(complex, parts, parts)
+bodies = cplx.filter(lambda z: abs(z) >= 0.05)
+elements = st.builds(GrassmannNumber, bodies, cplx, cplx, cplx)
+scalars = st.one_of(
+    st.integers(-1000, 1000).filter(bool), bodies,
+    st.fractions(min_value=-50, max_value=50,
+                 max_denominator=64).filter(bool),
+    parts.filter(lambda x: abs(x) >= 0.05))
+
+
+def assert_same(got, want):
+    assert all(type(c) is complex for c in got.components())
+    assert got.components() == want
+
+
+class TestArithmeticAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(elements, elements, scalars)
+    def test_operations(self, a, b, s):
+        for op, ref in REF_OPS:
+            assert_same(op(a, b), ref(ref_of(a), ref_of(b)))
+            assert_same(op(a, s), ref(ref_of(a), ref_of(s)))
+            assert_same(op(s, a), ref(ref_of(s), ref_of(a)))
+        assert_same(-a, ref_neg(ref_of(a)))
+        assert_same(a.inverse(), ref_inverse(ref_of(a)))
+
+    def test_public_constructor_coerces(self):
+        x = GrassmannNumber(1, Fraction(1, 2), 2.0, 1j)
+        assert x.components() == (1, 0.5, 2, 1j)
+        assert all(type(c) is complex for c in x.components())
+        assert all(type(c) is complex for c in (x + 1).components())

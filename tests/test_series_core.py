@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchar.series_core import (
-    EXACT_I, EXACT_TWO_PI_I, EvalPoint, QYSeries, euler_product,
+    EXACT_I, EXACT_TWO_PI_I, EvalPoint, Prefactor, QYSeries, euler_product,
     infinite_product,
 )
 
@@ -104,6 +104,15 @@ class TestQYSeriesArithmetic:
                 s + bad
             with pytest.raises(TypeError):
                 s / bad
+
+    def test_float_prefactor_rejected(self):
+        # a float would be taken through as_integer_ratio: 0.1 is not 1/10
+        for bad in (0.1, 2.0, 1j):
+            with pytest.raises(TypeError):
+                Prefactor(bad)
+        assert (QYSeries.one(3) * Prefactor(Fraction(1, 10))).exact_coeff(0) \
+            == Fraction(1, 10)
+        assert (QYSeries.one(3) * Prefactor(True)) == QYSeries.one(3)
 
     def test_mixed_prefactor_sum_rejected(self):
         s = small_series({(0, 0): 1, (1, 1): 2})

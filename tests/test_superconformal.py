@@ -187,7 +187,92 @@ class TestExactCoefficients:
         assert jac.residual == float(Fraction(2, 3))
 
 
+def ref_field(gen, n, mono):
+    """The super vector field of (gen, n) on t^a zeta^e, from its
+    definition, as {monomial: coeff}:
+    L_n = -t^{n+1} d_t - (n+1) t^n zeta d_zeta, J_n = -t^n zeta d_zeta,
+    Q_n = -t^{n+1} d_zeta, H_n = t^n zeta d_t, C = 0."""
+    a, e = mono
+    out = {"L": {(a + n, e): -a - (n + 1) * e},
+           "J": {(a + n, 1): -e},
+           "Q": {(a + n + 1, 0): -e},
+           "H": {(a + n - 1, 1): a * (1 - e)},
+           "C": {}}[gen]
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_apply(vec, poly):
+    out = {}
+    for (gen, *n), c in vec.terms.items():
+        for mono, pc in poly.items():
+            for k, fc in ref_field(gen, *(n or [0]), mono).items():
+                out[k] = out.get(k, 0) + c * pc * fc
+    return out
+
+
+def ref_homomorphism(x, y):
+    """The residual one test monomial at a time: [D_x, D_y] against
+    D_[x,y] with C sent to zero, on t^a zeta^e for |a| <= 6."""
+    sign = (-1) ** (x.parity() * y.parity())
+    bracket = mode_bracket(x, y)
+    worst = 0
+    for mono in [(a, e) for a in range(-6, 7) for e in (0, 1)]:
+        poly = {mono: 1}
+        lhs = ref_apply(x, ref_apply(y, poly))
+        for k, v in ref_apply(y, ref_apply(x, poly)).items():
+            lhs[k] = lhs.get(k, 0) - sign * v
+        rhs = ref_apply(bracket, poly)
+        for k in set(lhs) | set(rhs):
+            worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
+    return worst
+
+
+# the generator scan of the ``algebra`` suite: x over windows[0], y over
+# windows[1]
+SCAN_X, SCAN_Y = ([AlgebraVector.basis(g, m) for g in "LJQH" for m in w]
+                  + [C()] for w in ((-2, 0, 1), (-1, 2)))
+
+
+def skew_bracket(monkeypatch, coeff_shift):
+    """Patch the bracket table so [H_m, Q_n] gains coeff_shift(m, n) L_{m+n}."""
+    real = superconformal._basis_bracket
+
+    def skewed(g1, m, g2, n):
+        out = dict(real(g1, m, g2, n))
+        if (g1, g2) == ("H", "Q"):
+            key = ("L", m + n)
+            out[key] = out.get(key, 0) + coeff_shift(m, n)
+        return out
+
+    monkeypatch.setattr(superconformal, "_basis_bracket", skewed)
+
+
 class TestVectorFieldRealization:
+    def test_stacked_residual_is_the_per_monomial_loop(self, monkeypatch):
+        # sums over several modes send different sources to one monomial
+        mixed = [L(1) + L(-1, 2) + J(0, -1), Q(1) + Q(-2, 3), H(0) + H(2, -1)]
+        pairs = ([(x, y) for x in SCAN_X for y in SCAN_Y]
+                 + [(x, y) for x in BASIS for y in BASIS]
+                 + [(x, y) for x in mixed for y in mixed])
+        for x, y in pairs:
+            assert homomorphism_residual(x, y) == ref_homomorphism(x, y) == 0
+        # with a skewed table the residuals are nonzero and still agree
+        skew_bracket(monkeypatch, lambda m, n: m - 2 * n)
+        got = [homomorphism_residual(x, y) for x, y in pairs]
+        assert got == [ref_homomorphism(x, y) for x, y in pairs]
+        assert max(got) > 0
+
+    def test_one_wrong_coefficient_is_seen(self, monkeypatch):
+        # [H_1, Q_-1] = 2 L_0 - J_0 instead of L_0 - J_0: the stack must
+        # show D_{L_0} on t^6 zeta, i.e. -(6 + 1)
+        skew_bracket(monkeypatch, lambda m, n: int((m, n) == (1, -1)))
+        assert homomorphism_residual(H(1), Q(-1)) == 7
+        assert homomorphism_residual(Q(-1), H(1)) == 7
+        assert homomorphism_residual(H(1), Q(0)) == 0
+        rows = {r.identity: r for r in checks.algebra()}
+        hom = rows["vector-field-homomorphism"]
+        assert not hom.passed and hom.residual == 7.0
+
     def test_homomorphism_window(self):
         for x in BASIS:
             for y in BASIS:
