@@ -4,7 +4,9 @@ Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
 eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0, the even part
 is a0 + a3*eps*delta, the odd part a1*eps + a2*delta.  The public constructor
 coerces its arguments with ``complex()``; arithmetic builds its results with
-the unchecked ``_grassmann`` from components that are complex already.
+the unchecked ``_grassmann`` from components that are complex already, and
+supermatrix arithmetic with the unchecked ``_supermatrix`` from entries that
+are GrassmannNumbers already.
 """
 
 from __future__ import annotations
@@ -200,40 +202,36 @@ class SuperMatrix:
     def __add__(self, other):
         if not isinstance(other, SuperMatrix) or other.size != self.size:
             return NotImplemented
-        return SuperMatrix([[self.rows[i][j] + other.rows[i][j]
-                             for j in range(self.size)]
-                            for i in range(self.size)])
+        return _supermatrix([[x + y for x, y in zip(r, s)]
+                             for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, SuperMatrix) or other.size != self.size:
             return NotImplemented
-        return SuperMatrix([[self.rows[i][j] - other.rows[i][j]
-                             for j in range(self.size)]
-                            for i in range(self.size)])
+        return _supermatrix([[x - y for x, y in zip(r, s)]
+                             for r, s in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return SuperMatrix([[-x for x in row] for row in self.rows])
+        return _supermatrix([[-x for x in row] for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
             if other.size != self.size:
                 return NotImplemented
-            n = self.size
-            return SuperMatrix([
-                [sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                     ZERO)
-                 for j in range(n)]
-                for i in range(n)])
+            cols = list(zip(*other.rows))
+            return _supermatrix([
+                [sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
+                for row in self.rows])
         o = GrassmannNumber._coerce(other)
         if o is None:
             return NotImplemented
-        return SuperMatrix([[x * o for x in row] for row in self.rows])
+        return _supermatrix([[x * o for x in row] for row in self.rows])
 
     def __rmul__(self, other):
         o = GrassmannNumber._coerce(other)
         if o is None:
             return NotImplemented
-        return SuperMatrix([[o * x for x in row] for row in self.rows])
+        return _supermatrix([[o * x for x in row] for row in self.rows])
 
     def inverse(self):
         """Inverse of a 2x2 matrix via the block (Schur complement) formula.
@@ -247,7 +245,7 @@ class SuperMatrix:
         c, d = self.rows[1]
         sa = (a - b * d.inverse() * c).inverse()
         sd = (d - c * a.inverse() * b).inverse()
-        return SuperMatrix([
+        return _supermatrix([
             [sa, -(a.inverse() * b * sd)],
             [-(d.inverse() * c * sa), sd],
         ])
@@ -260,6 +258,14 @@ class SuperMatrix:
 
     def __repr__(self):
         return "SuperMatrix(" + ", ".join(repr(r) for r in self.rows) + ")"
+
+
+def _supermatrix(rows):
+    """The SuperMatrix with these square rows of GrassmannNumbers,
+    unchecked."""
+    out = object.__new__(SuperMatrix)
+    out.rows = rows
+    return out
 
 
 def berezinian(m):

@@ -70,20 +70,21 @@ class AlgebraVector:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return AlgebraVector(out)
+        return _algebra_vector(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) - c
-        return AlgebraVector(out)
+        return _algebra_vector(out)
 
     def __neg__(self):
-        return AlgebraVector({k: -c for k, c in self.terms.items()})
+        return _algebra_vector({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
         scalar = _exact(scalar)
-        return AlgebraVector({k: c * scalar for k, c in self.terms.items()})
+        return _algebra_vector({k: c * scalar
+                                for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -107,6 +108,19 @@ class AlgebraVector:
         body = " + ".join(f"({c})*{label(k)}"
                           for k, c in sorted(self.terms.items()))
         return f"AV[{body or '0'}]"
+
+
+def _algebra_vector(terms):
+    """The AlgebraVector of the exact coefficients ``terms`` (ints or
+    Fractions).  A dict of nonzero ints is taken over as it is; one that
+    holds a zero or a Fraction goes through the public constructor, which
+    drops zeros and turns integral Fractions into ints."""
+    for c in terms.values():
+        if type(c) is not int or not c:
+            return AlgebraVector(terms)
+    out = object.__new__(AlgebraVector)
+    out.terms = terms
+    return out
 
 
 def L(m, coeff=1):
@@ -188,7 +202,7 @@ def mode_bracket(x, y):
             c = c1 * c2
             for key, b in _basis_bracket(k1[0], k1[1], k2[0], k2[1]).items():
                 out[key] = out.get(key, 0) + b * c
-    return AlgebraVector(out)
+    return _algebra_vector(out)
 
 
 def jacobi_residual(x, y, z):
@@ -200,7 +214,7 @@ def jacobi_residual(x, y, z):
                               (z, x, y, pz * py)):
         for key, v in mode_bracket(a, mode_bracket(b, c)).terms.items():
             out[key] = out.get(key, 0) + (-v if odd_sign else v)
-    return AlgebraVector(out)
+    return _algebra_vector(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import itertools
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superchar import characters, checks
@@ -66,6 +69,46 @@ def d_plus(n):
                          for y in basis] for x in basis])
 
 
+def inverse_matrix(gram):
+    """G^-1 over the rationals, by Gauss-Jordan elimination."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(gram)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if m[i][k] != 0)
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for i in range(n):
+            if i != k and m[i][k] != 0:
+                m[i] = [x - m[i][k] * y for x, y in zip(m[i], m[k])]
+    return [row[n:] for row in m]
+
+
+def e8_weight_basis():
+    """E8 in the basis of its fundamental weights (E8 is its own dual), so
+    the Gram matrix is the inverse Cartan matrix, whose diagonal entries
+    run up to 30: far from reduced."""
+    return EvenLattice(inverse_matrix(e8_lattice().gram))
+
+
+def brute_force_counts(gram, max_norm):
+    """Vector counts by norm over every integer vector of the box
+    |v_i| <= sqrt(2 max_norm (G^-1)_ii), which holds all vectors of norm at
+    most max_norm (Cauchy-Schwarz against the dual basis), with exact
+    integer norms."""
+    inv = inverse_matrix(gram)
+    box = itertools.product(*(range(-b, b + 1) for b in (
+        math.isqrt(int(2 * max_norm * inv[i][i])) for i in range(len(gram)))))
+    g = np.array(gram, dtype=np.int64)
+    counts = np.zeros(max_norm + 1, dtype=np.int64)
+    while chunk := list(itertools.islice(box, 1 << 16)):
+        v = np.array(chunk, dtype=np.int64)
+        norms = np.einsum("ij,jk,ik->i", v, g, v) // 2
+        counts += np.bincount(norms[norms <= max_norm],
+                              minlength=max_norm + 1)
+    return [int(c) for c in counts]
+
+
 class TestEvenLattice:
     def test_e8_properties(self):
         lat = e8_lattice()
@@ -83,6 +126,14 @@ class TestEvenLattice:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             EvenLattice([[2, 3], [3, 2]])
+
+    @pytest.mark.parametrize("entry", [0.5, math.inf, math.nan, "2"])
+    def test_rejects_non_integral_entries(self, entry):
+        with pytest.raises(ValueError):
+            EvenLattice([[2, entry], [entry, 2]])
+
+    def test_accepts_integral_floats(self):
+        assert EvenLattice([[2.0, -1.0], [-1.0, 2.0]]).gram == A2
 
     @pytest.mark.parametrize("lattice, det", [
         (e8_lattice(), 1), (e8_power(3), 1), (d_plus(24), 1),
@@ -127,6 +178,32 @@ class TestVectorCounts:
         counts = count_vectors_by_norm(e8_lattice(), 10)
         e4 = eisenstein_e4(10)
         assert counts == [e4.coeff(n) for n in range(11)]
+
+    @pytest.mark.parametrize("lattice, max_norm", [
+        (EvenLattice([[2]]), 30), (EvenLattice(A2), 12),
+        (EvenLattice(D4), 5), (e8_weight_basis(), 2),
+        (EvenLattice([[4, 1], [1, 4]]), 20),
+    ], ids=["A1", "A2", "D4", "E8-weight-basis", "4-1-1-4"])
+    def test_matches_brute_force_box(self, lattice, max_norm):
+        assert count_vectors_by_norm(lattice, max_norm) == \
+            brute_force_counts(lattice.gram, max_norm)
+
+    def test_sliced_frontier_gives_the_same_counts(self, monkeypatch):
+        want = {n: count_vectors_by_norm(lat, n)
+                for lat, n in ((e8_lattice(), 4), (EvenLattice(D4), 20))}
+        calls = []
+        real = characters._count_half
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(characters, "_FRONTIER_CAP", 8)
+        monkeypatch.setattr(characters, "_count_half", counted)
+        assert count_vectors_by_norm(e8_lattice(), 4) == want[4]
+        assert count_vectors_by_norm(EvenLattice(D4), 20) == want[20]
+        # two root calls, and every other call is a slice
+        assert len(calls) > 100
 
     @pytest.mark.parametrize("lattice, n_q", [
         (e8_lattice(), 10), (skewed_e8(), 6), (e8_power(2), 2),

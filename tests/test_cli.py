@@ -305,6 +305,15 @@ class TestCharacter:
             main, ["character", "--lattice", "/nope.json"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("entry", [0.5, float("inf")])
+    def test_non_integral_gram_is_usage_error(self, runner, tmp_path, entry):
+        src = tmp_path / "lattice.json"
+        src.write_text(json.dumps({"rank": 2,
+                                   "gram": [[2, entry], [entry, 2]]}))
+        result = runner.invoke(main, ["character", "--lattice", str(src)])
+        assert result.exit_code == 2
+        assert "bad lattice file" in result.output
+
 
 class TestConfig:
     def test_config_sets_q_order(self, runner, tmp_path):

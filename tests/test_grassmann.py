@@ -134,6 +134,25 @@ class TestSuperMatrix:
         with pytest.raises(NotImplementedError):
             SuperMatrix.identity(3).inverse()
 
+    def test_public_constructor_checks_entries(self):
+        with pytest.raises(ValueError):
+            SuperMatrix([[1, "x"], [0, 1]])
+        with pytest.raises(ValueError):
+            SuperMatrix([[1, 0], [0]])
+        assert SuperMatrix([[1, 0.5], [0, 2j]])[0, 1] == g(0.5)
+
+    def test_arithmetic_results_hold_grassmann_entries(self):
+        a = SuperMatrix([[g(2, 0, 0, 1), odd(1, -1)],
+                         [odd(0.5, 2), g(3, 0, 0, -2)]])
+        for m in (a + a, a - a, -a, a * a, a * 2, 2 * a, a * EPS,
+                  a.inverse()):
+            assert m.size == 2
+            assert all(type(x) is GrassmannNumber for row in m.rows
+                       for x in row)
+        assert (a + a).distance(a * 2) == 0.0
+        assert (a - a).max_abs() == 0.0
+        assert (-a + a).max_abs() == 0.0
+
 
 class TestBerezinian:
     def test_diagonal(self):

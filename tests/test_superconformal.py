@@ -168,6 +168,18 @@ class TestExactCoefficients:
         assert type(C(Fraction(4, 2)).terms[("C",)]) is int
         assert type((J(1, Fraction(1, 2)) * 2).terms[("J", 1)]) is int
         assert (L(0, 0.5) * 3).terms == {("L", 0): Fraction(3, 2)}
+        # results built internally keep the same normal form
+        third = C(Fraction(1, 3))
+        assert type((third + C(Fraction(2, 3))).terms[("C",)]) is int
+        assert type((third - C(Fraction(-2, 3))).terms[("C",)]) is int
+        assert type(mode_bracket(J(1), J(-1, 3)).terms[("C",)]) is int
+
+    def test_results_drop_zero_coefficients(self):
+        assert (L(1) - L(1)).terms == {}
+        assert (L(1, 2) + L(1, -2) + J(0)).terms == {("J", 0): 1}
+        assert (J(2) * 0).terms == {}
+        assert mode_bracket(J(1) + J(2), J(-1, 3)).terms == {("C",): 1}
+        assert jacobi_residual(L(1), J(-1), H(0)).terms == {}
 
     def test_perturbed_central_term_fails_the_jacobi_row(self, monkeypatch):
         # C(m/6) added to the [H_m, Q_{-m}] central term breaks the graded
