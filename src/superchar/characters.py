@@ -8,7 +8,6 @@ Jacobi transformation checks for the normalized character.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from fractions import Fraction
@@ -463,20 +462,22 @@ def cusp_class(delta, k, l, cap_k=0, charge=0, super_case=False):
     return 1 + k - delta, 0, l
 
 
-def _add_translates(acc, e, f, l, translates, q_max, z):
-    """Add to ``acc`` = {(q_pow, x_pow, y_pow): complex} the geometric
-    expansions of the translates n in ``translates`` of the averaged
-    section of class (e, f, l), with x-exponents taken relative to k."""
+def _add_translates(acc, e, f, l, translates, q_max):
+    """Add to ``acc`` = {(q_pow, x_pow, y_pow): int} the geometric
+    expansions of the translates n in ``translates`` of the averaged section
+    of class (e, f, l), with x-exponents taken relative to k.  The power of
+    z in each term is fixed by its key, (-z)^{-l} z^{-j} at x^j for n > 0
+    and z^j at x^{-l-j} for n < 0, so it is divided out and every
+    coefficient is an integer."""
+    sign = -1 if l % 2 else 1  # (-z)^{-l} = (-1)^l z^{-l}
     for n in translates:
         q_pref, y_pow = n * e, n * f
         if n > 0:
             # (q^n x - z)^{-l} = (-z)^{-l} sum_j C(l-1+j, j) (x/z)^j q^{nj}
-            base = (-z) ** (-l)
             j = 0
             while q_pref + n * j <= q_max:
                 key = (q_pref + n * j, j, y_pow)
-                acc[key] = acc.get(key, 0j) + \
-                    base * math.comb(l - 1 + j, j) * z ** (-j)
+                acc[key] = acc.get(key, 0) + sign * math.comb(l - 1 + j, j)
                 j += 1
         else:
             m = -n
@@ -484,14 +485,24 @@ def _add_translates(acc, e, f, l, translates, q_max, z):
             j = 0
             while q_pref + m * l + m * j <= q_max:
                 key = (q_pref + m * l + m * j, -l - j, y_pow)
-                acc[key] = acc.get(key, 0j) + math.comb(l - 1 + j, j) * z ** j
+                acc[key] = acc.get(key, 0) + math.comb(l - 1 + j, j)
                 j += 1
     return acc
 
 
+def _shell_min_y(acc):
+    """{q_pow: least y-exponent of a nonzero term with that q-power}."""
+    out = {}
+    for (qp, _, yp), v in acc.items():
+        if v != 0 and (qp not in out or yp < out[qp]):
+            out[qp] = yp
+    return out
+
+
 def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
-                     z=0.73 + 0.21j, tol=1e-9, super_case=None):
-    """Independent expansion certificate for the cusp predicates.
+                     super_case=None):
+    """Independent expansion certificate for the cusp predicates, in exact
+    integers.
 
     The averaged section is expanded at translate cutoffs n_cut and
     n_cut + 5 (the larger expansion adds the translates n_cut < |n| <=
@@ -500,35 +511,29 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
     the cutoffs, and the minimum y-exponent of each q-shell does not drop
     (new keys may appear only at higher y-powers, where the limit is a
     power series in y).
+
+    The verdict does not depend on the point z of the pole: every term at
+    one key (q-power, x-power, y-power) carries the same power of z and the
+    same sign, and the translates n > 0 and n < 0 have disjoint x-powers.
+    So the coefficients are sums of binomials that never cancel, the
+    certificate divides z out, and it compares integers.
     """
     if super_case is None:
         super_case = not (cap_k == 0 and charge == 0)
     e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
     inner = [n for n in range(-n_cut, n_cut + 1) if n]
     outer = [s * n for n in range(n_cut + 1, n_cut + 6) for s in (-1, 1)]
-    small = _add_translates({}, e, f, l, inner, q_max, z)
-    large = _add_translates(dict(small), e, f, l, outer, q_max, z)
-    scale = max((abs(v) for v in large.values()), default=1.0)
-    for key, v in large.items():
-        if key[0] < 0 and abs(v) > tol * scale:
-            return False
-    for key, v in small.items():
-        if abs(v - large[key]) > tol * scale:
-            return False
-    min_y_small = {}
-    min_y_large = {}
-    for (qp, _, yp), v in small.items():
-        if abs(v) > tol * scale:
-            min_y_small[qp] = min(min_y_small.get(qp, yp), yp)
-    for (qp, _, yp), v in large.items():
-        if abs(v) > tol * scale:
-            min_y_large[qp] = min(min_y_large.get(qp, yp), yp)
-    for qp, ymin in min_y_large.items():
-        if qp in min_y_small and ymin < min_y_small[qp]:
-            return False
-        if qp not in min_y_small and qp <= q_max:
-            # a whole q-shell that the smaller cutoff lacks: the sum has
-            # not stabilized
+    small = _add_translates({}, e, f, l, inner, q_max)
+    large = _add_translates(dict(small), e, f, l, outer, q_max)
+    if any(key[0] < 0 and v != 0 for key, v in large.items()):
+        return False
+    if any(v != large[key] for key, v in small.items()):
+        return False
+    min_y_small = _shell_min_y(small)
+    for qp, ymin in _shell_min_y(large).items():
+        # a q-shell that the smaller cutoff lacks, or whose least y-power
+        # drops: the sum has not stabilized
+        if qp not in min_y_small or ymin < min_y_small[qp]:
             return False
     return True
 

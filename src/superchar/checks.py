@@ -154,21 +154,28 @@ def flatness():
 
 @suite
 def gl11():
-    """The GL(1|1) group element, its Berezinian and conjugation
-    invariance at one point, and the second-order jet coordinates round
-    trip at 100 random parameter sets drawn with seed 7."""
+    """GL(1|1) at one point (q, y): the group element against its closed
+    form, its Berezinian and that of the coordinate-change matrix P against
+    y^{-1}, conjugation invariance of the identity and of P, and the
+    action on a weight/charge pair (Delta, c) = (2, 1) of either parity
+    against its factorization q^{-Delta} upper diag lower.  Then the
+    second-order jet coordinates round trip at 100 random parameter sets
+    drawn with seed 7."""
     q, y = 0.31 + 0.12j, 0.85 - 0.33j
     g = sc.gl11_group_element(q, y)
     expected = SuperMatrix([
         [GrassmannNumber(1.0), DELTA],
         [EPS, GrassmannNumber(y) + EPS * DELTA],
     ]) * q
-    pmat = SuperMatrix([
-        [GrassmannNumber(1.0), EPS],
-        [DELTA, GrassmannNumber(y) - EPS * DELTA],
-    ])
-    invariance = max(sc.invariant_conjugation_residual(m, q, y)
-                     for m in (SuperMatrix.identity(2), pmat))
+    invariance = max(sc.invariant_conjugation_residual(m, y)
+                     for m in (SuperMatrix.identity(2),
+                               sc.coordinate_matrix(1.0, y)))
+    factorization = 0.0
+    for odd_parity in (False, True):
+        scale, upper, diag, lower = sc.action_factors(2, 1, odd_parity, q, y)
+        direct = sc.action_matrix(2, 1, odd_parity, q, y)
+        factorization = max(factorization,
+                            (upper * diag * lower * scale).distance(direct))
     rng = random.Random(7)
     worst = 0.0
     for _ in range(100):
@@ -196,8 +203,13 @@ def gl11():
              "direct-vs-factored", g.distance(expected), 0.0),
         _row("group-element-berezinian", "berezinian-formula", "Ber=1/y",
              (gr.berezinian(g) - 1.0 / y).max_abs(), 1e-14),
+        _row("coordinate-matrix-berezinian", "berezinian-formula", "Ber=1/y",
+             (gr.berezinian(sc.coordinate_matrix(q, y)) - 1.0 / y).max_abs(),
+             1e-14),
         _row("conjugation-invariance", "invariant-conjugation",
              "identity,P", invariance, 1e-13),
+        _row("action-matrix-factorization", "weight-charge-action",
+             "Delta=2,c=1,even+odd", factorization, 1e-13),
         _row("jet-coordinate-roundtrip", "second-order-jet-relations",
              "100-random-jets", worst, 1e-10),
     ]
@@ -243,7 +255,8 @@ def jacobi_forms(point=EvalPoint(0.2 + 1.1j, 0.23 + 0.11j), t=0.17 + 0.05j,
 @suite
 def cusp():
     """Mismatches between the (super) cusp predicates and their expansion
-    certificates over the default grids."""
+    certificates over the default grids.  Each certificate compares exact
+    integer coefficients, so the count involves no tolerance."""
     return [_row("predicate-vs-certificate", "cusp-extension-lemma", "grid",
                  len(ch.cusp_grid_check()), 0.0),
             _row("super-predicate-vs-certificate",

@@ -27,10 +27,9 @@ Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
-
-import mpmath
 
 from .grassmann import GrassmannNumber, EPS, DELTA
 from .series_core import EXACT_TWO_PI_I, Prefactor, QYSeries
@@ -43,6 +42,20 @@ def divisor_sigma(k, m):
     return sum(d ** k for d in range(1, m + 1) if m % d == 0)
 
 
+@functools.lru_cache(maxsize=None)
+def bernoulli(w):
+    """The Bernoulli number B_w (with B_1 = -1/2) as a Fraction, by the
+    Akiyama-Tanigawa recurrence (M. Kaneko, "The Akiyama-Tanigawa algorithm
+    for Bernoulli numbers", J. Integer Seq. 3, 2000), which yields B_1 with
+    the opposite sign."""
+    row = []
+    for m in range(w + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+    return -row[0] if w == 1 else row[0]
+
+
 def eisenstein_b(n, n_q):
     """b_n as an exact q-series: (2n+1) times the weight-(2n+2) Eisenstein
     series.  With 2 zeta(w) = -B_w (2 pi i)^w / w! for w = 2n+2,
@@ -52,7 +65,7 @@ def eisenstein_b(n, n_q):
     if n < 0:
         raise ValueError("n must be >= 0")
     w = 2 * n + 2
-    coeffs = {(0, 0): -Fraction(*mpmath.bernfrac(w)) / math.factorial(w)}
+    coeffs = {(0, 0): -bernoulli(w) / math.factorial(w)}
     for m in range(1, n_q + 1):
         coeffs[(m, 0)] = Fraction(2 * divisor_sigma(2 * n + 1, m),
                                   math.factorial(2 * n + 1))
@@ -105,14 +118,6 @@ def p_bar_series(n_x, n_q, shift=0):
             key = (abs(m) * k, 2 * k if m >= 0 else -2 * k)
             coeffs[key] = coeffs.get(key, 0) + k
     return QYSeries(coeffs, n_q)
-
-
-def p_bar_constant_series(n_q):
-    """The q-series 1/12 + b_0/(2 pi i)^2 = 2 sum_m sigma_1(m) q^m, the
-    additive normalization constant relating p_bar to the classical
-    p-function: p_2 = p + b_0 = (2 pi i)^2 p_bar."""
-    coeffs = {(m, 0): 2 * divisor_sigma(1, m) for m in range(1, n_q + 1)}
-    return QYSeries(coeffs, q_order=n_q)
 
 
 def zeta_tilde_taylor(n_t, n_q):

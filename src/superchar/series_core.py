@@ -25,7 +25,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 
@@ -60,6 +59,25 @@ class EvalPoint:
 
     def __repr__(self):
         return f"EvalPoint(tau={self.tau}, alpha={self.alpha})"
+
+
+def _arctan_inverse(x, unity):
+    """unity * arctan(1/x) for an integer x > 1, by its Taylor series in
+    integers (each term truncated, so below one unit off per term)."""
+    power = total = unity // x
+    k = 1
+    while power:
+        power //= x * x
+        k += 2
+        total += -(power // k) if k % 4 == 3 else power // k
+    return total
+
+
+#: 2 pi * 2^_TWO_PI_BITS, by Machin's formula
+#: pi/4 = 4 arctan(1/5) - arctan(1/239) with 32 guard bits
+_TWO_PI_BITS = 256
+_TWO_PI = (32 * _arctan_inverse(5, 1 << _TWO_PI_BITS + 32)
+           - 8 * _arctan_inverse(239, 1 << _TWO_PI_BITS + 32)) >> 32
 
 
 class Prefactor:
@@ -105,11 +123,14 @@ class Prefactor:
         double."""
         if not self.b:
             return self.num, self.den
-        with mpmath.workprec(192):
-            man, exp = (abs(self.num) / mpmath.mpf(self.den)
-                        * (2 * mpmath.pi) ** self.b).man_exp
-        man = man if self.num > 0 else -man
-        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+        power, shift = _TWO_PI ** abs(self.b), _TWO_PI_BITS * abs(self.b)
+        num, den = ((self.num * power, self.den << shift) if self.b > 0
+                    else (self.num << shift, self.den * power))
+        # keep 192 significant bits of the quotient, as man * 2^exp
+        exp = num.bit_length() - den.bit_length() - 192
+        if exp >= 0:
+            return num // (den << exp) << exp, 1
+        return (num << -exp) // den, 1 << -exp
 
 
 EXACT_I = Prefactor(1, 1)

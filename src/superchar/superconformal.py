@@ -11,7 +11,6 @@ table), so all bracket identities are checked exactly.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 from .grassmann import (DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian,
@@ -377,23 +376,14 @@ def gl11_group_element(q, y, eps=EPS, delta=DELTA):
     return f1 * f2 * f3 * f4
 
 
-def _sign(odd_parity):
-    return -1.0 if odd_parity else 1.0
-
-
-def _cpow(base, expo):
-    base = complex(base)
-    return cmath.exp(expo * cmath.log(base))
-
-
 def action_matrix(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
     """The 2x2 matrix of the group action on a weight/charge (Delta, c)
     vector pair, with sign s = +1 for even parity and -1 for odd:
 
         q^{-Delta} y^{-(c+1)} [[y + Delta eps delta, s Delta eps], [s delta, 1]].
     """
-    s = _sign(odd_parity)
-    scale = _cpow(q, -delta_wt) * _cpow(y, -(charge + 1))
+    s = -1 if odd_parity else 1
+    scale = complex(q) ** -delta_wt * complex(y) ** -(charge + 1)
     m = SuperMatrix([
         [GrassmannNumber(y) + eps * delta * delta_wt, eps * (s * delta_wt)],
         [delta * s, GrassmannNumber(1.0)],
@@ -405,24 +395,12 @@ def action_factors(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
     """The factored form of ``action_matrix``: a scalar q^{-Delta}, an upper
     unipotent factor, a diagonal y-charge factor, and a lower unipotent
     factor, whose product equals the assembled matrix."""
-    s = _sign(odd_parity)
+    s = -1 if odd_parity else 1
+    y = complex(y)
     upper = SuperMatrix([[1, eps * (s * delta_wt)], [0, 1]])
-    diag = SuperMatrix([[_cpow(y, -charge), 0],
-                        [0, _cpow(y, -(charge + 1))]])
+    diag = SuperMatrix([[y ** -charge, 0], [0, y ** -(charge + 1)]])
     lower = SuperMatrix([[1, 0], [delta * s, 1]])
-    return _cpow(q, -delta_wt), upper, diag, lower
-
-
-def section_matrix(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
-    """The matrix acting on section coefficients:
-    q^{-Delta} y^{-(c+2)} [[y + Delta eps delta, s eps], [s delta, 1]]."""
-    s = _sign(odd_parity)
-    scale = _cpow(q, -delta_wt) * _cpow(y, -(charge + 2))
-    m = SuperMatrix([
-        [GrassmannNumber(y) + eps * delta * delta_wt, eps * s],
-        [delta * s, GrassmannNumber(1.0)],
-    ])
-    return m * scale
+    return complex(q) ** -delta_wt, upper, diag, lower
 
 
 def coordinate_matrix(q, y, eps=EPS, delta=DELTA):
@@ -435,16 +413,12 @@ def coordinate_matrix(q, y, eps=EPS, delta=DELTA):
     return m * q
 
 
-def invariant_conjugation_residual(m, q, y, eps=EPS, delta=DELTA):
+def invariant_conjugation_residual(m, y, eps=EPS, delta=DELTA):
     """Residual of P^{-1} M P = M for the unscaled coordinate-change matrix
-    P = [[1, eps], [delta, y - eps delta]]; zero iff M is fixed by the
-    linear action on vectors."""
-    p = SuperMatrix([
-        [GrassmannNumber(1.0), eps],
-        [delta, GrassmannNumber(y) - eps * delta],
-    ])
-    conj = p.inverse() * m * p
-    return conj.distance(m)
+    P = ``coordinate_matrix(1, y)``; zero iff M is fixed by the linear
+    action on vectors."""
+    p = coordinate_matrix(1.0, y, eps, delta)
+    return (p.inverse() * m * p).distance(m)
 
 
 # ---------------------------------------------------------------------------
@@ -508,30 +482,6 @@ def jet_from_params(params):
         "Ptt": q * (d0 * t1 + ymix * d1) * 2.0,
         "Ptz": q * (d0 * e1 + ymix * a_tot),
     }
-
-
-def rho_jet_matrix(jets, central):
-    """The 3x3 matrix of the 2-jet acting on the span of the vacuum and the
-    weight-one states (h, j):
-
-        [[1, (C/3) delta1, (C/3)(alpha1 + tau1)],
-         [0, q/y,          (q/y) eps0          ],
-         [0, (q/y) delta0, q (1 - eps0 delta0 / y)]]
-
-    Returns (matrix, params).
-    """
-    p = solve_jet(jets)
-    q, y = p["q"], p["y"]
-    y_inv = y.inverse()
-    qy = q * y_inv
-    c3 = central / 3.0
-    m = SuperMatrix([
-        [GrassmannNumber(1.0), p["delta1"] * c3, (p["alpha1"] + p["tau1"]) * c3],
-        [GrassmannNumber(0.0), qy, qy * p["eps0"]],
-        [GrassmannNumber(0.0), qy * p["delta0"],
-         q * (GrassmannNumber(1.0) - y_inv * p["eps0"] * p["delta0"])],
-    ])
-    return m, p
 
 
 def jet_matrix_identity_residual(jets):

@@ -384,6 +384,24 @@ class TestCuspPredicates:
     def test_grid_super(self):
         assert cusp_grid_check(super_grid=True) == []
 
+    @pytest.mark.parametrize("super_grid", [False, True])
+    def test_wide_grid(self, super_grid):
+        # Delta 0..8, k 0..10, l 1..6, and for the super predicate K 0..2
+        # and c -4..4: 594 plain and 16,038 super points
+        assert cusp_grid_check(range(9), range(11), range(1, 7),
+                               super_grid=super_grid,
+                               charge_range=range(-4, 5),
+                               cap_k_values=(0, 1, 2)) == []
+
+    def test_translates_expand_to_integer_binomials(self):
+        # class (e, f, l) = (1, 0, 2): the translate n = 1 gives
+        # (-z)^-2 sum_j (j+1) (x/z)^j q^(1+j), and n = -1 gives
+        # q^(-1+2) x^-2 sum_j (j+1) (z/x)^j q^j; z is divided out
+        acc = characters._add_translates({}, 1, 0, 2, [1, -1], 8)
+        assert acc == {**{(1 + j, j, 0): j + 1 for j in range(8)},
+                       **{(1 + j, -2 - j, 0): j + 1 for j in range(8)}}
+        assert all(type(v) is int for v in acc.values())
+
 
 GRID = [(d, k, l) for d in range(6) for k in range(8) for l in range(1, 5)]
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath
 import pytest
 from click.testing import CliRunner
 
+import superchar
 from superchar.cli import main
 from superchar.elliptic import zeta_bar_eval
 from superchar.jacobi_forms import eta_series
@@ -190,6 +195,16 @@ class TestVerify:
         assert rows
         assert all(r.passed for r in rows)
 
+    def test_gl11_reports_factorization_and_coordinate_berezinian(
+            self, runner):
+        result = runner.invoke(
+            main, ["verify", "--suite", "gl11", "--format", "json"])
+        assert result.exit_code == 0
+        rows = {obj["identity"]: obj for obj in json.loads(result.output)}
+        for identity in ("action-matrix-factorization",
+                         "coordinate-matrix-berezinian"):
+            assert rows[identity]["pass"], rows[identity]
+
     def test_csv_format_header(self, runner):
         result = runner.invoke(
             main, ["verify", "--suite", "flatness", "--format", "csv"])
@@ -313,6 +328,17 @@ class TestCharacter:
         result = runner.invoke(main, ["character", "--lattice", str(src)])
         assert result.exit_code == 2
         assert "bad lattice file" in result.output
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath is a test-only dependency: the package computes B_w and 2 pi
+    # itself
+    code = "import sys, superchar.cli; print('mpmath' in sys.modules)"
+    src = str(pathlib.Path(superchar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfig:

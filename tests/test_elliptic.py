@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from superchar.elliptic import (
-    divisor_sigma, eisenstein_b, p_bar_constant_series,
+    bernoulli, divisor_sigma, eisenstein_b,
     p_bar_eval, p_bar_prime_eval, p_bar_series, super_zeta,
     super_zeta_lemma_residual, wp_numeric, z_action,
     zeta_bar_eval, zeta_bar_series, zeta_tilde_eval, zeta_tilde_taylor,
@@ -119,6 +119,10 @@ class TestEisensteinB:
                 2 * (2 * n + 1) * divisor_sigma(2 * n + 1, m),
                 math.factorial(2 * n + 1))
 
+    def test_bernoulli_numbers_match_mpmath(self):
+        for w in range(31):
+            assert bernoulli(w) == Fraction(*mpmath.bernfrac(w)), w
+
     def test_against_lattice_sum(self):
         # row-resummed lattice sum as an independent oracle
         pt = EvalPoint(TAU, 0.0)
@@ -187,9 +191,13 @@ class TestAnnulusSeries:
         assert abs(p.evaluate(at_point(tau, x))[0] - p_bar_eval(x, q)) < 1e-4
 
     def test_p_bar_constant_coefficients(self):
-        s = p_bar_constant_series(10)
+        # the constant relating p_bar to the classical p-function,
+        # p_2 = p + b_0 = (2 pi i)^2 p_bar, is
+        # 1/12 + b_0/(2 pi i)^2 = 2 sum_m sigma_1(m) q^m
+        s = eisenstein_b(0, 10) * Prefactor(1, -2, -2) + Fraction(1, 12)
+        assert s.exact_coeff(0) == 0
         for m, sig in enumerate(SIGMA1, start=1):
-            assert s.coeff(m, 0) == pytest.approx(2.0 * sig)
+            assert s.exact_coeff(m) == 2 * sig
 
 
 class TestOddZetaTaylor:

@@ -2,6 +2,7 @@ import cmath
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +114,18 @@ class TestQYSeriesArithmetic:
         assert (QYSeries.one(3) * Prefactor(Fraction(1, 10))).exact_coeff(0) \
             == Fraction(1, 10)
         assert (QYSeries.one(3) * Prefactor(True)) == QYSeries.one(3)
+
+    def test_ratio_matches_mpmath_two_pi(self):
+        # (r) (2 pi)^b from the integer Machin constant, against mpmath at
+        # 192 bits, to a relative 2^-185
+        for b in range(-12, 13):
+            for r in (1, -3, Fraction(5, 7), Fraction(-22, 9), 10 ** 30 + 7):
+                num, den = Prefactor(r, 0, b).ratio()
+                with mpmath.workprec(192):
+                    ref = mpmath.mpf(r.numerator) / r.denominator \
+                        * (2 * mpmath.pi) ** b
+                    err = abs(mpmath.mpf(num) / den / ref - 1)
+                assert err < mpmath.mpf(2) ** -185, (b, r)
 
     def test_mixed_prefactor_sum_rejected(self):
         s = small_series({(0, 0): 1, (1, 1): 2})

@@ -14,8 +14,7 @@ from superchar.superconformal import (
     coordinate_matrix, gl11_generators, gl11_group_element,
     homomorphism_residual, invariant_conjugation_residual,
     jacobi_residual, jet_from_params, jet_matrix_identity_residual,
-    mode_bracket, nabla_commutator, realization_commutator, rho_jet_matrix,
-    section_matrix, solve_jet,
+    mode_bracket, nabla_commutator, realization_commutator, solve_jet,
 )
 
 
@@ -361,22 +360,33 @@ class TestGL11:
                 2, 1, parity_flag, self.Qv, self.Yv)
             assert (upper * diag * lower * scale).distance(m) < 1e-14
 
-    def test_section_vs_action_scale(self):
-        # the section matrix differs from the action matrix by y^{-1} in the
-        # scalar prefactor and the off-diagonal weight factor
-        a = action_matrix(1, 0, False, self.Qv, self.Yv)
-        s = section_matrix(1, 0, False, self.Qv, self.Yv)
-        assert (s.rows[1][0] * self.Yv - a.rows[1][0]).max_abs() < 1e-14
-
     def test_invariant_vectors(self):
         ident = SuperMatrix.identity(2)
-        p = SuperMatrix([
-            [GrassmannNumber(1.0), EPS],
-            [DELTA, GrassmannNumber(self.Yv) - EPS * DELTA],
-        ])
-        assert invariant_conjugation_residual(ident, self.Qv, self.Yv) \
-            < 1e-14
-        assert invariant_conjugation_residual(p, self.Qv, self.Yv) < 1e-14
+        p = coordinate_matrix(1.0, self.Yv)
+        assert invariant_conjugation_residual(ident, self.Yv) < 1e-14
+        assert invariant_conjugation_residual(p, self.Yv) < 1e-14
+
+    def test_suite_checks_factorization_and_coordinate_berezinian(self):
+        rows = {r.identity: r for r in checks.gl11()}
+        for identity in ("action-matrix-factorization",
+                         "coordinate-matrix-berezinian"):
+            assert rows[identity].passed, rows[identity]
+        assert rows["action-matrix-factorization"].element \
+            == "Delta=2,c=1,even+odd"
+
+    def test_factorization_row_sees_a_wrong_factor(self, monkeypatch):
+        # a diagonal factor with the charges of the two lines swapped
+        real = superconformal.action_factors
+
+        def swapped(*args):
+            scale, upper, diag, lower = real(*args)
+            (a, _), (_, d) = diag.rows
+            return scale, upper, SuperMatrix([[d, 0], [0, a]]), lower
+
+        monkeypatch.setattr(superconformal, "action_factors", swapped)
+        row = next(r for r in checks.gl11()
+                   if r.identity == "action-matrix-factorization")
+        assert not row.passed and row.residual > 1.0
 
 
 def random_params(rng):
@@ -411,26 +421,3 @@ class TestJets:
         for _ in range(50):
             jets = jet_from_params(random_params(rng))
             assert jet_matrix_identity_residual(jets) < 1e-10
-
-    def test_rho_matrix_structure(self):
-        rng = random.Random(13)
-        params = random_params(rng)
-        jets = jet_from_params(params)
-        m, p = rho_jet_matrix(jets, central=12.0)
-        # top-left entry is exactly 1; first column otherwise zero
-        assert (m.rows[0][0] - 1.0).max_abs() == 0.0
-        assert m.rows[1][0].max_abs() == 0.0
-        assert m.rows[2][0].max_abs() == 0.0
-        # central column entries carry C/3 times the solved jet coordinates
-        assert (m.rows[0][1] - p["delta1"] * 4.0).max_abs() < 1e-13
-
-    def test_identity_jet(self):
-        params = {
-            "q": GrassmannNumber(1.0), "y": GrassmannNumber(1.0),
-            "eps0": GrassmannNumber(0.0), "delta0": GrassmannNumber(0.0),
-            "tau1": GrassmannNumber(0.0), "alpha1": GrassmannNumber(0.0),
-            "eps1": GrassmannNumber(0.0), "delta1": GrassmannNumber(0.0),
-        }
-        jets = jet_from_params(params)
-        m, _ = rho_jet_matrix(jets, central=12.0)
-        assert m.distance(SuperMatrix.identity(3)) < 1e-14
