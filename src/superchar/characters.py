@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jacobi_forms import (JacobiForm, OffsetSeries, _theta_mantissa,
-                           discriminant_series, eisenstein_e4,
-                           theta_sum_terms, transformation_check)
+from .jacobi_forms import _theta_mantissa  # noqa: F401 (perfbench wraps it)
+from .jacobi_forms import (JacobiForm, discriminant_series, eisenstein_e4,
+                           eta_series, theta_offset_series, theta_sum_terms,
+                           transformation_check)
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product,
                           infinite_product)
@@ -250,8 +251,9 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
         y^{r/4} [prod_n (1 - y q^n)(1 - y^{-1} q^{n-1})/(1 - q^n)^2]^{r/2}
         * Theta(q)
     mode "closed" (requires 8 | r):
-        eta^{-C} Theta(q) theta^{C/3} with C = 3r/2; the fractional
-        q-offsets of eta and theta cancel exactly (asserted).
+        eta^{-C} Theta(q) theta^{C/3} with C = 3r/2; the q-offsets -C/24
+        of eta^{-C} and C/24 of theta^{C/3} cancel exactly (an offset left
+        over is a ValueError).
     """
     r = lattice.rank
     if r % 2 != 0:
@@ -270,11 +272,10 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
     if mode == "closed":
         if r % 8 != 0:
             raise ValueError("closed form requires rank divisible by 8")
-        c_central = 3 * r // 2
-        eta_inv = OffsetSeries(euler_product(n_q).invert() ** c_central,
-                               -Fraction(c_central, 24))
-        th = OffsetSeries(_theta_mantissa(n_q), Fraction(1, 8)) ** (r // 2)
-        chi = (eta_inv * th).require_integral() * theta_l
+        chi = (eta_series(n_q).invert() ** (3 * r // 2)
+               * theta_offset_series(n_q) ** (r // 2) * theta_l)
+        if chi.q_offset:
+            raise ValueError(f"q-offset {chi.q_offset} has not cancelled")
         return CharacterSeries(chi, r, mode)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -580,8 +581,7 @@ def character_jacobi_form(lattice, n_q=30):
     """The character as a numeric Jacobi form of weight 0 and index C/6,
     evaluated from the closed-form series."""
     cs = chi_character(lattice, n_q, "closed")
-    oseries = OffsetSeries(cs.chi, 0)
-    return JacobiForm(f"chi-rank-{lattice.rank}", 0, cs.index, oseries)
+    return JacobiForm(f"chi-rank-{lattice.rank}", 0, cs.index, cs.chi)
 
 
 def jacobi_character_check(lattice, points=None, tol=1e-5, n_q=30):

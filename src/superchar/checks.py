@@ -154,14 +154,15 @@ def flatness():
 
 @suite
 def gl11():
-    """GL(1|1) at one point (q, y): the group element against its closed
-    form, its Berezinian and that of the coordinate-change matrix P against
-    y^{-1}, conjugation invariance of the identity and of P, and the
-    action on a weight/charge pair (Delta, c) = (2, 1) of either parity
-    against its factorization q^{-Delta} upper diag lower.  Then the
-    second-order jet coordinates round trip at 100 random parameter sets
-    drawn with seed 7."""
-    q, y = 0.31 + 0.12j, 0.85 - 0.33j
+    """GL(1|1) at one point (q, y) = (e(tau), e(alpha)), which its rows
+    carry: the group element against its closed form, its Berezinian and
+    that of the coordinate-change matrix P against y^{-1}, conjugation
+    invariance of the identity and of P, and the action on a weight/charge
+    pair (Delta, c) = (2, 1) of either parity against its factorization
+    q^{-Delta} upper diag lower.  Then the second-order jet coordinates
+    round trip at 100 random parameter sets drawn with seed 7."""
+    point = EvalPoint(0.06 + 0.175j, -0.06 + 0.015j)
+    q, y, at = point.q, point.y, point.as_tuple()
     g = sc.gl11_group_element(q, y)
     expected = SuperMatrix([
         [GrassmannNumber(1.0), DELTA],
@@ -200,16 +201,16 @@ def gl11():
             worst = max(worst, (back[key] - val).max_abs())
     return [
         _row("group-element-assembly", "nilpotent-exponentials",
-             "direct-vs-factored", g.distance(expected), 0.0),
+             "direct-vs-factored", g.distance(expected), 0.0, at),
         _row("group-element-berezinian", "berezinian-formula", "Ber=1/y",
-             (gr.berezinian(g) - 1.0 / y).max_abs(), 1e-14),
+             (gr.berezinian(g) - 1.0 / y).max_abs(), 1e-14, at),
         _row("coordinate-matrix-berezinian", "berezinian-formula", "Ber=1/y",
              (gr.berezinian(sc.coordinate_matrix(q, y)) - 1.0 / y).max_abs(),
-             1e-14),
+             1e-14, at),
         _row("conjugation-invariance", "invariant-conjugation",
-             "identity,P", invariance, 1e-13),
+             "identity,P", invariance, 1e-13, at),
         _row("action-matrix-factorization", "weight-charge-action",
-             "Delta=2,c=1,even+odd", factorization, 1e-13),
+             "Delta=2,c=1,even+odd", factorization, 1e-13, at),
         _row("jet-coordinate-roundtrip", "second-order-jet-relations",
              "100-random-jets", worst, 1e-10),
     ]

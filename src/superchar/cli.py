@@ -18,7 +18,7 @@ from . import jacobi_forms as jf
 from .checks import SUITES
 from .grassmann import berezinian  # noqa: F401 (perfbench/spans.py wraps it)
 from .report import emit_report, format_sig, rows_from_json
-from .series_core import EvalPoint, QYSeries
+from .series_core import EvalPoint
 
 DEFAULTS = {"q_order": 20, "format": "pretty"}
 FORMATS = ("json", "csv", "pretty")
@@ -98,13 +98,8 @@ def _write(text, output):
         sys.exit(3)
 
 
-def _series_json(obj):
-    if isinstance(obj, QYSeries):
-        return {"q_offset": "0", "series": obj.to_json_obj()}
-    if isinstance(obj, jf.OffsetSeries):
-        return {"q_offset": str(obj.q_offset),
-                "series": obj.series.to_json_obj()}
-    raise TypeError
+def _series_json(s):
+    return {"q_offset": str(s.q_offset), "series": s.to_json_obj()}
 
 
 def _echo_terms(doc):
@@ -200,6 +195,9 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
         value, bound = run(point)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except ZeroDivisionError:
+        raise click.UsageError(f"{name} has a pole at alpha = {alpha} "
+                               f"(alpha in Z + Z tau, tau = {tau})")
     click.echo(json.dumps({
         "name": name,
         "tau": [tau_c.real, tau_c.imag],

@@ -5,9 +5,10 @@ Conventions: q = e^{2 pi i tau}, y = e^{2 pi i alpha};
 eta = q^{1/24} prod (1 - q^n);
 theta(tau, alpha) = (1/sqrt(-1)) sum_k (-1)^k q^{(k+1/2)^2/2} y^{k+1/2}.
 
-Fractional q-exponents are carried as an exact rational offset next to an
-integer-exponent mantissa series, and y^{1/2} as doubled integer exponents,
-so that products cancel offsets exactly or fail loudly.
+Every form is one exact ``QYSeries``.  A fractional q-exponent (1/24 for
+eta, 1/8 for theta) is the power c of q in its ``Prefactor``, and y^{1/2}
+is carried as doubled integer exponents, so products cancel the offsets
+exactly, and a sum of series with different offsets fails loudly.
 """
 
 from __future__ import annotations
@@ -21,75 +22,19 @@ import numpy as np
 from .elliptic import TWO_PI_I, divisor_sigma
 from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EXACT_I, EXACT_TWO_PI_I, EvalPoint,
-                          QYSeries, euler_product)
-
-
-class OffsetSeries:
-    """A QYSeries mantissa together with an exact rational q-offset:
-    the object q^(q_offset) * mantissa."""
-
-    __slots__ = ("series", "q_offset")
-
-    def __init__(self, series, q_offset=0):
-        self.series = series
-        self.q_offset = Fraction(q_offset)
-
-    @property
-    def q_order(self):
-        return self.series.q_order
-
-    def __mul__(self, other):
-        if isinstance(other, OffsetSeries):
-            return OffsetSeries(self.series * other.series,
-                                self.q_offset + other.q_offset)
-        return OffsetSeries(self.series * other, self.q_offset)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return OffsetSeries(self.series ** k, self.q_offset * k)
-
-    def invert(self):
-        return OffsetSeries(self.series.invert(), -self.q_offset)
-
-    def __truediv__(self, other):
-        if isinstance(other, OffsetSeries):
-            return self * other.invert()
-        return OffsetSeries(self.series / other, self.q_offset)
-
-    def require_integral(self):
-        """Assert that the fractional offset has cancelled exactly and
-        return the plain series."""
-        if self.q_offset.denominator != 1:
-            raise ValueError(
-                f"fractional q-offset {self.q_offset} has not cancelled")
-        n = int(self.q_offset)
-        if n == 0:
-            return self.series
-        return self.series * QYSeries.monomial(1, n, 0, self.series.q_order)
-
-    def alpha_derivative(self):
-        """d/d alpha = 2 pi i * (y d/dy) on the mantissa."""
-        return OffsetSeries(self.series.y_d_dy() * EXACT_TWO_PI_I,
-                            self.q_offset)
-
-    def evaluate(self, point):
-        value, bound = self.series.evaluate(point)
-        scale = cmath.exp(TWO_PI_I * point.tau * float(self.q_offset))
-        return value * scale, bound * abs(scale)
+                          Prefactor, QYSeries, euler_product)
 
 
 def eta_series(n_q=DEFAULT_Q_ORDER):
-    """Dedekind eta as an OffsetSeries: q^{1/24} prod (1 - q^n)."""
-    return OffsetSeries(euler_product(n_q), Fraction(1, 24))
+    """Dedekind eta, q^{1/24} prod (1 - q^n): the Euler product to q^n_q
+    with q-offset 1/24."""
+    return euler_product(n_q) * Prefactor(c=Fraction(1, 24))
 
 
 def discriminant_series(n_q=DEFAULT_Q_ORDER):
     """The normalized cusp form q prod (1 - q^n)^24 (integer coefficients
-    1, -24, 252, ...) as a plain QYSeries."""
-    return (eta_series(n_q) ** 24).require_integral()
+    1, -24, 252, ...), with q-offset 0."""
+    return euler_product(n_q) ** 24 * QYSeries.monomial(1, 1, 0, n_q)
 
 
 def theta_sum_terms(n_q):
@@ -109,19 +54,20 @@ def _theta_mantissa(n_q):
 
 
 def theta_offset_series(n_q=DEFAULT_Q_ORDER):
-    """The odd Jacobi theta function as an OffsetSeries (offset 1/8)."""
-    return OffsetSeries(_theta_mantissa(n_q), Fraction(1, 8))
+    """The odd Jacobi theta function: its mantissa with q-offset 1/8."""
+    return _theta_mantissa(n_q) * Prefactor(c=Fraction(1, 8))
 
 
 def theta_prime_zero(n_q=DEFAULT_Q_ORDER):
-    """d/d alpha theta at alpha = 0, an OffsetSeries in q alone:
+    """d/d alpha theta at alpha = 0, a series in q alone with q-offset 1/8:
     2 pi sum_k (-1)^k (2k+1) q^{k(k+1)/2 + 1/8} (equal to 2 pi eta^3)."""
-    d = theta_offset_series(n_q).alpha_derivative()
-    return OffsetSeries(d.series.y_substitute_one(), d.q_offset)
+    d = theta_offset_series(n_q).y_d_dy() * EXACT_TWO_PI_I
+    return d.y_substitute_one()
 
 
 class JacobiForm:
-    """A (weak/quasi) Jacobi form: weight, index and its exact series."""
+    """A (weak/quasi) Jacobi form: weight, index and its exact series
+    ``offset_series`` (a ``QYSeries``, q-offset included)."""
 
     __slots__ = ("name", "weight", "index", "offset_series")
 
@@ -138,7 +84,7 @@ class JacobiForm:
         """Numeric value of (d/d alpha)^order f at (tau, 0)."""
         d = self.offset_series
         for _ in range(order):
-            d = d.alpha_derivative()
+            d = d.y_d_dy() * EXACT_TWO_PI_I  # d/d alpha = 2 pi i y d/dy
         return d.evaluate(EvalPoint(tau, 0.0))[0]
 
 
@@ -236,21 +182,19 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER):
         # phi_m2_1 squares theta and theta' before dividing: theta^2 is
         # sparse, phi_m1_half^2 is not
         k = 1 if name == "phi_m1_half" else 2
-        ratio = (theta_offset_series(n_q) ** k
-                 / theta_prime_zero(n_q) ** k).require_integral()
+        ratio = theta_offset_series(n_q) ** k / theta_prime_zero(n_q) ** k
         if k == 1:
-            return JacobiForm(name, -1, Fraction(1, 2), OffsetSeries(ratio, 0))
-        return JacobiForm(name, -2, 1,
-                          OffsetSeries(ratio * EXACT_TWO_PI_I ** 2, 0))
+            return JacobiForm(name, -1, Fraction(1, 2), ratio)
+        return JacobiForm(name, -2, 1, ratio * EXACT_TWO_PI_I ** 2)
     if name == "phi_0_1":
-        base = phi_weak("phi_m2_1", n_q).offset_series.series
+        base = phi_weak("phi_m2_1", n_q).offset_series
         series = (6 * (base.y_d_dy().y_d_dy() - 4 * base.q_d_dq())
                   - 5 * _eisenstein(2, n_q) * base)
-        return JacobiForm(name, 0, 1, OffsetSeries(series, 0))
+        return JacobiForm(name, 0, 1, series)
     if name in ("phi_10_1", "phi_12_1"):
         base = phi_weak("phi_m2_1" if name == "phi_10_1" else "phi_0_1", n_q)
-        series = base.offset_series.series * discriminant_series(n_q)
-        return JacobiForm(name, base.weight + 12, 1, OffsetSeries(series, 0))
+        series = base.offset_series * discriminant_series(n_q)
+        return JacobiForm(name, base.weight + 12, 1, series)
     raise ValueError(f"unknown weak Jacobi form {name!r}")
 
 

@@ -2,17 +2,18 @@
 on the upper half plane, and guarded infinite products.
 
 A ``QYSeries`` is a dense block of coefficients: row i, column j holds the
-coefficient of q^(n0 + i) * y^((r0 + 2 j)/2).  y-exponents are doubled so
-that half-integral powers of y stay integers; within one series they step
-by whole powers of y.  Series are truncated at q-order ``q_order`` (terms
-with q-exponent > q_order are dropped) and carry a ``half_integral`` flag
-saying whether odd doubled y-exponents are permitted.
+coefficient of q^(c + n0 + i) * y^((r0 + 2 j)/2).  y-exponents are doubled
+so that half-integral powers of y stay integers; within one series they
+step by whole powers of y.  Series are truncated at q-order ``q_order``
+(terms with n0 + i > q_order are dropped) and carry a ``half_integral``
+flag saying whether odd doubled y-exponents are permitted.
 
 Every series holds Python integers times one symbolic ``Prefactor``
-r * i^a * (2 pi)^b, so sums, products, powers and inverses stay exact at
-every order and the powers of 2 pi i cancel exactly.  Coefficients are
-ints or Fractions; a sum of series whose prefactors differ in their powers
-of i or 2 pi is an error, not a rounding.  Products of dense blocks use
+r * i^a * (2 pi)^b * q^c, so sums, products, powers and inverses stay exact
+at every order, the powers of 2 pi i cancel exactly, and so do the
+rational q-offsets c of eta (1/24) and theta (1/8).  Coefficients are ints
+or Fractions; a sum of series whose prefactors differ in their powers of
+i, 2 pi or q is an error, not a rounding.  Products of dense blocks use
 Kronecker substitution: each block is packed into one Python integer and
 the two are multiplied once (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009); a
@@ -81,22 +82,23 @@ _TWO_PI = (32 * _arctan_inverse(5, 1 << _TWO_PI_BITS + 32)
 
 
 class Prefactor:
-    """The exact scalar (num / den) * i^a * (2 pi)^b with num / den a
+    """The exact factor (num / den) * i^a * (2 pi)^b * q^c with num / den a
     reduced fraction (den > 0), a in {0, 1} (a factor i^2 = -1 is folded
-    into num) and b an integer."""
+    into num), b an integer and c an int or a Fraction: the q-offset."""
 
-    __slots__ = ("num", "den", "a", "b")
+    __slots__ = ("num", "den", "a", "b", "c")
 
-    def __init__(self, r=1, a=0, b=0):
-        if not isinstance(r, (int, Fraction)):
-            raise TypeError("a prefactor is an int or a Fraction, got "
-                            f"{type(r).__name__} {r!r}")
+    def __init__(self, r=1, a=0, b=0, c=0):
+        for x in (r, c):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("a prefactor is an int or a Fraction, got "
+                                f"{type(x).__name__} {x!r}")
         num, self.den = r.as_integer_ratio()
         self.num = -num if a % 4 >= 2 else num
-        self.a, self.b = a % 2, b
+        self.a, self.b, self.c = a % 2, b, c
 
     def is_one(self):
-        return self.num == self.den == 1 and not (self.a or self.b)
+        return self.num == self.den == 1 and not (self.a or self.b or self.c)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -111,11 +113,12 @@ class Prefactor:
         a = self.a + other.a
         out.num = (num if a < 2 else -num) // g
         out.den, out.a, out.b = den // g, a % 2, self.b + other.b
+        out.c = self.c + other.c
         return out
 
     def __pow__(self, k):
         r = Fraction(self.num, self.den) ** k
-        return Prefactor(r, self.a * k, self.b * k)
+        return Prefactor(r, self.a * k, self.b * k, self.c * k)
 
     def ratio(self):
         """Integers (num, den) with num / den = (num / den) (2 pi)^b: exact
@@ -213,14 +216,16 @@ def _shifted_sum(dense, sparse, n_rows):
 
 
 class QYSeries:
-    """Truncated Laurent series sum_{n, r2} c_{n,r2} q^n y^(r2/2).
+    """Truncated Laurent series q^c sum_{n, r2} c_{n,r2} q^n y^(r2/2).
 
     ``rows`` is the dense block from q^n0 y^(r0/2) on, trimmed of zero edge
     rows and columns and never modified after construction.  It holds
     Python ints (an object array) of content 1, and the series is the
-    ``Prefactor`` ``scale`` times them.  ``coeff``, ``coeffs`` and ``terms``
-    give each coefficient as the complex double nearest its value;
-    ``exact_coeff`` gives it exactly when it is rational.
+    ``Prefactor`` ``scale`` times them; its power of q is the rational
+    ``q_offset`` c.  The exponents n, the truncation ``q_order`` and every
+    method that takes or returns an exponent count from q^c.  ``coeff``,
+    ``coeffs`` and ``terms`` give each coefficient as the complex double
+    nearest its value; ``exact_coeff`` gives it exactly when it is rational.
     """
 
     __slots__ = ("q_order", "half_integral", "n0", "r0", "rows", "scale",
@@ -299,6 +304,11 @@ class QYSeries:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def q_offset(self):
+        """The rational power c of q that multiplies every term."""
+        return Fraction(self.scale.c)
+
     def _values(self):
         """The block as complex doubles, each correctly rounded."""
         if self._floats is None:
@@ -364,7 +374,7 @@ class QYSeries:
     def _combine(self, other, sign, q_order):
         """self + sign * other, truncated at ``q_order``, over the largest
         common rational part r of the two prefactors, which must agree in
-        their powers of i and 2 pi."""
+        their powers of i, 2 pi and q."""
         half = self.half_integral or other.half_integral
         if not (self.rows.size and other.rows.size):
             live = other * sign if self.rows.size == 0 else self
@@ -373,13 +383,13 @@ class QYSeries:
         if (self.r0 - other.r0) % 2:
             raise ValueError("cannot add series of opposite y-parity")
         p, s = self.scale, other.scale
-        if (p.a, p.b) != (s.a, s.b):
+        if (p.a, p.b, p.c) != (s.a, s.b, s.c):
             raise ValueError("cannot add series whose prefactors differ in "
-                             "their powers of i or 2 pi")
+                             "their powers of i, 2 pi or q")
         num = math.gcd(p.num, s.num)
         den = math.lcm(p.den, s.den)
         scale = p if (p.num, p.den) == (num, den) else Prefactor(
-            Fraction(num, den), p.a, p.b)
+            Fraction(num, den), p.a, p.b, p.c)
         blocks = [block if m == 1 else block * m for block, m in (
             (self.rows, p.num // num * (den // p.den)),
             (other.rows, sign * s.num // num * (den // s.den)))]
@@ -522,9 +532,11 @@ class QYSeries:
                               self.half_integral)
 
     def q_d_dq(self):
-        """q d/dq: multiplies each term by its q-exponent."""
+        """q d/dq: multiplies each term by its q-exponent c + n."""
+        c = self.q_offset
         n = np.arange(self.n0, self.n0 + self.rows.shape[0])
-        return self._reweighted(n[:, None], 1)
+        return self._reweighted(c.denominator * n[:, None] + c.numerator,
+                                Fraction(1, c.denominator))
 
     def y_d_dy(self):
         """y d/dy: multiplies each term by its y-exponent r2/2."""
@@ -542,7 +554,8 @@ class QYSeries:
         """Numerically evaluate at ``point``.
 
         Returns ``(value, bound)`` where ``bound`` is the magnitude of the
-        last retained q-shell, a heuristic truncation error estimate.
+        last retained q-shell, a heuristic truncation error estimate; the
+        value includes the factor q^c of the offset, the bound |q^c|.
         Raises if |q| >= 1.
         """
         q = point.q
@@ -559,7 +572,11 @@ class QYSeries:
             term = c * q ** n * sqrt_y ** r2
             value += term
             shells[n] = shells.get(n, 0.0) + abs(term)
-        return value, shells[max(shells)] if shells else 0.0
+        bound = shells[max(shells)] if shells else 0.0
+        if self.scale.c:
+            offset = cmath.exp(2j * math.pi * point.tau * float(self.scale.c))
+            value, bound = value * offset, bound * abs(offset)
+        return value, bound
 
     # -- comparison and serialization --------------------------------------
 
@@ -569,7 +586,8 @@ class QYSeries:
             return NotImplemented
         p, s = self.scale, other.scale
         if self.rows.size and other.rows.size and (
-                (self.r0 - other.r0) % 2 or (p.a, p.b) != (s.a, s.b)):
+                (self.r0 - other.r0) % 2
+                or (p.a, p.b, p.c) != (s.a, s.b, s.c)):
             return False
         return not self._combine(
             other, -1, max(self.q_order, other.q_order)).rows.size

@@ -15,7 +15,7 @@ from superchar.characters import (
     trace_identity_check, triple_product_check,
 )
 from superchar.jacobi_forms import eisenstein_e4
-from superchar.series_core import QYSeries
+from superchar.series_core import Prefactor, QYSeries
 
 # sigma_3(1..8): E8 shell counts are 240 sigma_3(n)
 SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
@@ -241,10 +241,23 @@ class TestVectorCounts:
 
 class TestCharacter:
     def test_product_vs_closed(self):
-        lat = e8_lattice()
-        prod = chi_character(lat, 10, "product")
-        closed = chi_character(lat, 10, "closed")
-        assert prod.chi == closed.chi
+        # eta^{-C} has the integral q-offset -r/16 for r = 16 and 24: a
+        # closed form that folded it into the mantissa would lose a row
+        for lattice, n_q in [(e8_lattice(), 10), (e8_power(2), 25),
+                             (d_plus(16), 25), (e8_power(3), 25)]:
+            prod = chi_character(lattice, n_q, "product")
+            closed = chi_character(lattice, n_q, "closed")
+            assert closed.chi.q_offset == 0
+            assert prod.chi == closed.chi, lattice.rank
+
+    def test_closed_offset_must_cancel(self, monkeypatch):
+        # theta with the q-offset 1/4 in place of 1/8 leaves r/16 uncancelled
+        theta = characters.theta_offset_series
+        eighth = Prefactor(c=Fraction(1, 8))
+        monkeypatch.setattr(characters, "theta_offset_series",
+                            lambda n_q: theta(n_q) * eighth)
+        with pytest.raises(ValueError, match="has not cancelled"):
+            chi_character(e8_lattice(), 4, "closed")
 
     def test_metadata(self):
         cs = chi_character(e8_lattice(), 4, "product")

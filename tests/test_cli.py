@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -31,7 +33,7 @@ class TestSeries:
         ref = eta_series(6)
         terms = {(n, r2): complex(re, im)
                  for n, r2, re, im in obj["series"]["terms"]}
-        assert terms == ref.series.coeffs
+        assert terms == ref.coeffs
 
     def test_unknown_series(self, runner):
         result = runner.invoke(main, ["series", "nope"])
@@ -167,6 +169,16 @@ class TestEval:
         result = runner.invoke(main, ["eval", "nope", "--tau", "1i"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name", ["zeta_bar", "p_bar", "zeta_tilde",
+                                      "wp1", "wp2", "wp3", "wp4"])
+    def test_pole_is_usage_error(self, runner, name):
+        # alpha = 0 lies in Z + Z tau, a pole of each of these
+        result = runner.invoke(
+            main, ["eval", name, "--tau", "0.1+1.2i", "--alpha", "0"])
+        assert result.exit_code == 2
+        assert f"{name} has a pole at alpha = 0" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_triple_product_passes(self, runner):
@@ -204,6 +216,27 @@ class TestVerify:
         for identity in ("action-matrix-factorization",
                          "coordinate-matrix-berezinian"):
             assert rows[identity]["pass"], rows[identity]
+
+    def test_gl11_rows_carry_their_point(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["verify", "--suite", "gl11", "--format", "json"])
+        assert result.exit_code == 0
+        # every row but the random-jet round trip is computed at one point
+        points = {obj["identity"]: obj["point"]
+                  for obj in json.loads(result.output)
+                  if obj["identity"] != "jet-coordinate-roundtrip"}
+        assert len(points) == 5
+        assert {tuple(p) for p in points.values()} == {(0.06, 0.175, -0.06,
+                                                        0.015)}
+        src = tmp_path / "rows.json"
+        src.write_text(result.output)
+        table = runner.invoke(
+            main, ["report", "--input", str(src), "--format", "csv"])
+        assert table.exit_code == 0
+        csv_points = {r["identity"]: r["point"]
+                      for r in csv.DictReader(io.StringIO(table.output))}
+        for identity in points:
+            assert csv_points[identity] == "0.06;0.175;-0.06;0.015"
 
     def test_csv_format_header(self, runner):
         result = runner.invoke(

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from superchar.jacobi_forms import (
-    JacobiForm, OffsetSeries, discriminant_series, eisenstein_e4,
-    eisenstein_e6, eta_series, expected_f1, jacobi_eisenstein_numeric,
+    discriminant_series, eisenstein_e4, eisenstein_e6, eta_series,
+    expected_f1, jacobi_eisenstein_numeric,
     lemma_ratio, lemma_shift_residual, phi_10_1_eisenstein_numeric, phi_weak,
     quasi_jacobi_coeffs, theta_form, theta_offset_series, theta_prime_zero,
     transformation_check,
 )
-from superchar.series_core import EvalPoint, QYSeries
+from superchar.series_core import EvalPoint
 
 # Ramanujan tau(1..10)
 TAU_COEFFS = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643,
@@ -22,30 +22,6 @@ SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
 SIGMA5 = [1, 33, 244, 1057, 3126, 8052]
 
 POINT = EvalPoint(0.13 + 1.21j, 0.07 + 0.03j)
-
-
-class TestOffsetSeries:
-    def test_offsets_add_under_product(self):
-        a = OffsetSeries(QYSeries.one(10), Fraction(1, 24))
-        b = OffsetSeries(QYSeries.one(10), Fraction(5, 24))
-        assert (a * b).q_offset == Fraction(1, 4)
-        assert (a ** 24).q_offset == 1
-
-    def test_require_integral(self):
-        a = OffsetSeries(QYSeries.one(10), Fraction(1, 8))
-        with pytest.raises(ValueError):
-            a.require_integral()
-        s = (a ** 8).require_integral()
-        assert s.coeff(1, 0) == pytest.approx(1.0)
-
-    def test_invert_negates_offset(self):
-        a = eta_series(10)
-        assert a.invert().q_offset == Fraction(-1, 24)
-
-    def test_evaluate_applies_offset(self):
-        a = OffsetSeries(QYSeries.one(10), Fraction(1, 2))
-        v, _ = a.evaluate(POINT)
-        assert v == pytest.approx(cmath.exp(1j * cmath.pi * POINT.tau))
 
 
 class TestEtaAndDiscriminant:
@@ -75,7 +51,7 @@ class TestTheta:
     def test_mantissa_support(self):
         th = theta_offset_series(15)
         assert th.q_offset == Fraction(1, 8)
-        for (n, r2), c in th.series.coeffs.items():
+        for (n, r2), c in th.coeffs.items():
             assert r2 % 2 == 1
             k = (r2 - 1) // 2
             assert n == k * (k + 1) // 2
@@ -154,8 +130,8 @@ class TestWeakForms:
         # phi_{12,1} = (E_4^2 E_{4,1} - E_6 E_{6,1}) / 144, the numeric
         # Jacobi-Eisenstein sums as the independent oracle
         f = phi_weak("phi_12_1", 40)
-        v4 = OffsetSeries(eisenstein_e4(40))
-        v6 = OffsetSeries(eisenstein_e6(40))
+        v4 = eisenstein_e4(40)
+        v6 = eisenstein_e6(40)
         for pt in (POINT, EvalPoint(-0.3 + 1.35j, 0.21 - 0.06j)):
             e4, e6 = v4.evaluate(pt)[0], v6.evaluate(pt)[0]
             b = (e4 * e4 * jacobi_eisenstein_numeric(4, 1, pt, cutoff=80)
@@ -178,13 +154,13 @@ class TestJacobiEisensteinNumeric:
     def test_e41_at_alpha_zero_is_e4(self):
         pt = EvalPoint(0.1 + 1.3j, 0.0)
         num = jacobi_eisenstein_numeric(4, 1, pt, cutoff=60)
-        ser, _ = OffsetSeries(eisenstein_e4(30)).evaluate(pt)
+        ser, _ = eisenstein_e4(30).evaluate(pt)
         assert abs(num - ser) < 1e-5 * abs(ser)
 
     def test_e61_at_alpha_zero_is_e6(self):
         pt = EvalPoint(0.1 + 1.3j, 0.0)
         num = jacobi_eisenstein_numeric(6, 1, pt, cutoff=60)
-        ser, _ = OffsetSeries(eisenstein_e6(30)).evaluate(pt)
+        ser, _ = eisenstein_e6(30).evaluate(pt)
         assert abs(num - ser) < 1e-5 * abs(ser)
 
     @pytest.mark.parametrize("k, point", [

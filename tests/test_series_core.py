@@ -140,6 +140,71 @@ class TestQYSeriesArithmetic:
         assert QYSeries.zero(12) + s * EXACT_I == s * EXACT_I
 
 
+class TestQOffset:
+    """The power q^c of the prefactor: exact offsets carried through the
+    ring operations."""
+
+    def test_offsets_add_under_product(self):
+        a = QYSeries.one(10) * Prefactor(c=Fraction(1, 24))
+        b = QYSeries.one(10) * Prefactor(c=Fraction(5, 24))
+        assert (a * b).q_offset == Fraction(1, 4)
+        assert QYSeries.one(10).q_offset == 0
+
+    def test_power_scales_the_offset(self):
+        a = euler_product(10) * Prefactor(c=Fraction(1, 8))
+        assert (a ** 3).q_offset == Fraction(3, 8)
+        assert (a ** 8).q_offset == 1
+        assert (a ** -2).q_offset == Fraction(-1, 4)
+        # an integral offset stays in the prefactor: the mantissa keeps
+        # every row to q_order, as it does without the offset
+        assert (a ** 8).rows.shape == (euler_product(10) ** 8).rows.shape
+
+    def test_invert_negates_offset(self):
+        a = euler_product(10) * Prefactor(c=Fraction(1, 24))
+        assert a.invert().q_offset == Fraction(-1, 24)
+        assert a * a.invert() == QYSeries.one(10)
+
+    def test_sum_of_different_offsets_rejected(self):
+        s = small_series({(0, 0): 1, (1, 1): 2})
+        shifted = s * Prefactor(c=Fraction(1, 2))
+        for other in (shifted, s * Prefactor(c=1)):
+            with pytest.raises(ValueError):
+                s + other
+            with pytest.raises(ValueError):
+                other - s
+        assert (shifted + shifted).q_offset == Fraction(1, 2)
+        assert shifted - shifted == QYSeries.zero(12)
+
+    def test_equality_sees_the_offset(self):
+        s = small_series({(0, 0): 1, (1, 1): 2})
+        assert s != s * Prefactor(c=Fraction(1, 3))
+        third = s * Prefactor(c=Fraction(1, 3))
+        assert third != s * Prefactor(c=Fraction(2, 3))
+        assert third == s * Prefactor(c=Fraction(2, 6))
+
+    def test_evaluate_applies_offset(self):
+        pt = EvalPoint(0.13 + 1.21j, 0.07 + 0.03j)
+        s = small_series({(0, 0): 1, (1, 1): 2})
+        value, bound = s.evaluate(pt)
+        v, b = (s * Prefactor(c=Fraction(1, 2))).evaluate(pt)
+        half = cmath.exp(1j * cmath.pi * pt.tau)
+        assert v == pytest.approx(value * half)
+        assert b == pytest.approx(bound * abs(half))
+
+    def test_derivations_and_y_one_keep_the_offset(self):
+        s = small_series({(0, 0): 1, (1, 1): 2, (2, -1): 3})
+        c = Fraction(3, 8)
+        shifted = s * Prefactor(c=c)
+        # q d/dq (q^c f) = q^c (c f + q df/dq)
+        assert shifted.q_d_dq() == (s * c + s.q_d_dq()) * Prefactor(c=c)
+        assert shifted.y_d_dy() == s.y_d_dy() * Prefactor(c=c)
+        assert shifted.y_substitute_one().q_offset == c
+
+    def test_float_offset_rejected(self):
+        with pytest.raises(TypeError):
+            Prefactor(c=0.5)
+
+
 class TestInvert:
     def test_geometric_series(self):
         s = small_series({(0, 0): 1, (1, 0): -1})
