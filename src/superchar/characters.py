@@ -1,9 +1,10 @@
 """Supertrace characters of SUSY lattice vertex algebras: lattice theta
 functions (modular forms in E4 and Delta for even unimodular summands,
 Fincke-Pohst vector enumeration for the others), the product and
-closed-form character series, a brute-force Fock-space oracle, the triple
-product identity, cusp predicates with expansion certificates, and numeric
-Jacobi transformation checks for the normalized character.
+closed-form character series, a brute-force Fock-space oracle with its
+L_0 / J_0 trace insertions, both sides of the Jacobi triple product, and
+cusp predicates with expansion certificates.  The rows that compare these
+are built in ``superchar.checks``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jacobi_forms import _theta_mantissa  # noqa: F401 (perfbench wraps it)
-from .jacobi_forms import (JacobiForm, discriminant_series, eisenstein_e4,
-                           eta_series, theta_offset_series, theta_sum_terms,
-                           transformation_check)
-from .report import VerificationRow
-from .series_core import (DEFAULT_Q_ORDER, EvalPoint, QYSeries, euler_product,
+# perfbench wraps these two names here as well as in jacobi_forms
+from .jacobi_forms import _theta_mantissa, transformation_check  # noqa: F401
+from .jacobi_forms import (discriminant_series, eisenstein_e4, eta_series,
+                           theta_offset_series, theta_sum_terms)
+from .series_core import (DEFAULT_Q_ORDER, QYSeries, euler_product,
                           infinite_product)
 
 
@@ -234,13 +234,12 @@ class CharacterSeries:
     """A supertrace character including the y^{C/6} prefactor; chi is the
     full series, central_charge = 3 rank / 2, index = C/6 = rank/4."""
 
-    __slots__ = ("chi", "central_charge", "index", "mode")
+    __slots__ = ("chi", "central_charge", "index")
 
-    def __init__(self, chi, rank, mode):
+    def __init__(self, chi, rank):
         self.chi = chi
         self.central_charge = Fraction(3 * rank, 2)
         self.index = Fraction(rank, 4)
-        self.mode = mode
 
 
 def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
@@ -263,12 +262,11 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
         def factor(n):
             return QYSeries({(0, 0): 1, (n, 2): -1, (n - 1, -2): -1,
                              (2 * n - 1, 0): 1}, n_q)
-        osc = infinite_product(factor, n_q, min_degree=lambda n: n - 1)
-        osc = osc ** (r // 2)
+        osc = infinite_product(factor, n_q) ** (r // 2)
         den = euler_product(n_q) ** r
         prefactor = QYSeries.monomial(1, 0, r // 2, n_q)  # y^{r/4}
         chi = prefactor * osc * den.invert() * theta_l
-        return CharacterSeries(chi, r, mode)
+        return CharacterSeries(chi, r)
     if mode == "closed":
         if r % 8 != 0:
             raise ValueError("closed form requires rank divisible by 8")
@@ -276,7 +274,7 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
                * theta_offset_series(n_q) ** (r // 2) * theta_l)
         if chi.q_offset:
             raise ValueError(f"q-offset {chi.q_offset} has not cancelled")
-        return CharacterSeries(chi, r, mode)
+        return CharacterSeries(chi, r)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -346,48 +344,15 @@ def fock_oracle(lattice, n_q, counts=None):
                      for (w, charge), v in total.items()}, n_q)
 
 
-def fock_weighted_trace(lattice, n_q, insertion, fock=None):
-    """As ``fock_oracle`` but with an L_0 or J_0 insertion: every state is
-    weighted by its total weight ("L0") or its total charge including the
-    C/6 shift ("J0").  ``fock`` is ``fock_oracle(lattice, n_q)`` if the
-    caller has already built it."""
+def fock_weighted_trace(fock, insertion):
+    """The state sum ``fock`` of ``fock_oracle`` with an L_0 or J_0
+    insertion: every state is weighted by its total weight ("L0") or its
+    total charge including the C/6 shift ("J0")."""
     if insertion not in ("L0", "J0"):
         raise ValueError("insertion must be 'L0' or 'J0'")
-    if fock is None:
-        fock = fock_oracle(lattice, n_q)
     # the states are summed into coefficients by (weight, charge), so the
     # weighting acts on each coefficient as q d/dq or y d/dy
     return fock.q_d_dq() if insertion == "L0" else fock.y_d_dy()
-
-
-def trace_identity_check(lattice, n_q, tol=0.0, fock=None):
-    """Verify the bookkeeping identities
-
-        str L_0 q^{L_0} y^{J_0} = q d/dq str q^{L_0} y^{J_0}
-        str J_0 q^{L_0} y^{J_0} = y d/dy str q^{L_0} y^{J_0}
-
-    with the insertion side from the brute-force Fock sum (``fock``, built
-    here if not given) and the differentiated side from the product-form
-    character.  Returns rows whose residual is the largest coefficient of
-    the exact difference of the two sides."""
-    chi = chi_character(lattice, n_q, "product").chi
-    if fock is None:
-        fock = fock_oracle(lattice, n_q)
-    rows = []
-    for insertion, diff in (("L0", chi.q_d_dq()), ("J0", chi.y_d_dy())):
-        ins = fock_weighted_trace(lattice, n_q, insertion, fock)
-        resid = (ins - diff).max_abs_coeff()
-        rows.append(VerificationRow(
-            suite="",
-            identity=f"trace-insertion-{insertion}",
-            paper_ref="supertrace-derivative-bookkeeping",
-            element=f"rank-{lattice.rank}-lattice",
-            point=None,
-            residual=resid,
-            tolerance=tol,
-            passed=resid <= tol,
-        ))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +367,10 @@ def jacobi_triple_product(n_q=DEFAULT_Q_ORDER):
         return (QYSeries({(0, 0): 1, (n, 0): -1}, n_q)
                 * QYSeries({(0, 0): 1, (n, 2): -1}, n_q)
                 * QYSeries({(0, 0): 1, (n - 1, -2): -1}, n_q))
-    lhs = infinite_product(factor, n_q, min_degree=lambda n: n - 1)
+    lhs = infinite_product(factor, n_q)
     rhs = QYSeries({(n, 2 * k): sign for n, k, sign in theta_sum_terms(n_q)},
                    n_q)
     return lhs, rhs
-
-
-def triple_product_check(n_q=30):
-    """Exact coefficient comparison of the triple product identity."""
-    lhs, rhs = jacobi_triple_product(n_q)
-    resid = (lhs - rhs).max_abs_coeff()
-    return VerificationRow(
-        suite="",
-        identity="triple-product",
-        paper_ref="theta-product-expansion",
-        element=f"q-order-{n_q}",
-        point=None,
-        residual=resid,
-        tolerance=0.0,
-        passed=resid == 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -571,29 +520,3 @@ def cusp_grid_check(delta_range=range(0, 6), k_range=range(0, 8),
                                 mismatches.append(
                                     (delta, k, l, cap_k, c, pred, cert))
     return mismatches
-
-
-# ---------------------------------------------------------------------------
-# Jacobi transformation checks for the normalized character
-# ---------------------------------------------------------------------------
-
-def character_jacobi_form(lattice, n_q=30):
-    """The character as a numeric Jacobi form of weight 0 and index C/6,
-    evaluated from the closed-form series."""
-    cs = chi_character(lattice, n_q, "closed")
-    return JacobiForm(f"chi-rank-{lattice.rank}", 0, cs.index, cs.chi)
-
-
-def jacobi_character_check(lattice, points=None, tol=1e-5, n_q=30):
-    """Numeric verification that the normalized character transforms as a
-    Jacobi form of weight 0 and index C/6 under the generators of the
-    Jacobi group (lattice shifts and S, T)."""
-    if points is None:
-        points = [EvalPoint(0.25 + 1.1j, 0.31 + 0.12j),
-                  EvalPoint(-0.4 + 1.3j, 0.11 - 0.07j),
-                  EvalPoint(0.1 + 0.9j, 0.42 + 0.05j)]
-    form = character_jacobi_form(lattice, n_q)
-    elements = [("shift", 1, 0), ("shift", 0, 1), ("shift", 1, 1),
-                ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)]
-    return transformation_check(form, elements, points, tol,
-                                paper_ref="character-jacobi-transformation")

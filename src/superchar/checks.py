@@ -2,9 +2,10 @@
 ``superchar verify`` and the acceptance tests.
 
 Each suite function returns VerificationRows labelled with the suite's
-name.  Where the acceptance tests check at other accuracy than ``verify``
-(q-order, mode windows, points), the function takes those parameters; the
-defaults are what ``verify`` runs.
+name; this is the one module that builds rows, from the series and
+residuals the other modules compute.  Where the acceptance tests check at
+other accuracy than ``verify`` (q-order, mode windows, points), the
+function takes those parameters; the defaults are what ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import grassmann as gr
 from . import jacobi_forms as jf
 from . import superconformal as sc
 from .grassmann import DELTA, EPS, GrassmannNumber, SuperMatrix, odd
-from .report import VerificationRow
+from .report import VerificationRow as Row
 from .series_core import EXACT_TWO_PI_I, EvalPoint
 
 SUITES = {}
@@ -44,24 +45,27 @@ def suite(fn):
     return run
 
 
-def _row(identity, ref, element, resid, tol, point=None):
-    return VerificationRow(suite="", identity=identity, paper_ref=ref,
-                           element=element, point=point,
-                           residual=float(resid), tolerance=float(tol),
-                           passed=float(resid) <= float(tol))
-
-
 def _max_abs(*vectors):
     """Largest absolute coefficient of some AlgebraVectors (0 if none)."""
     return max((abs(c) for v in vectors for c in v.terms.values()),
                default=0)
 
 
+def _transformation_rows(form, elements, points, tol, paper_ref):
+    """A row per group element and point of ``jf.transformation_check``."""
+    return [Row(f"{form.name}-transformation", paper_ref, label, resid, tol,
+                point.as_tuple())
+            for label, point, resid in jf.transformation_check(
+                form, elements, points)]
+
+
 @suite
 def triple_product():
     """Both sides of the Jacobi triple product, coefficient by coefficient,
     to q^30."""
-    return [ch.triple_product_check()]
+    lhs, rhs = ch.jacobi_triple_product(30)
+    return [Row("triple-product", "theta-product-expansion", "q-order-30",
+                (lhs - rhs).max_abs_coeff(), 0.0)]
 
 
 @suite
@@ -86,18 +90,18 @@ def elliptic(q_order=10):
         tau, cmath.log(2j * cmath.pi * t) / (2j * cmath.pi)))
     exact = el.zeta_tilde_eval(t, tau)
     return [
-        _row("x-dx-zeta-bar", "log-derivative-relation", "series",
-             (zb.y_d_dy() + pb).max_abs_coeff(), 0.0),
-        _row("zeta-bar-quasi-periodicity", "translation-by-q", "series",
-             (zb_shift - (zb - 1)).max_abs_coeff(), 0.0),
-        _row("p-bar-periodicity", "translation-by-q", "series",
-             (pb_shift - pb).max_abs_coeff(), 0.0),
-        _row("zeta-tilde-odd-laurent", "odd-zeta-expansion",
-             "1/t-leading,even-powers-zero",
-             max(even_worst, abs(rational.exact_coeff(0, -2) - 1)), 0.0),
-        _row("zeta-tilde-taylor-vs-numeric", "odd-zeta-expansion",
-             "t=0.21+0.05j", abs(approx - exact) / abs(exact), 1e-6,
-             point=(tau.real, tau.imag, t.real, t.imag)),
+        Row("x-dx-zeta-bar", "log-derivative-relation", "series",
+            (zb.y_d_dy() + pb).max_abs_coeff(), 0.0),
+        Row("zeta-bar-quasi-periodicity", "translation-by-q", "series",
+            (zb_shift - (zb - 1)).max_abs_coeff(), 0.0),
+        Row("p-bar-periodicity", "translation-by-q", "series",
+            (pb_shift - pb).max_abs_coeff(), 0.0),
+        Row("zeta-tilde-odd-laurent", "odd-zeta-expansion",
+            "1/t-leading,even-powers-zero",
+            max(even_worst, abs(rational.exact_coeff(0, -2) - 1)), 0.0),
+        Row("zeta-tilde-taylor-vs-numeric", "odd-zeta-expansion",
+            "t=0.21+0.05j", abs(approx - exact) / abs(exact), 1e-6,
+            point=(tau.real, tau.imag, t.real, t.imag)),
     ]
 
 
@@ -113,9 +117,9 @@ def super_zeta(tau=0.13 + 1.05j, alpha=0.21 + 0.08j,
     (x, theta) in ``points``."""
     q = cmath.exp(2j * cmath.pi * tau)
     y = cmath.exp(2j * cmath.pi * alpha)
-    return [_row("extended-zeta-quasi-periodicity",
-                 "odd-translation-invariance", f"x={x:.4f}",
-                 el.super_zeta_lemma_residual(x, theta, q, y), 1e-8)
+    return [Row("extended-zeta-quasi-periodicity",
+                "odd-translation-invariance", f"x={x:.4f}",
+                el.super_zeta_lemma_residual(x, theta, q, y), 1e-8)
             for x, theta in points]
 
 
@@ -129,10 +133,10 @@ def algebra(windows=((-2, 0, 1), (-1, 2), (0, 1))):
     worst = max(_max_abs(sc.jacobi_residual(x, y, z))
                 for x, y, z in itertools.product(xs, ys, zs))
     worst_h = max(sc.homomorphism_residual(x, y) for x in xs for y in ys)
-    return [_row("graded-jacobi-identity", "mode-bracket-table",
-                 "generator-scan", worst, 0.0),
-            _row("vector-field-homomorphism", "derivation-realization",
-                 "generator-scan", worst_h, 0.0)]
+    return [Row("graded-jacobi-identity", "mode-bracket-table",
+                "generator-scan", worst, 0.0),
+            Row("vector-field-homomorphism", "derivation-realization",
+                "generator-scan", worst_h, 0.0)]
 
 
 @suite
@@ -145,11 +149,11 @@ def flatness():
         worst = max(worst, _max_abs(direct - residue))
     direct, residue = sc.nabla_commutator({-1: 1}, {2: 1})
     expected = sc.J(0, -2) + sc.C(Fraction(-1, 3))
-    return [_row("connection-current-commutator", "delta-function-residue",
-                 "monomial-grid", worst, 0.0),
-            _row("connection-current-example", "delta-function-residue",
-                 "x^-1,x^2=J(0,-2)+C(-1/3)",
-                 _max_abs(direct - expected, residue - expected), 0.0)]
+    return [Row("connection-current-commutator", "delta-function-residue",
+                "monomial-grid", worst, 0.0),
+            Row("connection-current-example", "delta-function-residue",
+                "x^-1,x^2=J(0,-2)+C(-1/3)",
+                _max_abs(direct - expected, residue - expected), 0.0)]
 
 
 @suite
@@ -200,19 +204,19 @@ def gl11():
         for key, val in params.items():
             worst = max(worst, (back[key] - val).max_abs())
     return [
-        _row("group-element-assembly", "nilpotent-exponentials",
-             "direct-vs-factored", g.distance(expected), 0.0, at),
-        _row("group-element-berezinian", "berezinian-formula", "Ber=1/y",
-             (gr.berezinian(g) - 1.0 / y).max_abs(), 1e-14, at),
-        _row("coordinate-matrix-berezinian", "berezinian-formula", "Ber=1/y",
-             (gr.berezinian(sc.coordinate_matrix(q, y)) - 1.0 / y).max_abs(),
-             1e-14, at),
-        _row("conjugation-invariance", "invariant-conjugation",
-             "identity,P", invariance, 1e-13, at),
-        _row("action-matrix-factorization", "weight-charge-action",
-             "Delta=2,c=1,even+odd", factorization, 1e-13, at),
-        _row("jet-coordinate-roundtrip", "second-order-jet-relations",
-             "100-random-jets", worst, 1e-10),
+        Row("group-element-assembly", "nilpotent-exponentials",
+            "direct-vs-factored", g.distance(expected), 0.0, at),
+        Row("group-element-berezinian", "berezinian-formula", "Ber=1/y",
+            (gr.berezinian(g) - 1.0 / y).max_abs(), 1e-14, at),
+        Row("coordinate-matrix-berezinian", "berezinian-formula", "Ber=1/y",
+            (gr.berezinian(sc.coordinate_matrix(q, y)) - 1.0 / y).max_abs(),
+            1e-14, at),
+        Row("conjugation-invariance", "invariant-conjugation",
+            "identity,P", invariance, 1e-13, at),
+        Row("action-matrix-factorization", "weight-charge-action",
+            "Delta=2,c=1,even+odd", factorization, 1e-13, at),
+        Row("jet-coordinate-roundtrip", "second-order-jet-relations",
+            "100-random-jets", worst, 1e-10),
     ]
 
 
@@ -228,28 +232,28 @@ def jacobi_forms(point=EvalPoint(0.2 + 1.1j, 0.23 + 0.11j), t=0.17 + 0.05j,
     quasi-periodic ratio at ``t`` for each lambda in ``shifts`` and its
     first Taylor coefficient (FFT on a circle of ``radius``, if given) at
     ``point``; every form is expanded to q^30."""
-    lead = jf.phi_weak("phi_m1_half", 30).alpha_derivative_at_zero(
-        1, point.tau)
-    rows = [_row("phi-m1-half-leading-coefficient", "theta-normalization",
-                 "alpha-derivative", abs(lead - 1.0), 1e-8)]
-    rows += jf.transformation_check(
+    lead = jf.phi_weak("phi_m1_half", 30).alpha_derivative(
+        1, EvalPoint(point.tau))
+    rows = [Row("phi-m1-half-leading-coefficient", "theta-normalization",
+                "alpha-derivative", abs(lead - 1.0), 1e-8)]
+    rows += _transformation_rows(
         jf.phi_weak("phi_m2_1", 30),
         [("shift", 1, 0), ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)],
-        _TRANSFORM_POINTS, 1e-6, paper_ref="weak-jacobi-transformation")
+        _TRANSFORM_POINTS, 1e-6, "weak-jacobi-transformation")
     fft = {} if radius is None else {"radius": radius}
     for name in forms:
         form = (jf.theta_form(30) if name == "theta"
                 else jf.phi_weak(name, 30))
         for lam in shifts:
-            rows.append(_row("ratio-shift-law", "quasi-periodic-ratio",
-                             f"{name},lambda={lam}",
-                             jf.lemma_shift_residual(form, t, point, lam),
-                             1e-6, point=point.as_tuple()))
+            rows.append(Row("ratio-shift-law", "quasi-periodic-ratio",
+                            f"{name},lambda={lam}",
+                            jf.lemma_shift_residual(form, t, point, lam),
+                            1e-6, point=point.as_tuple()))
         f1 = jf.quasi_jacobi_coeffs(form, 1, point, **fft)[1]
-        rows.append(_row("ratio-taylor-coefficient",
-                         "normalized-ratio-expansion", f"{name},F1",
-                         abs(f1 - jf.expected_f1(form, point)), 1e-6,
-                         point=point.as_tuple()))
+        rows.append(Row("ratio-taylor-coefficient",
+                        "normalized-ratio-expansion", f"{name},F1",
+                        abs(f1 - jf.expected_f1(form, point)), 1e-6,
+                        point=point.as_tuple()))
     return rows
 
 
@@ -258,46 +262,61 @@ def cusp():
     """Mismatches between the (super) cusp predicates and their expansion
     certificates over the default grids.  Each certificate compares exact
     integer coefficients, so the count involves no tolerance."""
-    return [_row("predicate-vs-certificate", "cusp-extension-lemma", "grid",
-                 len(ch.cusp_grid_check()), 0.0),
-            _row("super-predicate-vs-certificate",
-                 "super-cusp-extension-lemma", "grid",
-                 len(ch.cusp_grid_check(super_grid=True)), 0.0)]
+    return [Row("predicate-vs-certificate", "cusp-extension-lemma", "grid",
+                len(ch.cusp_grid_check()), 0.0),
+            Row("super-predicate-vs-certificate",
+                "super-cusp-extension-lemma", "grid",
+                len(ch.cusp_grid_check(super_grid=True)), 0.0)]
 
 
 @suite
 def characters(q_order=10, fock_q_order=4):
     """The E8 character: product against closed form to q^q_order, and
-    against the Fock state sum (exact and integral) and its L0/J0 trace
-    insertions to q^fock_q_order; the E8 theta series against vector
-    enumeration to q^fock_q_order."""
+    against the Fock state sum (exact and integral) to q^fock_q_order, its
+    L0/J0 trace insertions against q d/dq and y d/dy of the product; the E8
+    theta series against vector enumeration to q^fock_q_order."""
     lat = ch.e8_lattice()
     prod = ch.chi_character(lat, q_order, "product").chi
     closed = ch.chi_character(lat, q_order, "closed").chi
     counts = ch.count_vectors_by_norm(lat, fock_q_order)
     fock = ch.fock_oracle(lat, fock_q_order, counts=counts)
     theta = ch.lattice_theta(lat, fock_q_order)
+    # each difference with the Fock side stops at q^fock_q_order
     rows = [
-        _row("character-product-vs-closed", "character-formulas",
-             f"E8,q^{q_order}", (prod - closed).max_abs_coeff(), 0.0),
-        _row("character-vs-fock-oracle", "supertrace-state-sum",
-             f"E8,q^{fock_q_order}",  # the difference stops at q^fock_q_order
-             (prod - fock).max_abs_coeff(), 0.0),
-        _row("fock-oracle-integrality", "supertrace-state-sum",
-             f"E8,q^{fock_q_order}",
-             max(abs(c - round(c)) for c in (fock.exact_coeff(n, r2)
-                                             for n, r2, _ in fock.terms())),
-             0.0),
-        _row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
-             f"E8,q^{fock_q_order}",
-             max(abs(theta.exact_coeff(n) - c)
-                 for n, c in enumerate(counts)), 0.0),
+        Row("character-product-vs-closed", "character-formulas",
+            f"E8,q^{q_order}", (prod - closed).max_abs_coeff(), 0.0),
+        Row("character-vs-fock-oracle", "supertrace-state-sum",
+            f"E8,q^{fock_q_order}", (prod - fock).max_abs_coeff(), 0.0),
+        Row("fock-oracle-integrality", "supertrace-state-sum",
+            f"E8,q^{fock_q_order}",
+            max(abs(c - round(c)) for c in (fock.exact_coeff(n, r2)
+                                            for n, r2, _ in fock.terms())),
+            0.0),
+        Row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
+            f"E8,q^{fock_q_order}",
+            max(abs(theta.exact_coeff(n) - c)
+                for n, c in enumerate(counts)), 0.0),
     ]
-    return rows + ch.trace_identity_check(lat, fock_q_order, fock=fock)
+    for insertion, diff in (("L0", prod.q_d_dq()), ("J0", prod.y_d_dy())):
+        inserted = ch.fock_weighted_trace(fock, insertion)
+        rows.append(Row(f"trace-insertion-{insertion}",
+                        "supertrace-derivative-bookkeeping", "rank-8-lattice",
+                        (inserted - diff).max_abs_coeff(), 0.0))
+    return rows
+
+
+_CHARACTER_POINTS = (EvalPoint(0.25 + 1.1j, 0.31 + 0.12j),
+                     EvalPoint(-0.4 + 1.3j, 0.11 - 0.07j),
+                     EvalPoint(0.1 + 0.9j, 0.42 + 0.05j))
 
 
 @suite
 def character_jacobi():
-    """The E8 character, expanded to q^30, transforms as a Jacobi form of
-    weight 0, index 2."""
-    return ch.jacobi_character_check(ch.e8_lattice())
+    """The E8 character, in closed form to q^30, transforms as a Jacobi form
+    of weight 0 and index C/6 = 2 under the lattice shifts and S and T."""
+    cs = ch.chi_character(ch.e8_lattice(), 30, "closed")
+    form = jf.JacobiForm("chi-rank-8", 0, cs.index, cs.chi)
+    return _transformation_rows(
+        form, [("shift", 1, 0), ("shift", 0, 1), ("shift", 1, 1),
+               ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)],
+        _CHARACTER_POINTS, 1e-5, "character-jacobi-transformation")

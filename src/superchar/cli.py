@@ -7,8 +7,10 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error,
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
+from fractions import Fraction
 
 import click
 
@@ -26,9 +28,12 @@ FORMATS = ("json", "csv", "pretty")
 
 def _parse_complex(text):
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        z = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError:
         raise click.UsageError(f"cannot parse complex number {text!r}")
+    if not cmath.isfinite(z):
+        raise click.UsageError(f"{text!r} is not a finite complex number")
+    return z
 
 
 def _resolve(ctx_obj, flag_value, key):
@@ -129,12 +134,26 @@ def _series_registry(n_q):
     return reg
 
 
+#: the ``eval`` functions with a pole at every alpha in Z + Z tau
+_LATTICE_POLES = {"zeta_bar", "p_bar", "zeta_tilde",
+                  "wp1", "wp2", "wp3", "wp4"}
+
+
+def _on_lattice(alpha, tau):
+    """Whether alpha lies in Z + Z tau, decided exactly on the decimals as
+    typed (1.1 - 0.1 is not 1 in floats): n = Im alpha / Im tau and
+    Re alpha - n Re tau must both be integers."""
+    a_re, a_im, t_re, t_im = (Fraction(repr(x)) for x in (
+        alpha.real, alpha.imag, tau.real, tau.imag))
+    n = a_im / t_im
+    return n.denominator == 1 and (a_re - n * t_re).denominator == 1
+
+
 def _eval_registry(n_q):
     """{name: point -> (value, truncation bound)}."""
     reg = {name: (lambda p, make=make: make().evaluate(p))
            for name, make in _series_registry(n_q).items()
-           if name not in ("zeta_bar", "p_bar", "zeta_tilde",
-                           "triple_product")}
+           if name not in _LATTICE_POLES and name != "triple_product"}
     reg["zeta_bar"] = lambda p: (el.zeta_bar_eval(p.y, p.q), 0.0)
     reg["p_bar"] = lambda p: (el.p_bar_eval(p.y, p.q), 0.0)
     reg["zeta_tilde"] = lambda p: (el.zeta_tilde_eval(p.alpha, p.tau), 0.0)
@@ -192,6 +211,8 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
     alpha_c = _parse_complex(alpha)
     try:
         point = EvalPoint(tau_c, alpha_c)
+        if name in _LATTICE_POLES and _on_lattice(alpha_c, tau_c):
+            raise ZeroDivisionError
         value, bound = run(point)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -225,7 +246,6 @@ def verify(ctx, suites, fmt, tolerance, output):
     if tolerance is not None:
         for r in rows:
             r.tolerance = min(r.tolerance, tolerance)
-            r.passed = r.residual <= r.tolerance
     _write(emit_report(rows, fmt), output)
     failing = sum(not r.passed for r in rows)
     if failing:

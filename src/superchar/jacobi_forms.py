@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from .elliptic import TWO_PI_I, divisor_sigma
-from .report import VerificationRow
 from .series_core import (DEFAULT_Q_ORDER, EXACT_I, EXACT_TWO_PI_I, EvalPoint,
                           Prefactor, QYSeries, euler_product)
 
@@ -50,7 +49,7 @@ def theta_sum_terms(n_q):
 def _theta_mantissa(n_q):
     """sum_k (-i)(-1)^k q^{k(k+1)/2} y^{k+1/2} (the q^{1/8} offset removed)."""
     terms = {(n, 2 * k + 1): -sign for n, k, sign in theta_sum_terms(n_q)}
-    return QYSeries(terms, n_q, half_integral=True) * EXACT_I
+    return QYSeries(terms, n_q) * EXACT_I
 
 
 def theta_offset_series(n_q=DEFAULT_Q_ORDER):
@@ -80,12 +79,12 @@ class JacobiForm:
     def evaluate(self, point):
         return self.offset_series.evaluate(point)[0]
 
-    def alpha_derivative_at_zero(self, order, tau):
-        """Numeric value of (d/d alpha)^order f at (tau, 0)."""
+    def alpha_derivative(self, order, point):
+        """(d/d alpha)^order f at ``point``, from the exact series."""
         d = self.offset_series
         for _ in range(order):
             d = d.y_d_dy() * EXACT_TWO_PI_I  # d/d alpha = 2 pi i y d/dy
-        return d.evaluate(EvalPoint(tau, 0.0))[0]
+        return d.evaluate(point)[0]
 
 
 def theta_form(n_q=DEFAULT_Q_ORDER):
@@ -242,7 +241,7 @@ def quasi_jacobi_coeffs(form, i_max, point, radius=0.02, samples=64):
     """
     two_m = int(2 * form.index)
     fact = math.factorial(two_m)
-    a_lead = form.alpha_derivative_at_zero(two_m, point.tau) / fact
+    a_lead = form.alpha_derivative(two_m, EvalPoint(point.tau)) / fact
     f_alpha = form.evaluate(point)
     ts = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
     vals = np.empty(samples, dtype=complex)
@@ -258,13 +257,10 @@ def expected_f1(form, point):
     """The closed-form first Taylor coefficient
     F_1 = f'(alpha)/f(alpha) - f^{(2m+1)}(0) / ((2m+1) f^{(2m)}(0))."""
     two_m = int(2 * form.index)
-    h = 1e-5
-    up = form.evaluate(EvalPoint(point.tau, point.alpha + h))
-    dn = form.evaluate(EvalPoint(point.tau, point.alpha - h))
-    log_deriv = (up - dn) / (2 * h) / form.evaluate(point)
-    d_hi = form.alpha_derivative_at_zero(two_m + 1, point.tau)
-    d_lo = form.alpha_derivative_at_zero(two_m, point.tau)
-    return log_deriv - d_hi / ((two_m + 1) * d_lo)
+    zero = EvalPoint(point.tau)
+    return (form.alpha_derivative(1, point) / form.evaluate(point)
+            - form.alpha_derivative(two_m + 1, zero)
+            / ((two_m + 1) * form.alpha_derivative(two_m, zero)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +278,17 @@ def _transform_residual(form, element, point):
         lam, mu = element[1], element[2]
         lhs = form.evaluate(EvalPoint(tau, alpha + lam * tau + mu))
         factor = cmath.exp(-TWO_PI_I * l * (lam * lam * tau + 2 * lam * alpha))
-        rhs = factor * form.evaluate(point)
-        return lhs, rhs
-    if kind == "sl2":
+    elif kind == "sl2":
         a, b, c, d = element[1:5]
         if a * d - b * c != 1:
             raise ValueError("not a unimodular matrix")
         denom = c * tau + d
-        tau_p = (a * tau + b) / denom
-        alpha_p = alpha / denom
-        lhs = form.evaluate(EvalPoint(tau_p, alpha_p))
+        lhs = form.evaluate(EvalPoint((a * tau + b) / denom, alpha / denom))
         factor = denom ** float(k) * cmath.exp(
             TWO_PI_I * l * c * alpha * alpha / denom)
-        rhs = factor * form.evaluate(point)
-        return lhs, rhs
-    raise ValueError(f"unknown element kind {element[0]!r}")
+    else:
+        raise ValueError(f"unknown element kind {element[0]!r}")
+    return lhs, factor * form.evaluate(point)
 
 
 def _element_label(element):
@@ -305,35 +297,24 @@ def _element_label(element):
     return "sl2({},{};{},{})".format(*element[1:5])
 
 
-def transformation_check(form, elements, points, tol, paper_ref=""):
-    """Verify the Jacobi transformation laws of ``form`` for the given group
-    elements at the given points.
+def transformation_check(form, elements, points):
+    """The residuals of the Jacobi transformation laws of ``form`` for the
+    given group elements at the given points, as (label, point, residual)
+    triples.
 
     For each element a best-fit unimodular character constant is measured
     from the sample points (half-integral index forms transform with a
-    nontrivial character); the reported residual is relative to that
-    constant, which is recorded in the element label.
+    nontrivial character); the residual is relative to that constant,
+    which is recorded in the element label.
     """
-    rows = []
+    out = []
     for element in elements:
         pairs = [_transform_residual(form, element, p) for p in points]
         num = sum(lhs * rhs.conjugate() for lhs, rhs in pairs)
-        if abs(num) == 0:
-            char = 1.0 + 0j
-        else:
-            char = num / abs(num)
+        char = num / abs(num) if num else 1 + 0j
         label = _element_label(element)
         label_c = f"{label}[char={char.real:+.6f}{char.imag:+.6f}j]"
         for p, (lhs, rhs) in zip(points, pairs):
             resid = abs(lhs - char * rhs) / max(abs(lhs), abs(rhs), 1e-30)
-            rows.append(VerificationRow(
-                suite="",
-                identity=f"{form.name}-transformation",
-                paper_ref=paper_ref,
-                element=label_c,
-                point=p.as_tuple(),
-                residual=resid,
-                tolerance=tol,
-                passed=resid <= tol,
-            ))
-    return rows
+            out.append((label_c, p, resid))
+    return out

@@ -19,20 +19,27 @@ def format_sig(x, digits=15):
 
 @dataclass
 class VerificationRow:
-    """One verified identity at one point (or one exact check).  ``suite``
-    names the suite of ``superchar.checks`` that produced the row and
-    ``elapsed_s`` the wall time in seconds of that suite's call; a check
-    called outside a suite leaves them empty and None."""
+    """One verified identity at one point (or one exact check); it passes
+    when ``residual <= tolerance``.  ``suite`` names the suite of
+    ``superchar.checks`` that produced the row and ``elapsed_s`` the wall
+    time in seconds of that suite's call."""
 
-    suite: str
     identity: str
     paper_ref: str
     element: str
-    point: tuple | None  # (re tau, im tau, re alpha, im alpha) or None
     residual: float
     tolerance: float
-    passed: bool
+    point: tuple | None = None  # (re tau, im tau, re alpha, im alpha)
+    suite: str = ""
     elapsed_s: float | None = None
+
+    def __post_init__(self):
+        self.residual = float(self.residual)
+        self.tolerance = float(self.tolerance)
+
+    @property
+    def passed(self):
+        return self.residual <= self.tolerance
 
     def to_json_obj(self):
         return {
@@ -103,23 +110,29 @@ def emit_report(rows, fmt):
 
 
 def rows_from_json(text):
-    """Rows from a JSON list of row objects; ValueError if it is not one."""
+    """Rows from a JSON list of row objects; ValueError if it is not one, or
+    if a row's ``pass`` disagrees with its residual and tolerance."""
     data = json.loads(text)
     if not isinstance(data, list) or \
             not all(isinstance(obj, dict) for obj in data):
         raise ValueError("a report is a JSON list of row objects")
     rows = []
     for obj in data:
-        rows.append(VerificationRow(
+        row = VerificationRow(
             suite=obj.get("suite", ""),
             identity=obj["identity"],
             paper_ref=obj.get("paper_ref", ""),
             element=obj.get("element", ""),
             point=tuple(obj["point"]) if obj.get("point") is not None else None,
-            residual=float(obj["residual"]),
-            tolerance=float(obj["tolerance"]),
-            passed=bool(obj["pass"]),
+            residual=obj["residual"],
+            tolerance=obj["tolerance"],
             elapsed_s=None if obj.get("elapsed_s") is None
             else float(obj["elapsed_s"]),
-        ))
+        )
+        if obj["pass"] is not row.passed:
+            raise ValueError(
+                f"row {row.suite}/{row.identity} {row.element}: pass "
+                f"{obj['pass']!r} disagrees with residual {row.residual!r} "
+                f"<= tolerance {row.tolerance!r}")
+        rows.append(row)
     return rows

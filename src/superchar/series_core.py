@@ -1,12 +1,12 @@
 """Truncated bivariate Laurent series in q and y^(1/2), evaluation points
-on the upper half plane, and guarded infinite products.
+on the upper half plane, and infinite products.
 
 A ``QYSeries`` is a dense block of coefficients: row i, column j holds the
 coefficient of q^(c + n0 + i) * y^((r0 + 2 j)/2).  y-exponents are doubled
 so that half-integral powers of y stay integers; within one series they
 step by whole powers of y.  Series are truncated at q-order ``q_order``
-(terms with n0 + i > q_order are dropped) and carry a ``half_integral``
-flag saying whether odd doubled y-exponents are permitted.
+(terms with n0 + i > q_order are dropped); ``half_integral`` says whether
+their doubled y-exponents are odd.
 
 Every series holds Python integers times one symbolic ``Prefactor``
 r * i^a * (2 pi)^b * q^c, so sums, products, powers and inverses stay exact
@@ -228,11 +228,9 @@ class QYSeries:
     nearest its value; ``exact_coeff`` gives it exactly when it is rational.
     """
 
-    __slots__ = ("q_order", "half_integral", "n0", "r0", "rows", "scale",
-                 "_floats", "_terms")
+    __slots__ = ("q_order", "n0", "r0", "rows", "scale", "_floats", "_terms")
 
-    def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER,
-                 half_integral=False):
+    def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER):
         """``coeffs`` maps (n, r2) to the coefficient of q^n y^(r2/2), an
         int or a Fraction."""
         coeffs = coeffs or {}
@@ -253,12 +251,10 @@ class QYSeries:
         rows = np.zeros((max(ns) - n0 + 1, (max(r2s) - r0) // 2 + 1), object)
         for (n, r2), c in items:
             rows[n - n0, (r2 - r0) // 2] = c
-        self._assign(rows, n0, r0, Prefactor(Fraction(1, den)), q_order,
-                     half_integral)
+        self._assign(rows, n0, r0, Prefactor(Fraction(1, den)), q_order)
 
-    def _assign(self, rows, n0, r0, scale, q_order, half_integral):
+    def _assign(self, rows, n0, r0, scale, q_order):
         self.q_order = int(q_order)
-        self.half_integral = bool(half_integral)
         rows = rows[:max(self.q_order - n0 + 1, 0)]
         i, j = np.nonzero(rows)
         if i.size:
@@ -269,9 +265,6 @@ class QYSeries:
             if r2 > 2 * Y_EXPONENT_GUARD:
                 raise OverflowError(f"y-exponent +-{r2}/2 exceeds the guard "
                                     f"+-{Y_EXPONENT_GUARD}")
-            if r0 % 2 and not self.half_integral:
-                raise ValueError(
-                    f"odd doubled y-exponent {r0} in an integral-y series")
             content = math.gcd(*rows.ravel().tolist())
             if content > 1:
                 rows, scale = rows // content, scale * content
@@ -281,28 +274,31 @@ class QYSeries:
         self._floats = self._terms = None
 
     @classmethod
-    def _make(cls, rows, n0, r0, scale, q_order, half_integral):
+    def _make(cls, rows, n0, r0, scale, q_order):
         out = cls.__new__(cls)
-        out._assign(rows, n0, r0, scale, q_order, half_integral)
+        out._assign(rows, n0, r0, scale, q_order)
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, q_order=DEFAULT_Q_ORDER, half_integral=False):
-        return cls({}, q_order, half_integral)
+    def zero(cls, q_order=DEFAULT_Q_ORDER):
+        return cls({}, q_order)
 
     @classmethod
-    def one(cls, q_order=DEFAULT_Q_ORDER, half_integral=False):
-        return cls({(0, 0): 1}, q_order, half_integral)
+    def one(cls, q_order=DEFAULT_Q_ORDER):
+        return cls({(0, 0): 1}, q_order)
 
     @classmethod
-    def monomial(cls, coeff, n, r2, q_order=DEFAULT_Q_ORDER, half_integral=None):
-        if half_integral is None:
-            half_integral = (r2 % 2 != 0)
-        return cls({(n, r2): coeff}, q_order, half_integral)
+    def monomial(cls, coeff, n, r2, q_order=DEFAULT_Q_ORDER):
+        return cls({(n, r2): coeff}, q_order)
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def half_integral(self):
+        """Whether the doubled y-exponents are odd (y^(1/2), y^(3/2), ...)."""
+        return bool(self.r0 % 2)
 
     @property
     def q_offset(self):
@@ -368,18 +364,17 @@ class QYSeries:
         if isinstance(other, QYSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return QYSeries({(0, 0): other}, self.q_order, self.half_integral)
+            return QYSeries({(0, 0): other}, self.q_order)
         return None
 
     def _combine(self, other, sign, q_order):
         """self + sign * other, truncated at ``q_order``, over the largest
         common rational part r of the two prefactors, which must agree in
         their powers of i, 2 pi and q."""
-        half = self.half_integral or other.half_integral
         if not (self.rows.size and other.rows.size):
             live = other * sign if self.rows.size == 0 else self
             return QYSeries._make(live.rows, live.n0, live.r0, live.scale,
-                                  q_order, half)
+                                  q_order)
         if (self.r0 - other.r0) % 2:
             raise ValueError("cannot add series of opposite y-parity")
         p, s = self.scale, other.scale
@@ -403,7 +398,7 @@ class QYSeries:
             block = block[:max(top - s.n0, 0)]
             i, j = s.n0 - n0, (s.r0 - r0) // 2
             out[i:i + block.shape[0], j:j + block.shape[1]] += block
-        return QYSeries._make(out, n0, r0, scale, q_order, half)
+        return QYSeries._make(out, n0, r0, scale, q_order)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -434,8 +429,7 @@ class QYSeries:
             return self
         scale = self.scale * s
         return QYSeries._make(self.rows if scale.num else self.rows[:0],
-                              self.n0, self.r0, scale, self.q_order,
-                              self.half_integral)
+                              self.n0, self.r0, scale, self.q_order)
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
@@ -443,16 +437,11 @@ class QYSeries:
         if not isinstance(other, QYSeries):
             return NotImplemented
         q_order = min(self.q_order, other.q_order)
-        # a nonzero product has the parity of r0 + r0' (half + half is
-        # integral); an empty one keeps what either factor permitted
-        half = (bool((self.r0 + other.r0) % 2)
-                if self.rows.size and other.rows.size
-                else self.half_integral or other.half_integral)
         n0 = self.n0 + other.n0
         n_rows = min(q_order - n0 + 1,
                      self.rows.shape[0] + other.rows.shape[0] - 1)
         if n_rows <= 0:
-            return QYSeries.zero(q_order, half)
+            return QYSeries.zero(q_order)
         a, b = self.rows, other.rows
         if np.count_nonzero(a) < np.count_nonzero(b):
             a, b = b, a
@@ -461,7 +450,7 @@ class QYSeries:
         else:
             rows = _kronecker(a, b, n_rows)
         return QYSeries._make(rows, n0, self.r0 + other.r0,
-                              self.scale * other.scale, q_order, half)
+                              self.scale * other.scale, q_order)
 
     __rmul__ = __mul__
 
@@ -471,7 +460,7 @@ class QYSeries:
         if k < 0:
             return self.invert() ** (-k)
         if k == 0:
-            return QYSeries.one(self.q_order, self.half_integral)
+            return QYSeries.one(self.q_order)
         result, base = None, self
         while k:
             if k & 1:
@@ -512,15 +501,14 @@ class QYSeries:
         # rows 0 .. n_rows - 1 of the inverse mantissa land in the q-range
         n_rows = self.q_order + self.n0 + 1
         power = 1 - QYSeries._make(self.rows, 0, -2 * j, Prefactor(),
-                                   n_rows - 1, False) / c
+                                   n_rows - 1) / c
         inverse = 1 + power
         while (power := power * power).rows.size:
             inverse = inverse + inverse * power
         inverse = inverse / c
         return QYSeries._make(
             inverse.rows, inverse.n0 - self.n0, inverse.r0 - self.r0 - 2 * j,
-            inverse.scale * self.scale ** -1, self.q_order,
-            self.half_integral)
+            inverse.scale * self.scale ** -1, self.q_order)
 
     # -- calculus ----------------------------------------------------------
 
@@ -528,8 +516,7 @@ class QYSeries:
         """Each coefficient times its entry of the integer array ``weights``
         (broadcast over the block) and the rational ``factor``."""
         return QYSeries._make(self.rows * weights.astype(object), self.n0,
-                              self.r0, self.scale * factor, self.q_order,
-                              self.half_integral)
+                              self.r0, self.scale * factor, self.q_order)
 
     def q_d_dq(self):
         """q d/dq: multiplies each term by its q-exponent c + n."""
@@ -546,7 +533,7 @@ class QYSeries:
     def y_substitute_one(self):
         """Set y = 1: collapse to a pure q-series."""
         return QYSeries._make(self.rows.sum(axis=1, keepdims=True), self.n0,
-                              0, self.scale, self.q_order, False)
+                              0, self.scale, self.q_order)
 
     # -- evaluation --------------------------------------------------------
 
@@ -604,29 +591,15 @@ class QYSeries:
                 "terms": [[n, r2, c.real, c.imag] for n, r2, c in self.terms()]}
 
 
-def infinite_product(factor, n_q, exponent=1, min_degree=None, max_factors=None):
-    """Product over n >= 1 of ``factor(n)``, truncated at q-order ``n_q``,
-    raised to an integer ``exponent``.
-
-    ``min_degree(n)`` must give a lower bound for the q-order of
-    ``factor(n) - 1`` that grows without bound (stabilization); factors are
-    consumed until ``min_degree(n) > n_q``.  Defaults to ``n``.  A factor of
-    a few terms costs one shifted copy of the partial product per term.
-    """
-    if min_degree is None:
-        min_degree = lambda n: n
-    if max_factors is None:
-        max_factors = 10 * n_q + 100
+def infinite_product(factor, n_q):
+    """Product of ``factor(n)`` over n = 1 .. n_q + 1, truncated at q-order
+    ``n_q``: the whole infinite product when factor(n) - 1 = O(q^(n-1)), so
+    that no later factor reaches q^n_q.  A factor of a few terms costs one
+    shifted copy of the partial product per term."""
     result = QYSeries.one(n_q)
-    n = 1
-    while min_degree(n) <= n_q:
-        if n > max_factors:
-            raise RuntimeError(
-                "infinite product failed to stabilize within "
-                f"{max_factors} factors at q-order {n_q}")
+    for n in range(1, n_q + 2):
         result = result * factor(n)
-        n += 1
-    return result if exponent == 1 else result ** exponent
+    return result
 
 
 def euler_product(n_q):

@@ -10,9 +10,8 @@ from superchar import characters, checks
 from superchar.characters import (
     EvenLattice, chi_character, count_vectors_by_norm, cusp_certificate,
     cusp_grid_check, cusp_predicate, e8_lattice, fock_oracle,
-    fock_weighted_trace, integer_determinant, jacobi_character_check,
-    jacobi_triple_product, lattice_theta, super_cusp_predicate,
-    trace_identity_check, triple_product_check,
+    fock_weighted_trace, integer_determinant, jacobi_triple_product,
+    lattice_theta, super_cusp_predicate,
 )
 from superchar.jacobi_forms import eisenstein_e4
 from superchar.series_core import Prefactor, QYSeries
@@ -294,6 +293,19 @@ class TestCharacter:
             assert all(r.passed for r in checks.characters())
             assert [n for n in calls if n > 0] == [4]
 
+    def test_characters_suite_builds_two_characters(self, monkeypatch):
+        # the trace rows differentiate the suite's product character
+        modes = []
+        real = characters.chi_character
+
+        def counted(lattice, n_q, mode):
+            modes.append(mode)
+            return real(lattice, n_q, mode)
+
+        monkeypatch.setattr(characters, "chi_character", counted)
+        assert all(r.passed for r in checks.characters())
+        assert sorted(modes) == ["closed", "product"]
+
     def test_characters_suite_reads_exact_coefficients(self, monkeypatch):
         # 2^60 + 240 and 2^60 + 241 round to the same double, and so do
         # 2^60 + k and 2^60 + k + 1/2 (to a whole number): only exact
@@ -304,8 +316,7 @@ class TestCharacter:
                                characters.lattice_theta)
 
         def bump(series, c):
-            return series + QYSeries.monomial(c, 1, 0, series.q_order,
-                                              series.half_integral)
+            return series + QYSeries.monomial(c, 1, 0, series.q_order)
 
         monkeypatch.setattr(characters, "count_vectors_by_norm",
                             lambda lat, n: [c + big * (k == 1) for k, c in
@@ -343,23 +354,22 @@ class TestCharacter:
 
 class TestTraceInsertions:
     def test_weighted_traces_match_derivatives(self):
-        lat = e8_lattice()
-        rows = trace_identity_check(lat, 4)
+        rows = [r for r in checks.characters()
+                if r.identity.startswith("trace-insertion-")]
         assert len(rows) == 2
         for row in rows:
             assert row.passed
             assert row.residual == 0.0
 
     def test_insertion_values_differ_from_plain(self):
-        lat = e8_lattice()
-        plain = fock_oracle(lat, 3)
-        with_l0 = fock_weighted_trace(lat, 3, "L0")
+        plain = fock_oracle(e8_lattice(), 3)
+        with_l0 = fock_weighted_trace(plain, "L0")
         assert plain.coeffs != with_l0.coeffs
 
 
 class TestTripleProduct:
     def test_exact_to_q30(self):
-        row = triple_product_check(30)
+        [row] = checks.triple_product()
         assert row.passed
         assert row.residual == 0.0
 
@@ -481,7 +491,7 @@ class TestCuspCertificatePerClass:
 
 class TestJacobiCharacter:
     def test_e8_transformations(self):
-        rows = jacobi_character_check(e8_lattice())
+        rows = checks.character_jacobi()
         assert len(rows) == 15  # 5 group elements x 3 points
         for row in rows:
             assert row.passed, (row.element, row.residual)

@@ -179,6 +179,32 @@ class TestEval:
         assert f"{name} has a pole at alpha = 0" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("name, tau, alpha", [
+        ("wp2", "0.1+1.2i", "1"), ("wp2", "0.1+1.2i", "-1"),
+        ("wp2", "0.1+1.2i", "1.1+1.2i"), ("wp2", "0.1+1.2i", "0.2+2.4i"),
+        ("zeta_bar", "1.2i", "1")])
+    def test_lattice_point_off_zero_is_usage_error(self, runner, name, tau,
+                                                   alpha):
+        # rounding keeps each of these off an exact pole: 1.1 - 0.1 is not
+        # 1 in floats, so only the typed decimals show alpha in Z + Z tau
+        result = runner.invoke(
+            main, ["eval", name, "--tau", tau, "--alpha", alpha])
+        assert result.exit_code == 2
+        assert f"{name} has a pole at alpha = {alpha}" in result.output
+
+    @pytest.mark.parametrize("alpha", ["nan", "1e999"])
+    def test_non_finite_alpha_is_usage_error(self, runner, alpha):
+        result = runner.invoke(
+            main, ["eval", "wp2", "--tau", "0.1+1.2i", "--alpha", alpha])
+        assert result.exit_code == 2
+        assert "is not a finite complex number" in result.output
+
+    def test_point_off_the_lattice_evaluates(self, runner):
+        result = runner.invoke(
+            main, ["eval", "wp2", "--tau", "0.1+1.2i", "--alpha", "0.31"])
+        assert result.exit_code == 0
+        assert abs(complex(*json.loads(result.output)["value"])) < 1e3
+
 
 class TestVerify:
     def test_triple_product_passes(self, runner):
@@ -286,6 +312,19 @@ class TestReport:
         rows = json.loads(result.output)
         assert rows == json.loads(verify.output)
         assert {obj["suite"] for obj in rows} == {"flatness"}
+
+    def test_pass_that_disagrees_with_the_residual_is_rejected(
+            self, runner, tmp_path):
+        verify = runner.invoke(
+            main, ["verify", "--suite", "flatness", "--format", "json"])
+        rows = json.loads(verify.output)
+        rows[1]["residual"] = 2 * rows[1]["tolerance"] + 1
+        src = tmp_path / "rows.json"
+        src.write_text(json.dumps(rows))
+        result = runner.invoke(
+            main, ["report", "--input", str(src), "--format", "csv"])
+        assert result.exit_code == 2
+        assert f"flatness/{rows[1]['identity']}" in result.output
 
     def test_rows_carry_their_suite_runtime(self, runner, tmp_path):
         verify = runner.invoke(

@@ -187,7 +187,7 @@ def test_packed_product_matches_naive_convolution(data):
     a, b = (data.draw(int_series(data.draw(st.integers(0, 1)), min_size))
             for _ in range(2))
     a, b = ({k: c for k, c in x.items() if k[0] <= q_order} for x in (a, b))
-    prod = QYSeries(a, q_order, True) * QYSeries(b, q_order, True)
+    prod = QYSeries(a, q_order) * QYSeries(b, q_order)
     ref = mul(a, b, q_order)
     keys = set(ref) | set(prod.coeffs)
     assert {k: prod.exact_coeff(*k) for k in keys} == \

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from superchar.report import (
     VerificationRow, emit_report, format_sig, rows_from_json, rows_to_csv,
     rows_to_json, sort_rows,
@@ -8,8 +10,8 @@ from superchar.report import (
 
 def row(suite="s", identity="i", element="e", residual=0.0, tol=1e-9,
         point=None):
-    return VerificationRow(suite, identity, "ref", element, point,
-                           residual, tol, residual <= tol)
+    return VerificationRow(identity, "ref", element, residual, tol, point,
+                           suite)
 
 
 class TestFormatSig:
@@ -44,6 +46,19 @@ class TestSerialization:
         assert len(back) == 2
         assert back[0].passed and not back[1].passed
         assert back[0].point == (0.1, 1.2, 0.0, 0.0)
+
+    def test_pass_is_residual_within_tolerance(self):
+        assert row(residual=1.0, tol=1.0).passed
+        assert not row(residual=2.0, tol=1.0).passed
+        capped = row(residual=1e-9, tol=1e-6)
+        capped.tolerance = 1e-12
+        assert not capped.passed
+
+    def test_json_pass_must_agree_with_residual(self):
+        obj = json.loads(rows_to_json([row("s", "i", "e", 2.0, 1.0)]))
+        obj[0]["pass"] = True
+        with pytest.raises(ValueError, match="s/i e"):
+            rows_from_json(json.dumps(obj))
 
     def test_json_row_schema(self):
         obj = json.loads(rows_to_json([row()]))

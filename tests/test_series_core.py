@@ -71,14 +71,8 @@ class TestQYSeriesArithmetic:
         b = QYSeries.monomial(1, 5, 0)
         assert (a * b) == QYSeries.monomial(1, 3, 0)
 
-    def test_odd_doubled_exponent_requires_half_integral(self):
-        with pytest.raises(ValueError):
-            QYSeries({(0, 1): 1}, 10)
-        s = QYSeries({(0, 1): 1}, 10, half_integral=True)
-        assert s.exact_coeff(0, 1) == 1
-
     def test_product_flag_is_the_parity_of_its_exponents(self):
-        half = QYSeries({(0, 1): 1, (1, -1): 2}, 10, half_integral=True)
+        half = QYSeries({(0, 1): 1, (1, -1): 2}, 10)
         whole = QYSeries({(0, 0): 1, (1, 2): 3}, 10)
         assert not (half * half).half_integral
         assert (half * whole).half_integral
@@ -238,11 +232,11 @@ class TestEulerProduct:
         for n, p in enumerate(PARTITIONS):
             assert inv.exact_coeff(n, 0) == p
 
-    def test_product_stabilization_guard(self):
-        with pytest.raises(RuntimeError):
-            infinite_product(
-                lambda n: QYSeries({(0, 0): 1, (1, 0): 1}, 10),
-                10, min_degree=lambda n: 1, max_factors=20)
+    def test_infinite_product_of_the_euler_factors(self):
+        prod = infinite_product(
+            lambda n: QYSeries({(0, 0): 1, (n, 0): -1}, 26), 26)
+        assert prod == euler_product(26)
+
 
 
 class TestDerivations:
@@ -256,8 +250,8 @@ class TestDerivations:
         assert s.y_d_dy() == small_series({(1, 2): 8})
 
     def test_y_d_dy_half_integral(self):
-        s = QYSeries({(0, 1): 2}, 10, half_integral=True)
-        assert s.y_d_dy() == QYSeries({(0, 1): 1}, 10, half_integral=True)
+        s = QYSeries({(0, 1): 2}, 10)
+        assert s.y_d_dy() == QYSeries({(0, 1): 1}, 10)
 
     def test_y_substitute_one(self):
         s = small_series({(2, 1): 3, (2, -1): 4, (1, 0): 1})
@@ -278,7 +272,7 @@ class TestEvaluate:
     def test_half_integral_branch(self):
         # y^(1/2) must be continuous in alpha, not the principal square root:
         # alpha -> alpha + 1 flips its sign.
-        s = QYSeries({(0, 1): 1}, 10, half_integral=True)
+        s = QYSeries({(0, 1): 1}, 10)
         tau = 0.2 + 1.1j
         v0, _ = s.evaluate(EvalPoint(tau, 0.4))
         v1, _ = s.evaluate(EvalPoint(tau, 1.4))
