@@ -1,4 +1,4 @@
-"""Elliptic series: Eisenstein coefficient series b_n, annulus expansions of
+"""Elliptic series: Eisenstein series E_k and b_n, annulus expansions of
 the multiplicative Weierstrass zeta and p functions, their numeric
 evaluators, higher p-functions, and the Grassmann-extended zeta.
 
@@ -10,18 +10,26 @@ Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
   ``coeff(n, 2 k)``.
 * ``b_n = (2n+1) sum' gamma^(-2n-2)`` over nonzero lattice points, with the
   conditionally convergent n = 0 case summed row-by-row (inner sum over the
-  integer direction first).
+  integer direction first); it is (2n+1) 2 zeta(2n+2) E_{2n+2}.
 * ``zeta_bar(x) = 1/2 + 1/(x-1) + sum_{n != 0} (1/(q^n x - 1) - 1/(q^n - 1))``
-* ``p_bar(x) = sum_{n in Z} q^n x / (1 - q^n x)^2`` so that
-  ``x d/dx zeta_bar = -p_bar`` holds exactly, coefficient by coefficient.
+* Every numeric value is one Lipschitz row sum
+  ``S_k(x) = sum_{n in Z} Li_{1-k}(q^n x)`` (k >= 1), where
+  ``Li_{1-k}(w) = sum_{d>=1} d^(k-1) w^d = w A_{k-1}(w) / (1 - w)^k``
+  (Eulerian polynomial A) and the n < 0 terms fold onto q^m / x through
+  ``Li_{1-k}(1/w) = (-1)^k Li_{1-k}(w)``.  For k = 1 that inversion leaves
+  a constant -1 per term, which the -1/(q^n - 1) of zeta_bar cancels.  So
+  ``zeta_bar = -1/2 - S_1``, ``p_bar = S_2`` (hence ``x d/dx zeta_bar =
+  -p_bar``, coefficient by coefficient in the annulus series) and
+  ``p_bar' = S_3 / x``.
 * ``zeta_tilde(t) = 1/t - b_0 t - b_1 t^3/3 - b_2 t^5/5 - ...`` and
   ``zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})``.  With u = 2 pi i t and
   b_n = (2n+1) (2 pi i)^(2n+2) beta_n this is
   ``2 pi i (1/u - beta_0 u - beta_1 u^3 - ...)`` with rational q-series
   beta_n.
-* ``p_2 = (2 pi i)^2 p_bar`` equals the classical p-function plus b_0;
-  ``p_k`` for k >= 3 is the absolutely convergent lattice sum, each row
-  summed in closed form by the Lipschitz formula.
+* ``p_k = ((-2 pi i)^k / (k-1)!) S_k`` for k >= 2 is the lattice sum
+  ``sum_{(m,n)} (alpha + m tau + n)^(-k)``, each row summed in closed form
+  by the Lipschitz formula ``sum_n (z + n)^(-k) = ((-2 pi i)^k / (k-1)!)
+  Li_{1-k}(e^{2 pi i z})``; ``p_2`` is the classical p-function plus b_0.
 """
 
 from __future__ import annotations
@@ -56,20 +64,27 @@ def bernoulli(w):
     return -row[0] if w == 1 else row[0]
 
 
+def eisenstein(k, n_q):
+    """The Eisenstein series E_k = 1 - (2k / B_k) sum_m sigma_{k-1}(m) q^m of
+    even weight k >= 2 (E_2 is quasimodular), as an exact q-series."""
+    if k < 2 or k % 2:
+        raise ValueError("k must be even and >= 2")
+    c = -2 * k / bernoulli(k)
+    # int coefficients build the series about twice as fast as Fractions
+    c = int(c) if c.denominator == 1 else c
+    coeffs = {(m, 0): c * divisor_sigma(k - 1, m) for m in range(1, n_q + 1)}
+    coeffs[(0, 0)] = 1
+    return QYSeries(coeffs, n_q)
+
+
 def eisenstein_b(n, n_q):
-    """b_n as an exact q-series: (2n+1) times the weight-(2n+2) Eisenstein
-    series.  With 2 zeta(w) = -B_w (2 pi i)^w / w! for w = 2n+2,
-    b_n = (2n+1) (2 pi i)^w [-B_w / w!
-                             + (2 / (2n+1)!) sum_m sigma_{2n+1}(m) q^m].
-    """
+    """b_n = (2n+1) 2 zeta(w) E_w, w = 2n+2, as an exact q-series, with
+    2 zeta(w) = (-B_w / w!) (2 pi i)^w."""
     if n < 0:
         raise ValueError("n must be >= 0")
     w = 2 * n + 2
-    coeffs = {(0, 0): -bernoulli(w) / math.factorial(w)}
-    for m in range(1, n_q + 1):
-        coeffs[(m, 0)] = Fraction(2 * divisor_sigma(2 * n + 1, m),
-                                  math.factorial(2 * n + 1))
-    return QYSeries(coeffs, n_q) * Prefactor(2 * n + 1, w, w)
+    r = (2 * n + 1) * -bernoulli(w) / math.factorial(w)
+    return eisenstein(w, n_q) * Prefactor(r, w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -129,27 +144,53 @@ def zeta_tilde_taylor(n_t, n_q):
     n = 0
     while 2 * n + 1 <= n_t:
         w = 2 * n + 2
-        beta = eisenstein_b(n, n_q) / Prefactor(2 * n + 1, w, w)
+        beta = eisenstein(w, n_q) * (-bernoulli(w) / math.factorial(w))
         out = out - beta * QYSeries.monomial(1, 0, 4 * n + 2, n_q)
         n += 1
     return out * EXACT_TWO_PI_I
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluators (partial-fraction sums; geometric convergence, valid for
-# any x off the poles x = q^n, not only inside the annulus)
+# numeric evaluators: the Lipschitz row sum S_k (geometric convergence,
+# valid for any x off the poles x = q^n, not only inside the annulus)
 # ---------------------------------------------------------------------------
 
 _MAX_SHELLS = 5000
 
 
-def _shell_sum(term, tol):
-    """Sum term(n) for n = 1, 2, ... until several consecutive terms are
-    negligible."""
-    total = 0j
+@functools.lru_cache(maxsize=None)
+def _eulerian(n):
+    """The Eulerian numbers A(n, 0..n-1) (A(0, 0) = 1), the coefficients of
+    the polynomial A_n with w A_n(w) / (1 - w)^(n+1) = sum_{d>=1} d^n w^d.
+    The row is a palindrome, so Horner's rule may read it either way."""
+    row = (1,)
+    for m in range(1, n + 1):
+        row = tuple((j + 1) * (row[j] if j < len(row) else 0)
+                    + (m - j) * (row[j - 1] if j else 0) for j in range(m))
+    return row
+
+
+def _shell_sum(k, x, q, tol):
+    """S_k(x) = Li_{1-k}(x) + sum_{m>=1} (Li_{1-k}(q^m x)
+    + (-1)^k Li_{1-k}(q^m / x)), summed until several consecutive shells
+    are negligible (see the module docstring)."""
+    if abs(q) >= 1.0:
+        raise ValueError("|q| must be < 1")
+    eulerian = _eulerian(k - 1)
+    sign = (-1) ** k
+
+    def polylog(w):
+        """Li_{1-k}(w)."""
+        a = 0
+        for c in eulerian:
+            a = a * w + c
+        return w * a / (1.0 - w) ** k
+
+    total = polylog(x)
     quiet = 0
-    for n in range(1, _MAX_SHELLS + 1):
-        t = term(n)
+    for m in range(1, _MAX_SHELLS + 1):
+        qm = q ** m
+        t = polylog(qm * x) + sign * polylog(qm / x)
         total += t
         if abs(t) <= tol * max(1.0, abs(total)):
             quiet += 1
@@ -157,52 +198,23 @@ def _shell_sum(term, tol):
                 return total
         else:
             quiet = 0
-    raise RuntimeError("partial-fraction sum failed to converge")
+    raise ValueError(f"the lattice sum did not converge in {_MAX_SHELLS} "
+                     f"shells at |q| = {abs(q):.6g}: Im tau is too small")
 
 
 def zeta_bar_eval(x, q, tol=1e-14):
-    """Numeric zeta_bar(x) by the defining partial-fraction sum."""
-    if abs(q) >= 1.0:
-        raise ValueError("|q| must be < 1")
-    base = 0.5 + 1.0 / (x - 1.0)
-
-    def term(n):
-        qn = q ** n
-        pos = 1.0 / (qn * x - 1.0) - 1.0 / (qn - 1.0)
-        neg = qn / (x - qn) - qn / (1.0 - qn)
-        return pos + neg
-
-    return base + _shell_sum(term, tol)
+    """Numeric zeta_bar(x) = -1/2 - S_1(x)."""
+    return -0.5 - _shell_sum(1, x, q, tol)
 
 
 def p_bar_eval(x, q, tol=1e-14):
-    """Numeric p_bar(x) = sum_n q^n x / (1 - q^n x)^2."""
-    if abs(q) >= 1.0:
-        raise ValueError("|q| must be < 1")
-    base = x / (1.0 - x) ** 2
-
-    def term(n):
-        qn = q ** n
-        pos = qn * x / (1.0 - qn * x) ** 2
-        neg = (qn / x) / (1.0 - qn / x) ** 2
-        return pos + neg
-
-    return base + _shell_sum(term, tol)
+    """Numeric p_bar(x) = S_2(x) = sum_n q^n x / (1 - q^n x)^2."""
+    return _shell_sum(2, x, q, tol)
 
 
 def p_bar_prime_eval(x, q, tol=1e-14):
-    """Numeric d/dx p_bar(x)."""
-    if abs(q) >= 1.0:
-        raise ValueError("|q| must be < 1")
-    base = (1.0 + x) / (1.0 - x) ** 3
-
-    def term(n):
-        qn = q ** n
-        pos = qn * (1.0 + qn * x) / (1.0 - qn * x) ** 3
-        neg = qn * (qn + x) / (qn - x) ** 3
-        return pos + neg
-
-    return base + _shell_sum(term, tol)
+    """Numeric d/dx p_bar(x) = S_3(x) / x."""
+    return _shell_sum(3, x, q, tol) / x
 
 
 def zeta_tilde_eval(t, tau, tol=1e-14):
@@ -211,83 +223,25 @@ def zeta_tilde_eval(t, tau, tol=1e-14):
     return TWO_PI_I * zeta_bar_eval(cmath.exp(TWO_PI_I * t), q, tol)
 
 
-def _eulerian(n):
-    """The Eulerian numbers A(n, 0..n-1) (A(0, 0) = 1), the coefficients of
-    the polynomial A_n with w A_n(w) / (1 - w)^(n+1) = sum_{d>=1} d^n w^d."""
-    row = [1]
-    for m in range(1, n + 1):
-        row = [(j + 1) * (row[j] if j < len(row) else 0)
-               + (m - j) * (row[j - 1] if j else 0) for j in range(m)]
-    return row
-
-
 def wp_numeric(k, tau, alpha, tol=1e-13):
     """The k-th multiplicative Weierstrass function at (tau, alpha):
-
-    k = 1: the odd zeta function zeta_tilde(alpha);
-    k = 2: (2 pi i)^2 p_bar(e^{2 pi i alpha}) (classical p plus b_0);
-    k >= 3: the absolutely convergent lattice sum
-            sum_{(m,n)} (alpha + m tau + n)^{-k}.  By the Lipschitz formula
-            each row is sum_n (z + n)^{-k} = ((-2 pi i)^k / (k-1)!)
-            Li_{1-k}(w), w = e^{2 pi i z}, and Li_{1-k}(w) is the rational
-            function w A_{k-1}(w) / (1 - w)^k (Eulerian polynomial A); the
-            inversion Li_{1-k}(1/w) = (-1)^k Li_{1-k}(w) folds row -m onto
-            w = q^m / x, so the rows form one partial-fraction shell sum.
-    """
+    zeta_tilde(alpha) for k = 1, else the lattice sum
+    ((-2 pi i)^k / (k-1)!) S_k(e^{2 pi i alpha}) (for k = 2 the classical
+    p plus b_0, (2 pi i)^2 p_bar)."""
     tau = complex(tau)
     alpha = complex(alpha)
     if k == 1:
         return zeta_tilde_eval(alpha, tau, tol)
-    q = cmath.exp(TWO_PI_I * tau)
-    x = cmath.exp(TWO_PI_I * alpha)
-    if k == 2:
-        return TWO_PI_I ** 2 * p_bar_eval(x, q, tol)
     if k < 1:
         raise ValueError("k must be >= 1")
-    eulerian = _eulerian(k - 1)
-    sign = (-1) ** k
-
-    def polylog(w):
-        """Li_{1-k}(w)."""
-        return (w * sum(c * w ** j for j, c in enumerate(eulerian))
-                / (1.0 - w) ** k)
-
-    def term(m):
-        qm = q ** m
-        return polylog(qm * x) + sign * polylog(qm / x)
-
-    return ((-TWO_PI_I) ** k / math.factorial(k - 1)
-            * (polylog(x) + _shell_sum(term, tol)))
+    q = cmath.exp(TWO_PI_I * tau)
+    x = cmath.exp(TWO_PI_I * alpha)
+    return (-TWO_PI_I) ** k / math.factorial(k - 1) * _shell_sum(k, x, q, tol)
 
 
 # ---------------------------------------------------------------------------
 # Grassmann-extended zeta
 # ---------------------------------------------------------------------------
-
-def _grassmann_taylor(f, fprime, x):
-    """Apply a scalar function to a Grassmann-even argument via first-order
-    Taylor expansion (the nilpotent part squares to zero)."""
-    x = GrassmannNumber._coerce(x)
-    x0 = x.body
-    n = x.nilpotent()
-    return GrassmannNumber(f(x0)) + n * fprime(x0)
-
-
-def zeta_bar_g(x, q, tol=1e-14):
-    """zeta_bar at a Grassmann-even argument; zeta_bar' = -p_bar(x)/x."""
-    return _grassmann_taylor(
-        lambda v: zeta_bar_eval(v, q, tol),
-        lambda v: -p_bar_eval(v, q, tol) / v,
-        x)
-
-
-def p_bar_g(x, q, tol=1e-14):
-    """p_bar at a Grassmann-even argument."""
-    return _grassmann_taylor(
-        lambda v: p_bar_eval(v, q, tol),
-        lambda v: p_bar_prime_eval(v, q, tol),
-        x)
-
 
 def super_zeta(x, theta, q, y, eps=EPS, delta=DELTA, tol=1e-14):
     """The Grassmann-extended zeta function of the pair (x, theta):
@@ -300,11 +254,15 @@ def super_zeta(x, theta, q, y, eps=EPS, delta=DELTA, tol=1e-14):
     """
     x = GrassmannNumber._coerce(x)
     theta = GrassmannNumber._coerce(theta)
-    zb = zeta_bar_g(x, q, tol)
-    pb = p_bar_g(x, q, tol)
     one_minus_y = 1.0 - complex(y)
     if one_minus_y == 0:
         raise ZeroDivisionError("y = 1 is a pole of the extended zeta")
+    # zeta_bar and p_bar at x = x0 + n to first order in the nilpotent n
+    # (n^2 = 0), with zeta_bar' = -p_bar / x and p_bar' = S_3 / x
+    x0, n = x.body, x.nilpotent()
+    s1, s2, s3 = (_shell_sum(k, x0, q, tol) for k in (1, 2, 3))
+    zb = GrassmannNumber(-0.5 - s1) + n * (-s2 / x0)
+    pb = GrassmannNumber(s2) + n * (s3 / x0)
     return (zb * (GrassmannNumber(1.0) - eps * delta * pb * (1.0 / one_minus_y))
             + theta * eps * pb * x.inverse() * (1.0 / one_minus_y))
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import TWO_PI_I, divisor_sigma
+from .elliptic import TWO_PI_I, eisenstein
 from .series_core import (DEFAULT_Q_ORDER, EXACT_I, EXACT_TWO_PI_I, EvalPoint,
                           Prefactor, QYSeries, euler_product)
 
@@ -97,21 +97,12 @@ def theta_form(n_q=DEFAULT_Q_ORDER):
 # independent oracle for the exact phi_10_1 and phi_12_1
 # ---------------------------------------------------------------------------
 
-def _eisenstein(k, n_q):
-    """E_k = 1 + c_k sum_m sigma_{k-1}(m) q^m for k = 2, 4, 6, with
-    c_k = -2k/B_k = -24, 240, -504."""
-    c = {2: -24, 4: 240, 6: -504}[k]
-    coeffs = {(m, 0): c * divisor_sigma(k - 1, m) for m in range(1, n_q + 1)}
-    coeffs[(0, 0)] = 1
-    return QYSeries(coeffs, n_q)
-
-
 def eisenstein_e4(n_q=DEFAULT_Q_ORDER):
-    return _eisenstein(4, n_q)
+    return eisenstein(4, n_q)
 
 
 def eisenstein_e6(n_q=DEFAULT_Q_ORDER):
-    return _eisenstein(6, n_q)
+    return eisenstein(6, n_q)
 
 
 def _completions(c, box):
@@ -188,7 +179,7 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER):
     if name == "phi_0_1":
         base = phi_weak("phi_m2_1", n_q).offset_series
         series = (6 * (base.y_d_dy().y_d_dy() - 4 * base.q_d_dq())
-                  - 5 * _eisenstein(2, n_q) * base)
+                  - 5 * eisenstein(2, n_q) * base)
         return JacobiForm(name, 0, 1, series)
     if name in ("phi_10_1", "phi_12_1"):
         base = phi_weak("phi_m2_1" if name == "phi_10_1" else "phi_0_1", n_q)

@@ -199,6 +199,23 @@ class TestEval:
         assert result.exit_code == 2
         assert "is not a finite complex number" in result.output
 
+    @pytest.mark.parametrize("name", ["zeta_bar", "wp3"])
+    def test_small_im_tau_is_usage_error(self, runner, name):
+        # |q| = e^(-2 pi 0.0005) = 0.99686: the row sum would need some 10^4
+        # shells to reach its tolerance
+        result = runner.invoke(
+            main, ["eval", name, "--tau", "0.0005i", "--alpha", "0.3"])
+        assert result.exit_code == 2
+        assert "did not converge" in result.output
+        assert "|q| = 0.99686" in result.output
+        assert "Traceback" not in result.output
+
+    def test_small_im_tau_within_reach_evaluates(self, runner):
+        result = runner.invoke(
+            main, ["eval", "wp3", "--tau", "0.005i", "--alpha", "0.3"])
+        assert result.exit_code == 0
+        assert all(map(math.isfinite, json.loads(result.output)["value"]))
+
     def test_point_off_the_lattice_evaluates(self, runner):
         result = runner.invoke(
             main, ["eval", "wp2", "--tau", "0.1+1.2i", "--alpha", "0.31"])

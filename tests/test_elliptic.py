@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from superchar.elliptic import (
-    bernoulli, divisor_sigma, eisenstein_b,
+    bernoulli, divisor_sigma, eisenstein, eisenstein_b,
     p_bar_eval, p_bar_prime_eval, p_bar_series, super_zeta,
     super_zeta_lemma_residual, wp_numeric, z_action,
     zeta_bar_eval, zeta_bar_series, zeta_tilde_eval, zeta_tilde_taylor,
@@ -78,9 +78,10 @@ def at_point(tau, z):
 
 
 def wp_hurwitz_rows(k, tau, alpha, tol=1e-13):
-    """sum_{(m,n)} (alpha + m tau + n)^{-k} for k >= 3, each row resummed
-    with Hurwitz zeta values until a pair of rows is below ``tol`` of the
-    total: the oracle for the Lipschitz shell sum of ``wp_numeric``."""
+    """sum_{(m,n)} (alpha + m tau + n)^{-k} for k >= 2, each row (absolutely
+    convergent) resummed with Hurwitz zeta values until a pair of rows is
+    below ``tol`` of the total: the oracle for the Lipschitz row sum of
+    ``wp_numeric``."""
     total = _row_sum(alpha, k)
     for m in range(1, 5000):
         t = _row_sum(alpha + m * tau, k) + _row_sum(alpha - m * tau, k)
@@ -94,6 +95,42 @@ class TestDivisorSigma:
     def test_frozen_values(self):
         assert [divisor_sigma(1, m) for m in range(1, 11)] == SIGMA1
         assert [divisor_sigma(3, m) for m in range(1, 9)] == SIGMA3
+
+
+class TestEisenstein:
+    # the classical constants -2k/B_k of E_2, E_4, E_6
+    CLASSICAL = {2: -24, 4: 240, 6: -504}
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_classical_constants(self, k):
+        e = eisenstein(k, 12)
+        assert e.exact_coeff(0) == 1
+        for m in range(1, 13):
+            assert e.exact_coeff(m) == self.CLASSICAL[k] * divisor_sigma(
+                k - 1, m)
+
+    def test_weight_12_constant_is_a_fraction(self):
+        e = eisenstein(12, 3)
+        assert e.exact_coeff(1) == Fraction(65520, 691)
+        assert e.exact_coeff(2) == Fraction(65520, 691) * (1 + 2 ** 11)
+
+    @pytest.mark.parametrize("k", [0, 3, -2])
+    def test_rejects_odd_or_small_weight(self, k):
+        with pytest.raises(ValueError):
+            eisenstein(k, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_b_n_is_eisenstein_times_zeta(self, n):
+        # b_n = (2n+1) 2 zeta(w) E_w with zeta(w) / pi^w = 1/6, 1/90, 1/945,
+        # 1/9450, and 2 zeta(w) = 2 (zeta(w) / pi^w) (-1)^(w/2) / 2^w
+        # (2 pi i)^w
+        w = 2 * n + 2
+        zeta_over_pi = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945),
+                        Fraction(1, 9450)][n]
+        two_zeta = Prefactor(2 * zeta_over_pi * (-1) ** (w // 2) / 2 ** w,
+                             w, w)
+        assert eisenstein_b(n, 20) == eisenstein(w, 20) * (2 * n + 1) \
+            * two_zeta
 
 
 class TestEisensteinB:
@@ -182,13 +219,16 @@ class TestAnnulusSeries:
         assert (s.y_d_dy() + p).max_abs_coeff() == 0.0
 
     def test_series_matches_numeric_eval(self):
+        # the exact annulus series against each Lipschitz row sum S_1, S_2
+        # and S_3, with both truncations far below 1e-12 at this point
         q, x = 0.08, 0.55 + 0.1j
-        tau = cmath.log(q) / (2j * cmath.pi)
-        s = zeta_bar_series(24, 14)
-        v, _ = s.evaluate(at_point(tau, x))
-        assert abs(v - zeta_bar_eval(x, q)) < 1e-5
-        p = p_bar_series(24, 14)
-        assert abs(p.evaluate(at_point(tau, x))[0] - p_bar_eval(x, q)) < 1e-4
+        pt = at_point(cmath.log(q) / (2j * cmath.pi), x)
+        p = p_bar_series(80, 24)
+        for series, value in [
+                (zeta_bar_series(80, 24), zeta_bar_eval(x, q)),
+                (p, p_bar_eval(x, q)),
+                (p.y_d_dy(), x * p_bar_prime_eval(x, q))]:
+            assert abs(series.evaluate(pt)[0] - value) < 1e-12
 
     def test_p_bar_constant_coefficients(self):
         # the constant relating p_bar to the classical p-function,
@@ -257,17 +297,10 @@ class TestNumericEvaluators:
         assert abs(wp_numeric(1, TAU, alpha)
                    - zeta_tilde_eval(alpha, TAU)) < 1e-12
 
-    def test_wp_k2_is_p_bar(self):
-        alpha = 0.31 + 0.07j
-        x = cmath.exp(2j * cmath.pi * alpha)
-        lhs = wp_numeric(2, TAU, alpha)
-        rhs = (2j * cmath.pi) ** 2 * p_bar_eval(x, Q)
-        assert abs(lhs - rhs) < 1e-9 * abs(rhs)
-
     @pytest.mark.parametrize("tau, alpha", [
         (TAU, 0.31 + 0.07j), (-0.35 + 0.9j, 0.12 - 0.2j),
         (0.1 + 0.7j, 0.47 + 0.01j)])
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_wp_lipschitz_matches_hurwitz_rows(self, k, tau, alpha):
         fast = wp_numeric(k, tau, alpha)
         slow = wp_hurwitz_rows(k, tau, alpha)
