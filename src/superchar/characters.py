@@ -230,6 +230,14 @@ def lattice_theta(lattice, n_q=DEFAULT_Q_ORDER):
     return theta
 
 
+def _oscillator_binomials(n_q):
+    """The triples (a, b2, c) of (1 - y q^n)(1 - y^{-1} q^{n-1}),
+    n = 1 .. n_q + 1, for ``infinite_product``: past n_q + 1 no factor
+    reaches q^n_q."""
+    return [t for n in range(1, n_q + 2)
+            for t in ((n, 2, -1), (n - 1, -2, -1))]
+
+
 class CharacterSeries:
     """A supertrace character including the y^{C/6} prefactor; chi is the
     full series, central_charge = 3 rank / 2, index = C/6 = rank/4."""
@@ -259,13 +267,11 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
         raise ValueError("rank must be even")
     theta_l = lattice_theta(lattice, n_q)
     if mode == "product":
-        def factor(n):
-            return QYSeries({(0, 0): 1, (n, 2): -1, (n - 1, -2): -1,
-                             (2 * n - 1, 0): 1}, n_q)
-        osc = infinite_product(factor, n_q) ** (r // 2)
+        osc = infinite_product(_oscillator_binomials(n_q), n_q) ** (r // 2)
         den = euler_product(n_q) ** r
         prefactor = QYSeries.monomial(1, 0, r // 2, n_q)  # y^{r/4}
-        chi = prefactor * osc * den.invert() * theta_l
+        # the two y-free factors first: one y-block product fewer
+        chi = prefactor * osc * (den.invert() * theta_l)
         return CharacterSeries(chi, r)
     if mode == "closed":
         if r % 8 != 0:
@@ -359,18 +365,20 @@ def fock_weighted_trace(fock, insertion):
 # triple product
 # ---------------------------------------------------------------------------
 
+def triple_product_sum(n_q=DEFAULT_Q_ORDER):
+    """sum_k (-y)^k q^{k(k+1)/2}: the sum side of the Jacobi triple
+    product."""
+    return QYSeries({(n, 2 * k): sign for n, k, sign in theta_sum_terms(n_q)},
+                    n_q)
+
+
 def jacobi_triple_product(n_q=DEFAULT_Q_ORDER):
     """Returns (product_side, sum_side):
     prod_n (1-q^n)(1-y q^n)(1-y^{-1} q^{n-1})  and  sum_k (-y)^k q^{k(k+1)/2}.
     """
-    def factor(n):
-        return (QYSeries({(0, 0): 1, (n, 0): -1}, n_q)
-                * QYSeries({(0, 0): 1, (n, 2): -1}, n_q)
-                * QYSeries({(0, 0): 1, (n - 1, -2): -1}, n_q))
-    lhs = infinite_product(factor, n_q)
-    rhs = QYSeries({(n, 2 * k): sign for n, k, sign in theta_sum_terms(n_q)},
-                   n_q)
-    return lhs, rhs
+    binomials = _oscillator_binomials(n_q) + [
+        (n, 0, -1) for n in range(1, n_q + 1)]
+    return infinite_product(binomials, n_q), triple_product_sum(n_q)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def _series_registry(n_q):
         "zeta_bar": lambda: el.zeta_bar_series(n_q, n_q),
         "p_bar": lambda: el.p_bar_series(n_q, n_q),
         "zeta_tilde": lambda: el.zeta_tilde_taylor(7, n_q),
-        "triple_product": lambda: ch.jacobi_triple_product(n_q)[1],
+        "triple_product": lambda: ch.triple_product_sum(n_q),
     }
     for k in range(4):
         reg[f"b{k}"] = lambda k=k: el.eisenstein_b(k, n_q)

@@ -17,7 +17,9 @@ i, 2 pi or q is an error, not a rounding.  Products of dense blocks use
 Kronecker substitution: each block is packed into one Python integer and
 the two are multiplied once (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009); a
-factor of a few terms is applied as shifted copies instead.
+factor of a few terms is applied as shifted copies instead, and an
+infinite product of binomials is built in place on one int64 block when
+its coefficients fit a machine word.
 """
 
 from __future__ import annotations
@@ -175,20 +177,32 @@ def _kronecker(a, b, n_rows):
 def _packed_product(a, b, n_rows, square):
     """The first ``n_rows`` rows of the product of two integer blocks, each
     packed row-major into one integer; masking off the low digits of the
-    product truncates it."""
+    product truncates it.  The digit width comes from a bound of at least
+    max|a| max|b| (neither block is zero), so digits of at most 8 bytes
+    put every input and product coefficient in an int64: numpy then packs
+    and unpacks the whole block at once, where wider digits go one Python
+    int at a time."""
     stride = a.shape[1] + b.shape[1] - 1
     bound = (max(map(abs, a.ravel().tolist()))
              * max(map(abs, b.ravel().tolist()))
              * min(a.shape[0], b.shape[0]) * min(a.shape[1], b.shape[1]))
     width = bound.bit_length() // 8 + 1  # bytes per digit, sign included
     half = 1 << (8 * width - 1)
+    word = width <= 8
 
     def pack(block):
-        padded = np.zeros((block.shape[0], stride), object)
+        padded = np.zeros((block.shape[0], stride),
+                          np.int64 if word else object)
         padded[:, :block.shape[1]] = block
-        flat = padded.ravel().tolist()
-        data = b"".join([(c + half).to_bytes(width, "little") for c in flat])
-        return int.from_bytes(data, "little") - _half_digits(width, len(flat))
+        if word:
+            digits = (padded.view(np.uint64) + np.uint64(half)).astype(
+                "<u8", copy=False)
+            data = digits.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
+        else:
+            data = b"".join([(c + half).to_bytes(width, "little")
+                             for c in padded.ravel().tolist()])
+        return int.from_bytes(data, "little") - _half_digits(width,
+                                                             padded.size)
 
     packed = pack(a)
     product = packed * (packed if square else pack(b))
@@ -196,6 +210,11 @@ def _packed_product(a, b, n_rows, square):
     mask = (1 << (8 * width * count)) - 1
     low = (product + _half_digits(width, count)) & mask
     data = low.to_bytes(width * count, "little")
+    if word:
+        digits = np.zeros((count, 8), np.uint8)
+        digits[:, :width] = np.frombuffer(data, np.uint8).reshape(count, width)
+        values = (digits.view("<u8")[:, 0] - np.uint64(half)).view(np.int64)
+        return values.astype(object).reshape(n_rows, stride)
     return np.array([int.from_bytes(data[k:k + width], "little") - half
                      for k in range(0, len(data), width)],
                     dtype=object).reshape(n_rows, stride)
@@ -591,15 +610,49 @@ class QYSeries:
                 "terms": [[n, r2, c.real, c.imag] for n, r2, c in self.terms()]}
 
 
-def infinite_product(factor, n_q):
-    """Product of ``factor(n)`` over n = 1 .. n_q + 1, truncated at q-order
-    ``n_q``: the whole infinite product when factor(n) - 1 = O(q^(n-1)), so
-    that no later factor reaches q^n_q.  A factor of a few terms costs one
-    shifted copy of the partial product per term."""
-    result = QYSeries.one(n_q)
-    for n in range(1, n_q + 2):
-        result = result * factor(n)
-    return result
+def infinite_product(binomials, n_q):
+    """prod (1 + c q^a y^(b2/2)) over the triples (a, b2, c) of ints in
+    ``binomials`` (a >= 0, b2 even), truncated at q-order ``n_q``.
+
+    Each binomial is applied in place to one dense block, as one shifted
+    add of its live columns: those whose lowest q-power, moved up by a,
+    is still at most n_q.  The block is int64 when the majorant
+    prod (1 + |c| q^a) has every coefficient up to q^n_q below 2^63, and
+    holds Python ints otherwise.  The majorant bounds every coefficient:
+    the coefficients at q^n of a partial product, over all powers of y,
+    have absolute values summing to at most the coefficient at q^n of its
+    own majorant, which is at most the full majorant's, since each further
+    factor 1 + |c| q^a has nonnegative coefficients and constant term 1.
+    So no add, and no product c times a coefficient, can overflow."""
+    if any(a < 0 or b2 % 2 for a, b2, _ in binomials):
+        raise ValueError("binomials need a >= 0 and an even b2")
+    if n_q < 0:
+        return QYSeries.zero(n_q)
+    binomials = [(a, b2 // 2, c) for a, b2, c in binomials if a <= n_q]
+    majorant = np.zeros(n_q + 1, object)
+    majorant[0] = 1
+    for a, _, c in binomials:
+        majorant[a:] += abs(c) * majorant[:n_q + 1 - a]
+    word = max(majorant.tolist()) < 1 << 63
+    origin = -sum(min(b, 0) for _, b, _ in binomials)  # the column of y^0
+    width = origin + 1 + sum(max(b, 0) for _, b, _ in binomials)
+    block = np.zeros((n_q + 1, width), np.int64 if word else object)
+    low = np.full(width, n_q + 1)  # the least q-power of each column
+    block[0, origin], low[origin] = 1, 0
+    left = right = origin
+    for a, b, c in binomials:
+        # low[origin] stays 0, so both scans stop at the origin
+        s, t = left, right
+        while low[s] + a > n_q:
+            s += 1
+        while low[t] + a > n_q:
+            t -= 1
+        block[a:, s + b:t + 1 + b] += c * block[:n_q + 1 - a, s:t + 1]
+        np.minimum(low[s + b:t + 1 + b], low[s:t + 1] + a,
+                   out=low[s + b:t + 1 + b])
+        left, right = min(left, s + b), max(right, t + b)
+    return QYSeries._make(block[:, left:right + 1].astype(object), 0,
+                          2 * (left - origin), Prefactor(), n_q)
 
 
 def euler_product(n_q):

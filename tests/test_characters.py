@@ -378,6 +378,13 @@ class TestTripleProduct:
         assert lhs.coeffs
         assert lhs.coeffs == pytest.approx(rhs.coeffs)
 
+    @pytest.mark.parametrize("n_q", [245, 250])
+    def test_exact_on_both_sides_of_a_machine_word(self, n_q):
+        # from q^246 the product's majorant passes 2^63, and its block
+        # holds Python ints instead of int64
+        lhs, rhs = jacobi_triple_product(n_q)
+        assert lhs == rhs
+
 
 class TestCuspPredicates:
     def test_basic_predicate_samples(self):

@@ -6,13 +6,18 @@ naive integer arithmetic."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import mpmath
 from hypothesis import given, settings, strategies as st
 
 from superchar.characters import chi_character, e8_lattice
 from superchar.jacobi_forms import phi_weak
-from superchar.series_core import SPARSE_TERMS, QYSeries, euler_product
+import numpy as np
+import pytest
+
+from superchar.series_core import (SPARSE_TERMS, QYSeries, _packed_product,
+                                   euler_product)
 
 
 def mul(a, b, n_q):
@@ -192,3 +197,25 @@ def test_packed_product_matches_naive_convolution(data):
     keys = set(ref) | set(prod.coeffs)
     assert {k: prod.exact_coeff(*k) for k in keys} == \
         {k: ref.get(k, 0) for k in keys}
+
+
+@pytest.mark.parametrize("width", [8, 9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_product_at_the_machine_word(width, sign):
+    # 3 x 3 blocks of +-m, checkerboard signs: every product coefficient
+    # is a sum of like-signed terms, and the centre one is +-9 m^2, the
+    # bound that sets the digit width.  9 m^2 just below 2^63 takes 8-byte
+    # digits, packed through int64; just above, 9-byte digits.
+    m = isqrt((2 ** 63 - 1) // 9) + (width == 9)
+    assert (9 * m * m).bit_length() // 8 + 1 == width
+    checker = np.array([[(-1) ** (i + j) * m for j in range(3)]
+                        for i in range(3)], dtype=object)
+    a, b = sign * checker, checker
+    naive = np.zeros((5, 5), dtype=object)
+    for i, j, k, l in np.ndindex(3, 3, 3, 3):
+        naive[i + k, j + l] += a[i, j] * b[k, l]
+    assert abs(naive[2, 2]) == 9 * m * m
+    for n_rows in (5, 3):
+        assert (_packed_product(a, b, n_rows, False) == naive[:n_rows]).all()
+        assert (_packed_product(b, b, n_rows, True)
+                == sign * naive[:n_rows]).all()

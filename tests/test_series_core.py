@@ -233,10 +233,51 @@ class TestEulerProduct:
             assert inv.exact_coeff(n, 0) == p
 
     def test_infinite_product_of_the_euler_factors(self):
-        prod = infinite_product(
-            lambda n: QYSeries({(0, 0): 1, (n, 0): -1}, 26), 26)
+        prod = infinite_product([(n, 0, -1) for n in range(1, 27)], 26)
         assert prod == euler_product(26)
 
+
+def binomial_fold(binomials, n_q):
+    """prod (1 + c q^a y^(b2/2)) as one series product per binomial: the
+    reference for ``infinite_product``."""
+    out = QYSeries.one(n_q)
+    for a, b2, c in binomials:
+        out = out * (QYSeries.one(n_q) + QYSeries.monomial(c, a, b2, n_q))
+    return out
+
+
+def character_binomials(n_q):
+    """(1 - y q^n)(1 - y^-1 q^(n-1)), n = 1 .. n_q + 1."""
+    return [t for n in range(1, n_q + 2)
+            for t in ((n, 2, -1), (n - 1, -2, -1))]
+
+
+def triple_binomials(n_q):
+    """The character's binomials and (1 - q^n)."""
+    return character_binomials(n_q) + [(n, 0, -1) for n in range(1, n_q + 2)]
+
+
+class TestInfiniteProduct:
+    @pytest.mark.parametrize("n_q", [0, 1, 7, 40, 100])
+    @pytest.mark.parametrize("binomials",
+                             [character_binomials, triple_binomials])
+    def test_matches_the_binomial_fold(self, binomials, n_q):
+        prod = infinite_product(binomials(n_q), n_q)
+        assert prod == binomial_fold(binomials(n_q), n_q)
+        assert prod.q_order == n_q
+
+    def test_past_a_machine_word(self):
+        # the majorant passes 2^63 at q^2, so the block holds Python ints
+        binomials = [(n, 2, 2 ** 40) for n in range(1, 13)] + [
+            (n, -2, -(2 ** 40) + 1) for n in range(0, 12)]
+        prod = infinite_product(binomials, 12)
+        assert prod == binomial_fold(binomials, 12)
+        assert prod.max_abs_coeff() > 2 ** 100
+
+    def test_rejects_a_half_integral_or_negative_power(self):
+        for binomial in ((1, 1, -1), (-1, 2, -1)):
+            with pytest.raises(ValueError):
+                infinite_product([binomial], 5)
 
 
 class TestDerivations:
