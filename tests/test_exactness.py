@@ -9,13 +9,12 @@ from functools import lru_cache
 from math import isqrt
 
 import mpmath
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from superchar.characters import chi_character, e8_lattice
 from superchar.jacobi_forms import phi_weak
-import numpy as np
-import pytest
-
 from superchar.series_core import (SPARSE_TERMS, QYSeries, _packed_product,
                                    euler_product)
 
