@@ -9,6 +9,7 @@ are built in ``superchar.checks``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -457,18 +458,22 @@ def _shell_min_y(acc):
     return out
 
 
-def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
-                     super_case=None):
+#: the translate cutoff and the q-order of the cusp certificate
+_N_CUT = 12
+_Q_MAX = 8
+
+
+def cusp_certificate(delta, k, l, cap_k=0, charge=0, super_case=None):
     """Independent expansion certificate for the cusp predicates, in exact
     integers.
 
-    The averaged section is expanded at translate cutoffs n_cut and
-    n_cut + 5 (the larger expansion adds the translates n_cut < |n| <=
-    n_cut + 5 to the smaller); the sum extends over the cusp iff no
-    negative q-powers appear, coefficients at common keys agree between
-    the cutoffs, and the minimum y-exponent of each q-shell does not drop
-    (new keys may appear only at higher y-powers, where the limit is a
-    power series in y).
+    The averaged section is expanded to q^_Q_MAX at translate cutoffs
+    _N_CUT and _N_CUT + 5 (the larger expansion adds the translates
+    _N_CUT < |n| <= _N_CUT + 5 to the smaller); the sum extends over the
+    cusp iff no negative q-powers appear, coefficients at common keys agree
+    between the cutoffs, and the minimum y-exponent of each q-shell does
+    not drop (new keys may appear only at higher y-powers, where the limit
+    is a power series in y).
 
     The verdict does not depend on the point z of the pole: every term at
     one key (q-power, x-power, y-power) carries the same power of z and the
@@ -479,10 +484,10 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
     if super_case is None:
         super_case = not (cap_k == 0 and charge == 0)
     e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
-    inner = [n for n in range(-n_cut, n_cut + 1) if n]
-    outer = [s * n for n in range(n_cut + 1, n_cut + 6) for s in (-1, 1)]
-    small = _add_translates({}, e, f, l, inner, q_max)
-    large = _add_translates(dict(small), e, f, l, outer, q_max)
+    inner = [n for n in range(-_N_CUT, _N_CUT + 1) if n]
+    outer = [s * n for n in range(_N_CUT + 1, _N_CUT + 6) for s in (-1, 1)]
+    small = _add_translates({}, e, f, l, inner, _Q_MAX)
+    large = _add_translates(dict(small), e, f, l, outer, _Q_MAX)
     if any(key[0] < 0 and v != 0 for key, v in large.items()):
         return False
     if any(v != large[key] for key, v in small.items()):
@@ -496,10 +501,9 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, n_cut=12, q_max=8,
     return True
 
 
-def cusp_grid_check(delta_range=range(0, 6), k_range=range(0, 8),
-                    l_range=range(1, 5), super_grid=False,
-                    charge_range=range(-3, 4), cap_k_values=(0, 1)):
-    """Compare predicate and certificate over a parameter grid; returns the
+def cusp_grid_check(super_grid=False):
+    """Compare predicate and certificate over the grid Delta 0..5, k 0..7,
+    l 1..4 and, for the super predicate, c -3..3 and K 0..1; returns the
     list of mismatches (empty iff they agree everywhere).  The certificate
     is computed once per ``cusp_class`` and the predicate at every point."""
     certs = {}
@@ -511,20 +515,16 @@ def cusp_grid_check(delta_range=range(0, 6), k_range=range(0, 8),
         return certs[key]
 
     mismatches = []
-    for delta in delta_range:
-        for k in k_range:
-            for l in l_range:
-                if not super_grid:
-                    pred = cusp_predicate(delta, k, l)
-                    cert = certificate(delta, k, l)
-                    if pred != cert:
-                        mismatches.append((delta, k, l, pred, cert))
-                else:
-                    for c in charge_range:
-                        for cap_k in cap_k_values:
-                            pred = super_cusp_predicate(delta, k, l, cap_k, c)
-                            cert = certificate(delta, k, l, cap_k, c)
-                            if pred != cert:
-                                mismatches.append(
-                                    (delta, k, l, cap_k, c, pred, cert))
+    for delta, k, l in itertools.product(range(6), range(8), range(1, 5)):
+        if not super_grid:
+            pred = cusp_predicate(delta, k, l)
+            cert = certificate(delta, k, l)
+            if pred != cert:
+                mismatches.append((delta, k, l, pred, cert))
+        else:
+            for c, cap_k in itertools.product(range(-3, 4), (0, 1)):
+                pred = super_cusp_predicate(delta, k, l, cap_k, c)
+                cert = certificate(delta, k, l, cap_k, c)
+                if pred != cert:
+                    mismatches.append((delta, k, l, cap_k, c, pred, cert))
     return mismatches

@@ -88,7 +88,7 @@ def elliptic(q_order=10):
     tau, t = 0.1 + 1.2j, 0.21 + 0.05j
     approx, _ = zt.evaluate(EvalPoint(
         tau, cmath.log(2j * cmath.pi * t) / (2j * cmath.pi)))
-    exact = el.zeta_tilde_eval(t, tau)
+    exact, _ = el.zeta_tilde_eval(t, tau)
     return [
         Row("x-dx-zeta-bar", "log-derivative-relation", "series",
             (zb.y_d_dy() + pb).max_abs_coeff(), 0.0),
@@ -173,7 +173,7 @@ def gl11():
         [EPS, GrassmannNumber(y) + EPS * DELTA],
     ]) * q
     invariance = max(sc.invariant_conjugation_residual(m, y)
-                     for m in (SuperMatrix.identity(2),
+                     for m in (SuperMatrix.identity(),
                                sc.coordinate_matrix(1.0, y)))
     factorization = 0.0
     for odd_parity in (False, True):

@@ -150,15 +150,16 @@ def _on_lattice(alpha, tau):
 
 
 def _eval_registry(n_q):
-    """{name: point -> (value, truncation bound)}."""
+    """{name: point -> (value, error bound)}: the last q-shell of a series,
+    the rounding and stopping-rule tail of a row sum."""
     reg = {name: (lambda p, make=make: make().evaluate(p))
            for name, make in _series_registry(n_q).items()
            if name not in _LATTICE_POLES and name != "triple_product"}
-    reg["zeta_bar"] = lambda p: (el.zeta_bar_eval(p.y, p.q), 0.0)
-    reg["p_bar"] = lambda p: (el.p_bar_eval(p.y, p.q), 0.0)
-    reg["zeta_tilde"] = lambda p: (el.zeta_tilde_eval(p.alpha, p.tau), 0.0)
+    reg["zeta_bar"] = lambda p: el.zeta_bar_eval(p.y, p.q)
+    reg["p_bar"] = lambda p: el.p_bar_eval(p.y, p.q)
+    reg["zeta_tilde"] = lambda p: el.zeta_tilde_eval(p.alpha, p.tau)
     for k in (1, 2, 3, 4):
-        reg[f"wp{k}"] = lambda p, k=k: (el.wp_numeric(k, p.tau, p.alpha), 0.0)
+        reg[f"wp{k}"] = lambda p, k=k: el.wp_numeric(k, p.tau, p.alpha)
     return reg
 
 
@@ -241,6 +242,8 @@ def verify(ctx, suites, fmt, tolerance, output):
     """Run verification suites and emit a report; exits 1 on any failure."""
     fmt = _setting(ctx, fmt, "format", _format)
     tolerance = _setting(ctx, tolerance, "tolerance", float)
+    if tolerance is not None and not tolerance >= 0:  # NaN compares False
+        raise click.UsageError(f"tolerance must be >= 0, got {tolerance}")
     runs = [_choose("suite", nm, SUITES) for nm in suites or sorted(SUITES)]
     rows = [row for run in runs for row in run()]
     if tolerance is not None:

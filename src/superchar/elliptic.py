@@ -20,7 +20,8 @@ Conventions (lattice Z tau + Z, q = e^{2 pi i tau}, x = e^{2 pi i t}):
   a constant -1 per term, which the -1/(q^n - 1) of zeta_bar cancels.  So
   ``zeta_bar = -1/2 - S_1``, ``p_bar = S_2`` (hence ``x d/dx zeta_bar =
   -p_bar``, coefficient by coefficient in the annulus series) and
-  ``p_bar' = S_3 / x``.
+  ``p_bar' = S_3 / x``.  Each evaluator returns (value, bound): the error
+  bound of its row sum times the modulus of the factor applied to it.
 * ``zeta_tilde(t) = 1/t - b_0 t - b_1 t^3/3 - b_2 t^5/5 - ...`` and
   ``zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})``.  With u = 2 pi i t and
   b_n = (2n+1) (2 pi i)^(2n+2) beta_n this is
@@ -156,6 +157,9 @@ def zeta_tilde_taylor(n_t, n_q):
 # ---------------------------------------------------------------------------
 
 _MAX_SHELLS = 5000
+#: a row sum stops after three consecutive shells below this fraction of
+#: max(1, |sum so far|)
+_SHELL_TOL = 1e-14
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,10 +174,12 @@ def _eulerian(n):
     return row
 
 
-def _shell_sum(k, x, q, tol):
-    """S_k(x) = Li_{1-k}(x) + sum_{m>=1} (Li_{1-k}(q^m x)
-    + (-1)^k Li_{1-k}(q^m / x)), summed until several consecutive shells
-    are negligible (see the module docstring)."""
+def _shell_sum(k, x, q):
+    """(S, bound): S = Li_{1-k}(x) + sum_{m>=1} (Li_{1-k}(q^m x)
+    + (-1)^k Li_{1-k}(q^m / x)), summed until three consecutive shells are
+    below tol = _SHELL_TOL max(1, |S|), and a bound on its error: the
+    rounding level 2^-52 sum |Li| plus tol / (1 - |q|), which bounds the
+    tail while the shells shrink like |q|^m."""
     if abs(q) >= 1.0:
         raise ValueError("|q| must be < 1")
     eulerian = _eulerian(k - 1)
@@ -187,43 +193,50 @@ def _shell_sum(k, x, q, tol):
         return w * a / (1.0 - w) ** k
 
     total = polylog(x)
+    size = abs(total)
     quiet = 0
     for m in range(1, _MAX_SHELLS + 1):
         qm = q ** m
-        t = polylog(qm * x) + sign * polylog(qm / x)
+        inner, outer = polylog(qm * x), polylog(qm / x)
+        t = inner + sign * outer
         total += t
-        if abs(t) <= tol * max(1.0, abs(total)):
+        size += abs(inner) + abs(outer)
+        tol = _SHELL_TOL * max(1.0, abs(total))
+        if abs(t) <= tol:
             quiet += 1
             if quiet >= 3:
-                return total
+                return total, 2.0 ** -52 * size + tol / (1.0 - abs(q))
         else:
             quiet = 0
     raise ValueError(f"the lattice sum did not converge in {_MAX_SHELLS} "
                      f"shells at |q| = {abs(q):.6g}: Im tau is too small")
 
 
-def zeta_bar_eval(x, q, tol=1e-14):
+def zeta_bar_eval(x, q):
     """Numeric zeta_bar(x) = -1/2 - S_1(x)."""
-    return -0.5 - _shell_sum(1, x, q, tol)
+    s, bound = _shell_sum(1, x, q)
+    return -0.5 - s, bound
 
 
-def p_bar_eval(x, q, tol=1e-14):
+def p_bar_eval(x, q):
     """Numeric p_bar(x) = S_2(x) = sum_n q^n x / (1 - q^n x)^2."""
-    return _shell_sum(2, x, q, tol)
+    return _shell_sum(2, x, q)
 
 
-def p_bar_prime_eval(x, q, tol=1e-14):
+def p_bar_prime_eval(x, q):
     """Numeric d/dx p_bar(x) = S_3(x) / x."""
-    return _shell_sum(3, x, q, tol) / x
+    s, bound = _shell_sum(3, x, q)
+    return s / x, bound / abs(x)
 
 
-def zeta_tilde_eval(t, tau, tol=1e-14):
+def zeta_tilde_eval(t, tau):
     """Numeric odd zeta zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})."""
     q = cmath.exp(TWO_PI_I * tau)
-    return TWO_PI_I * zeta_bar_eval(cmath.exp(TWO_PI_I * t), q, tol)
+    value, bound = zeta_bar_eval(cmath.exp(TWO_PI_I * t), q)
+    return TWO_PI_I * value, 2 * math.pi * bound
 
 
-def wp_numeric(k, tau, alpha, tol=1e-13):
+def wp_numeric(k, tau, alpha):
     """The k-th multiplicative Weierstrass function at (tau, alpha):
     zeta_tilde(alpha) for k = 1, else the lattice sum
     ((-2 pi i)^k / (k-1)!) S_k(e^{2 pi i alpha}) (for k = 2 the classical
@@ -231,19 +244,21 @@ def wp_numeric(k, tau, alpha, tol=1e-13):
     tau = complex(tau)
     alpha = complex(alpha)
     if k == 1:
-        return zeta_tilde_eval(alpha, tau, tol)
+        return zeta_tilde_eval(alpha, tau)
     if k < 1:
         raise ValueError("k must be >= 1")
     q = cmath.exp(TWO_PI_I * tau)
     x = cmath.exp(TWO_PI_I * alpha)
-    return (-TWO_PI_I) ** k / math.factorial(k - 1) * _shell_sum(k, x, q, tol)
+    factor = (-TWO_PI_I) ** k / math.factorial(k - 1)
+    s, bound = _shell_sum(k, x, q)
+    return factor * s, abs(factor) * bound
 
 
 # ---------------------------------------------------------------------------
-# Grassmann-extended zeta
+# Grassmann-extended zeta on the (1|1) superline of EPS and DELTA
 # ---------------------------------------------------------------------------
 
-def super_zeta(x, theta, q, y, eps=EPS, delta=DELTA, tol=1e-14):
+def super_zeta(x, theta, q, y):
     """The Grassmann-extended zeta function of the pair (x, theta):
 
     Z = zeta_bar(x) (1 - eps delta p_bar(x)/(1-y))
@@ -260,30 +275,29 @@ def super_zeta(x, theta, q, y, eps=EPS, delta=DELTA, tol=1e-14):
     # zeta_bar and p_bar at x = x0 + n to first order in the nilpotent n
     # (n^2 = 0), with zeta_bar' = -p_bar / x and p_bar' = S_3 / x
     x0, n = x.body, x.nilpotent()
-    s1, s2, s3 = (_shell_sum(k, x0, q, tol) for k in (1, 2, 3))
+    s1, s2, s3 = (_shell_sum(k, x0, q)[0] for k in (1, 2, 3))
     zb = GrassmannNumber(-0.5 - s1) + n * (-s2 / x0)
     pb = GrassmannNumber(s2) + n * (s3 / x0)
-    return (zb * (GrassmannNumber(1.0) - eps * delta * pb * (1.0 / one_minus_y))
-            + theta * eps * pb * x.inverse() * (1.0 / one_minus_y))
+    return (zb * (GrassmannNumber(1.0) - EPS * DELTA * pb * (1.0 / one_minus_y))
+            + theta * EPS * pb * x.inverse() * (1.0 / one_minus_y))
 
 
-def z_action(x, theta, q, y, eps=EPS, delta=DELTA):
+def z_action(x, theta, q, y):
     """One step of the integer action on the pair (x, theta):
     (x, theta) -> (q (x + eps theta), q (y - eps delta) theta + q delta x)."""
     x = GrassmannNumber._coerce(x)
     theta = GrassmannNumber._coerce(theta)
     q = complex(q)
     y = complex(y)
-    x_new = (x + eps * theta) * q
-    theta_new = (GrassmannNumber(y) - eps * delta) * theta * q + delta * x * q
+    x_new = (x + EPS * theta) * q
+    theta_new = (GrassmannNumber(y) - EPS * DELTA) * theta * q + DELTA * x * q
     return x_new, theta_new
 
 
-def super_zeta_lemma_residual(x, theta, q, y, eps=EPS, delta=DELTA,
-                              tol=1e-14):
+def super_zeta_lemma_residual(x, theta, q, y):
     """Residual of the quasi-periodicity Z(q . (x, theta)) = Z(x, theta) - 1
     under the integer action; returns the max component deviation."""
-    x2, theta2 = z_action(x, theta, q, y, eps, delta)
-    lhs = super_zeta(x2, theta2, q, y, eps, delta, tol)
-    rhs = super_zeta(x, theta, q, y, eps, delta, tol) - 1.0
+    x2, theta2 = z_action(x, theta, q, y)
+    lhs = super_zeta(x2, theta2, q, y)
+    rhs = super_zeta(x, theta, q, y) - 1.0
     return (lhs - rhs).max_abs()

@@ -1,4 +1,5 @@
-"""Grassmann algebra on two odd generators eps, delta, and supermatrices.
+"""Grassmann algebra on two odd generators eps, delta, and 2x2 (1|1)
+supermatrices.
 
 Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
 eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0, the even part
@@ -165,48 +166,40 @@ def odd(a, b=0.0):
 
 
 class SuperMatrix:
-    """A square matrix with GrassmannNumber entries.
-
-    The default use is 2x2 matrices in (1|1) block format (even entries on
-    the diagonal, odd entries off it), but entries are not constrained and
-    larger sizes are supported for jet matrices.
-    """
+    """A 2x2 matrix with GrassmannNumber entries in (1|1) block format: even
+    entries on the diagonal, odd entries off it (the parities are not
+    checked)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
         self.rows = [[GrassmannNumber._coerce(x) for x in row] for row in rows]
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n or any(x is None for x in row):
-                raise ValueError("SuperMatrix requires a square array of "
-                                 "Grassmann or scalar entries")
-
-    @property
-    def size(self):
-        return len(self.rows)
+        if len(self.rows) != 2 or any(
+                len(row) != 2 or any(x is None for x in row)
+                for row in self.rows):
+            raise ValueError("SuperMatrix requires a 2x2 array of Grassmann "
+                             "or scalar entries")
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     @classmethod
-    def identity(cls, n=2):
-        return cls([[1.0 if i == j else 0.0 for j in range(n)]
-                    for i in range(n)])
+    def identity(cls):
+        return cls([[1.0, 0.0], [0.0, 1.0]])
 
     @classmethod
-    def zero(cls, n=2):
-        return cls([[0.0] * n for _ in range(n)])
+    def zero(cls):
+        return cls([[0.0, 0.0], [0.0, 0.0]])
 
     def __add__(self, other):
-        if not isinstance(other, SuperMatrix) or other.size != self.size:
+        if not isinstance(other, SuperMatrix):
             return NotImplemented
         return _supermatrix([[x + y for x, y in zip(r, s)]
                              for r, s in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        if not isinstance(other, SuperMatrix) or other.size != self.size:
+        if not isinstance(other, SuperMatrix):
             return NotImplemented
         return _supermatrix([[x - y for x, y in zip(r, s)]
                              for r, s in zip(self.rows, other.rows)])
@@ -216,8 +209,6 @@ class SuperMatrix:
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
-            if other.size != self.size:
-                return NotImplemented
             cols = list(zip(*other.rows))
             return _supermatrix([
                 [sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
@@ -234,13 +225,11 @@ class SuperMatrix:
         return _supermatrix([[o * x for x in row] for row in self.rows])
 
     def inverse(self):
-        """Inverse of a 2x2 matrix via the block (Schur complement) formula.
+        """Inverse by the block (Schur complement) formula.
 
         Entry products are ordered so the formula is valid when the diagonal
         entries are even and the off-diagonal entries are odd.
         """
-        if self.size != 2:
-            raise NotImplementedError("inverse implemented for 2x2 only")
         a, b = self.rows[0]
         c, d = self.rows[1]
         sa = (a - b * d.inverse() * c).inverse()
@@ -261,41 +250,37 @@ class SuperMatrix:
 
 
 def _supermatrix(rows):
-    """The SuperMatrix with these square rows of GrassmannNumbers,
-    unchecked."""
+    """The SuperMatrix with these 2x2 rows of GrassmannNumbers, unchecked."""
     out = object.__new__(SuperMatrix)
     out.rows = rows
     return out
 
 
 def berezinian(m):
-    """Berezinian of a 2x2 matrix [[A, B], [C, D]] in (1|1) format:
-    A*D^{-1} + C*B*D^{-2}.
+    """Berezinian of [[A, B], [C, D]]: A*D^{-1} + C*B*D^{-2}.
 
     The odd entries enter in the order C*B; with that ordering the Berezinian
     of the coordinate-change matrix q[[1, eps], [delta, y - eps*delta]] is
     exactly y^{-1} and the map is multiplicative.
     """
-    if m.size != 2:
-        raise ValueError("berezinian is defined for 2x2 (1|1) matrices")
     a, b = m.rows[0]
     c, d = m.rows[1]
     dinv = d.inverse()
     return a * dinv + c * b * dinv * dinv
 
 
-def exp_nilpotent(m, max_terms=8):
+#: the most powers of a nilpotent matrix that ``exp_nilpotent`` sums
+_EXP_TERMS = 8
+
+
+def exp_nilpotent(m):
     """Matrix exponential of a nilpotent matrix by summing powers until a
-    power vanishes exactly; raises if it fails to terminate."""
-    n = m.size
-    out = SuperMatrix.identity(n)
-    term = SuperMatrix.identity(n)
-    for k in range(1, max_terms + 2):
+    power vanishes exactly; raises if none of the first _EXP_TERMS + 1
+    does."""
+    out = term = SuperMatrix.identity()
+    for k in range(1, _EXP_TERMS + 2):
         term = term * m * (1.0 / k)
         if term.max_abs() == 0.0:
             return out
-        if k > max_terms:
-            raise ValueError(
-                f"matrix is not nilpotent within {max_terms} powers")
         out = out + term
-    return out
+    raise ValueError(f"matrix is not nilpotent within {_EXP_TERMS} powers")

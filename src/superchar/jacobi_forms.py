@@ -188,12 +188,13 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER):
     raise ValueError(f"unknown weak Jacobi form {name!r}")
 
 
-def phi_10_1_eisenstein_numeric(point, cutoff=40, n_q=DEFAULT_Q_ORDER):
-    """phi_10_1 from the Eisenstein side: (E_6 E_{4,1} - E_4 E_{6,1})/144."""
+def phi_10_1_eisenstein_numeric(point, cutoff=40):
+    """phi_10_1 from the Eisenstein side: (E_6 E_{4,1} - E_4 E_{6,1})/144,
+    with E_4 and E_6 to q^DEFAULT_Q_ORDER."""
     e41 = jacobi_eisenstein_numeric(4, 1, point, cutoff)
     e61 = jacobi_eisenstein_numeric(6, 1, point, cutoff)
-    v4 = eisenstein_e4(n_q).evaluate(point)[0]
-    v6 = eisenstein_e6(n_q).evaluate(point)[0]
+    v4 = eisenstein_e4().evaluate(point)[0]
+    v6 = eisenstein_e6().evaluate(point)[0]
     return (v6 * e41 - v4 * e61) / 144.0
 
 
@@ -201,12 +202,12 @@ def phi_10_1_eisenstein_numeric(point, cutoff=40, n_q=DEFAULT_Q_ORDER):
 # quasi-periodicity ratios and their Taylor data
 # ---------------------------------------------------------------------------
 
-def lemma_ratio(form, t, point, pole_guard=1e-10):
+def lemma_ratio(form, t, point):
     """The ratio f(tau, t + alpha) / f(tau, t)."""
     den = form.evaluate(EvalPoint(point.tau, t))
-    if abs(den) < pole_guard:
+    if abs(den) < 1e-10:
         raise ZeroDivisionError(
-            f"evaluation point t = {t} is within {pole_guard} of a zero")
+            f"evaluation point t = {t} is within 1e-10 of a zero")
     num = form.evaluate(EvalPoint(point.tau, t + point.alpha))
     return num / den
 
@@ -221,25 +222,24 @@ def lemma_shift_residual(form, t, point, lam, mu=0):
     return abs(shifted - rhs) / max(abs(shifted), abs(rhs), 1e-30)
 
 
-def quasi_jacobi_coeffs(form, i_max, point, radius=0.02, samples=64):
+def quasi_jacobi_coeffs(form, i_max, point, radius=0.02):
     """Taylor coefficients F_1..F_{i_max} of the normalized ratio
 
         g(t) = [f(tau, t+alpha)/f(tau, t)] * t^{2m} * a_{2m} / f(tau, alpha),
 
     where 2m is the order of vanishing of f at alpha = 0 and a_{2m} its
     leading Taylor coefficient; g(0) = 1 and g(t) = 1 + sum F_i t^i.
-    Extracted by sampling g on a circle |t| = radius and taking an FFT.
+    Extracted by sampling g at 64 points on a circle |t| = radius and
+    taking an FFT.
     """
     two_m = int(2 * form.index)
     fact = math.factorial(two_m)
     a_lead = form.alpha_derivative(two_m, EvalPoint(point.tau)) / fact
     f_alpha = form.evaluate(point)
-    ts = radius * np.exp(TWO_PI_I * np.arange(samples) / samples)
-    vals = np.empty(samples, dtype=complex)
-    for j, t in enumerate(ts):
-        r = lemma_ratio(form, t, point)
-        vals[j] = r * t ** two_m * a_lead / f_alpha
-    taylor = np.fft.fft(vals) / samples
+    ts = radius * np.exp(TWO_PI_I * np.arange(64) / 64)
+    vals = np.array([lemma_ratio(form, t, point) * t ** two_m * a_lead
+                     / f_alpha for t in ts])
+    taylor = np.fft.fft(vals) / len(ts)
     coeffs = [taylor[i] / radius ** i for i in range(i_max + 1)]
     return [complex(c) for c in coeffs]
 

@@ -17,9 +17,9 @@ i, 2 pi or q is an error, not a rounding.  Products of dense blocks use
 Kronecker substitution: each block is packed into one Python integer and
 the two are multiplied once (D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009); a
-factor of a few terms is applied as shifted copies instead, and an
-infinite product of binomials is built in place on one int64 block when
-its coefficients fit a machine word.
+monomial factor only shifts the other block, and an infinite product of
+binomials is built in place on one int64 block when its coefficients fit
+a machine word.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 DEFAULT_Q_ORDER = 20
 Y_EXPONENT_GUARD = 200  # |r2| <= 2 * Y_EXPONENT_GUARD
-SPARSE_TERMS = 8  # a factor with at most this many terms is applied by shifts
 
 
 class EvalPoint:
@@ -218,20 +217,6 @@ def _packed_product(a, b, n_rows, square):
     return np.array([int.from_bytes(data[k:k + width], "little") - half
                      for k in range(0, len(data), width)],
                     dtype=object).reshape(n_rows, stride)
-
-
-def _shifted_sum(dense, sparse, n_rows):
-    """The first ``n_rows`` rows of dense * sparse as one shifted copy of
-    ``dense`` per nonzero term of ``sparse``."""
-    rows, cols = dense.shape
-    out = np.zeros((n_rows, cols + sparse.shape[1] - 1), dense.dtype)
-    for i, j in zip(*np.nonzero(sparse)):
-        m = min(n_rows - i, rows)
-        if m > 0:
-            c = sparse[i, j]
-            out[i:i + m, j:j + cols] += (dense[:m] if c == 1 else -dense[:m]
-                                         if c == -1 else c * dense[:m])
-    return out
 
 
 class QYSeries:
@@ -456,20 +441,22 @@ class QYSeries:
         if not isinstance(other, QYSeries):
             return NotImplemented
         q_order = min(self.q_order, other.q_order)
-        n0 = self.n0 + other.n0
-        n_rows = min(q_order - n0 + 1,
-                     self.rows.shape[0] + other.rows.shape[0] - 1)
+        n0, r0 = self.n0 + other.n0, self.r0 + other.r0
+        scale = self.scale * other.scale
+        a, b = self.rows, other.rows
+        if not (a.size and b.size):
+            return QYSeries.zero(q_order)
+        if a.size == 1 or b.size == 1:
+            # a monomial's block is one unit (its content is in the
+            # prefactor): the other block only moves, and the unit scales
+            unit, block = (a, b) if a.size == 1 else (b, a)
+            return QYSeries._make(block, n0, r0, scale * int(unit[0, 0]),
+                                  q_order)
+        n_rows = min(q_order - n0 + 1, a.shape[0] + b.shape[0] - 1)
         if n_rows <= 0:
             return QYSeries.zero(q_order)
-        a, b = self.rows, other.rows
-        if np.count_nonzero(a) < np.count_nonzero(b):
-            a, b = b, a
-        if np.count_nonzero(b) <= SPARSE_TERMS:
-            rows = _shifted_sum(a, b, n_rows)
-        else:
-            rows = _kronecker(a, b, n_rows)
-        return QYSeries._make(rows, n0, self.r0 + other.r0,
-                              self.scale * other.scale, q_order)
+        return QYSeries._make(_kronecker(a, b, n_rows), n0, r0, scale,
+                              q_order)
 
     __rmul__ = __mul__
 

@@ -275,13 +275,16 @@ def realization_commutator(x, y, poly):
     return {mono: v for (_, mono), v in out.items() if v != 0}
 
 
-def homomorphism_residual(x, y, monomials=None):
+#: the test monomials t^a zeta^e of ``homomorphism_residual``
+_TEST_MONOMIALS = tuple((a, e) for a in range(-6, 7) for e in (0, 1))
+
+
+def homomorphism_residual(x, y):
     """Max deviation (exact) between [D_x, D_y] and the realization of
-    [x, y] with C sent to zero, over test monomials, all applied at once
-    as one stack keyed by (source monomial, monomial)."""
-    if monomials is None:
-        monomials = [(a, e) for a in range(-6, 7) for e in (0, 1)]
-    stack = {(mono, mono): 1 for mono in monomials}
+    [x, y] with C sent to zero, over the test monomials t^a zeta^e
+    (|a| <= 6), all applied at once as one stack keyed by (source
+    monomial, monomial)."""
+    stack = {(mono, mono): 1 for mono in _TEST_MONOMIALS}
     lhs = _commutator(x, y, stack)
     rhs = _apply_vector(mode_bracket(x, y), stack)
     worst = 0
@@ -310,7 +313,7 @@ def current_operator(g):
     return AlgebraVector({("J", b): c for b, c in g.items()})
 
 
-def nabla_commutator(f, g, truncation=None):
+def nabla_commutator(f, g):
     """The commutator [Res f (L + dJ), Res g J] computed two ways.
 
     Returns ``(direct, residue)``: ``direct`` expands the bracket in modes;
@@ -320,14 +323,12 @@ def nabla_commutator(f, g, truncation=None):
         delta(t,t') d'J(t') + J(t') d'delta(t,t') - (C/6) d'^2 delta(t,t')
 
     by taking residues in t and t' against f(t) g(t') with the formal delta
-    function truncated at |n| <= truncation.  The central term carries the
-    coefficient C/6 (the normalization that reproduces the mode brackets).
+    function sum_n t^n t'^{-1-n}.  The residue in t keeps the one term
+    n = -1 - a of each t^a, so the sum needs no truncation.  The central
+    term carries the coefficient C/6 (the normalization that reproduces the
+    mode brackets).
     """
     direct = mode_bracket(nabla_operator(f), current_operator(g))
-    if truncation is None:
-        spread = max((abs(a) for a in f), default=0) + \
-            max((abs(b) for b in g), default=0)
-        truncation = spread + 3
     residue = {}
     for a, fa in f.items():
         for b, gb in g.items():
@@ -335,8 +336,6 @@ def nabla_commutator(f, g, truncation=None):
             # delta(t,t') contributes t^n t'^{-1-n}; only n = -1 - a
             # survives the residue in t
             n = -1 - a
-            if abs(n) > truncation:
-                continue
             p = a + b - 1
             # term 1: delta * d'J: Res_{t'} t'^b t'^{-1-n} d'J(t') gives
             # -(1 + p) J_p; term 2: J(t') d'delta gives (-1 - n) J_p
@@ -362,21 +361,21 @@ def gl11_generators():
     return J0, Q0, H0, L0
 
 
-def gl11_group_element(q, y, eps=EPS, delta=DELTA):
+def gl11_group_element(q, y):
     """The group element exp(eps H_0) exp(-2 pi i alpha J_0)
     exp(-2 pi i tau L_0) exp(-delta Q_0), assembled from the nilpotent
     exponentials and the diagonal factors exp(-2 pi i alpha J_0) = diag(1, y),
     exp(-2 pi i tau L_0) = q * Id.  Equals q [[1, delta], [eps, y + eps delta]].
     """
     J0, Q0, H0, _ = gl11_generators()
-    f1 = exp_nilpotent(H0 * eps)
+    f1 = exp_nilpotent(H0 * EPS)
     f2 = SuperMatrix([[1, 0], [0, y]])
     f3 = SuperMatrix([[q, 0], [0, q]])
-    f4 = exp_nilpotent(Q0 * (-GrassmannNumber._coerce(delta)))
+    f4 = exp_nilpotent(Q0 * -DELTA)
     return f1 * f2 * f3 * f4
 
 
-def action_matrix(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
+def action_matrix(delta_wt, charge, odd_parity, q, y):
     """The 2x2 matrix of the group action on a weight/charge (Delta, c)
     vector pair, with sign s = +1 for even parity and -1 for odd:
 
@@ -385,39 +384,39 @@ def action_matrix(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
     s = -1 if odd_parity else 1
     scale = complex(q) ** -delta_wt * complex(y) ** -(charge + 1)
     m = SuperMatrix([
-        [GrassmannNumber(y) + eps * delta * delta_wt, eps * (s * delta_wt)],
-        [delta * s, GrassmannNumber(1.0)],
+        [GrassmannNumber(y) + EPS * DELTA * delta_wt, EPS * (s * delta_wt)],
+        [DELTA * s, GrassmannNumber(1.0)],
     ])
     return m * scale
 
 
-def action_factors(delta_wt, charge, odd_parity, q, y, eps=EPS, delta=DELTA):
+def action_factors(delta_wt, charge, odd_parity, q, y):
     """The factored form of ``action_matrix``: a scalar q^{-Delta}, an upper
     unipotent factor, a diagonal y-charge factor, and a lower unipotent
     factor, whose product equals the assembled matrix."""
     s = -1 if odd_parity else 1
     y = complex(y)
-    upper = SuperMatrix([[1, eps * (s * delta_wt)], [0, 1]])
+    upper = SuperMatrix([[1, EPS * (s * delta_wt)], [0, 1]])
     diag = SuperMatrix([[y ** -charge, 0], [0, y ** -(charge + 1)]])
-    lower = SuperMatrix([[1, 0], [delta * s, 1]])
+    lower = SuperMatrix([[1, 0], [DELTA * s, 1]])
     return complex(q) ** -delta_wt, upper, diag, lower
 
 
-def coordinate_matrix(q, y, eps=EPS, delta=DELTA):
+def coordinate_matrix(q, y):
     """The coordinate-change matrix q [[1, eps], [delta, y - eps delta]];
     its Berezinian is exactly y^{-1}."""
     m = SuperMatrix([
-        [GrassmannNumber(1.0), eps],
-        [delta, GrassmannNumber(y) - eps * delta],
+        [GrassmannNumber(1.0), EPS],
+        [DELTA, GrassmannNumber(y) - EPS * DELTA],
     ])
     return m * q
 
 
-def invariant_conjugation_residual(m, y, eps=EPS, delta=DELTA):
+def invariant_conjugation_residual(m, y):
     """Residual of P^{-1} M P = M for the unscaled coordinate-change matrix
     P = ``coordinate_matrix(1, y)``; zero iff M is fixed by the linear
     action on vectors."""
-    p = coordinate_matrix(1.0, y, eps, delta)
+    p = coordinate_matrix(1.0, y)
     return (p.inverse() * m * p).distance(m)
 
 

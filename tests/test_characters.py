@@ -416,12 +416,22 @@ class TestCuspPredicates:
 
     @pytest.mark.parametrize("super_grid", [False, True])
     def test_wide_grid(self, super_grid):
-        # Delta 0..8, k 0..10, l 1..6, and for the super predicate K 0..2
-        # and c -4..4: 594 plain and 16,038 super points
-        assert cusp_grid_check(range(9), range(11), range(1, 7),
-                               super_grid=super_grid,
-                               charge_range=range(-4, 5),
-                               cap_k_values=(0, 1, 2)) == []
+        # past the grid of cusp_grid_check: Delta 0..8, k 0..10, l 1..6,
+        # and for the super predicate K 0..2 and c -4..4, so 594 plain and
+        # 16,038 super points, one certificate per class
+        certs, mismatches = {}, []
+        for d, k, l in itertools.product(range(9), range(11), range(1, 7)):
+            for cap_k, c in (itertools.product(range(3), range(-4, 5))
+                             if super_grid else [(0, 0)]):
+                key = characters.cusp_class(d, k, l, cap_k, c, super_grid)
+                if key not in certs:
+                    certs[key] = cusp_certificate(d, k, l, cap_k, c,
+                                                  super_case=super_grid)
+                pred = (super_cusp_predicate(d, k, l, cap_k, c) if super_grid
+                        else cusp_predicate(d, k, l))
+                if pred != certs[key]:
+                    mismatches.append((d, k, l, cap_k, c))
+        assert mismatches == []
 
     def test_translates_expand_to_integer_binomials(self):
         # class (e, f, l) = (1, 0, 2): the translate n = 1 gives

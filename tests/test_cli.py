@@ -128,7 +128,7 @@ class TestEval:
         assert result.exit_code == 0
         obj = json.loads(result.output)
         pt = EvalPoint(0.2 + 1.1j, 0.31)
-        expected = zeta_bar_eval(pt.y, pt.q)
+        expected = zeta_bar_eval(pt.y, pt.q)[0]
         assert obj["value"][0] == pytest.approx(expected.real, abs=1e-12)
         assert obj["value"][1] == pytest.approx(expected.imag, abs=1e-12)
 
@@ -215,6 +215,18 @@ class TestEval:
             main, ["eval", "wp3", "--tau", "0.005i", "--alpha", "0.3"])
         assert result.exit_code == 0
         assert all(map(math.isfinite, json.loads(result.output)["value"]))
+
+    @pytest.mark.parametrize("name", ["zeta_bar", "p_bar", "zeta_tilde",
+                                      "wp1", "wp2", "wp3", "wp4"])
+    def test_row_sum_reports_its_error_bound(self, runner, name):
+        # at |q| = 0.969 the row sum loses most of its digits to rounding
+        # and to the tail its stopping rule leaves; the bound says how many
+        result = runner.invoke(
+            main, ["eval", name, "--tau", "0.005i", "--alpha", "0.3"])
+        assert result.exit_code == 0
+        obj = json.loads(result.output)
+        assert 0 < obj["truncation_bound"] < 1e-6 * max(
+            1.0, abs(complex(*obj["value"])))
 
     def test_point_off_the_lattice_evaluates(self, runner):
         result = runner.invoke(
@@ -456,6 +468,23 @@ class TestConfig:
             main, ["--config", str(cfg), "verify", "--suite", "super_zeta"])
         assert result.exit_code == 1
         assert "[FAIL]" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-9"])
+    def test_nan_or_negative_tolerance_is_usage_error(self, runner, value):
+        result = runner.invoke(
+            main, ["verify", "--suite", "cusp", "--tolerance", value])
+        assert result.exit_code == 2
+        assert "tolerance must be >= 0" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", -1])
+    def test_nan_or_negative_config_tolerance_is_usage_error(
+            self, runner, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": value}))
+        result = runner.invoke(
+            main, ["--config", str(cfg), "verify", "--suite", "cusp"])
+        assert result.exit_code == 2
+        assert "tolerance must be >= 0" in result.output
 
     def test_bad_config_exits_3(self, runner, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -225,9 +225,9 @@ class TestAnnulusSeries:
         pt = at_point(cmath.log(q) / (2j * cmath.pi), x)
         p = p_bar_series(80, 24)
         for series, value in [
-                (zeta_bar_series(80, 24), zeta_bar_eval(x, q)),
-                (p, p_bar_eval(x, q)),
-                (p.y_d_dy(), x * p_bar_prime_eval(x, q))]:
+                (zeta_bar_series(80, 24), zeta_bar_eval(x, q)[0]),
+                (p, p_bar_eval(x, q)[0]),
+                (p.y_d_dy(), x * p_bar_prime_eval(x, q)[0])]:
             assert abs(series.evaluate(pt)[0] - value) < 1e-12
 
     def test_p_bar_constant_coefficients(self):
@@ -272,46 +272,95 @@ class TestOddZetaTaylor:
         t = 0.09 + 0.02j
         u = 2j * cmath.pi * t
         v = sum(c * u ** (r2 // 2) * Q ** n for n, r2, c in s.terms())
-        assert abs(v - zeta_tilde_eval(t, TAU)) < 1e-9
+        assert abs(v - zeta_tilde_eval(t, TAU)[0]) < 1e-9
 
 
 class TestNumericEvaluators:
     def test_zeta_ellipticity_up_to_one(self):
         x = 0.6 + 0.3j
-        lhs = zeta_bar_eval(Q * x, Q)
-        rhs = zeta_bar_eval(x, Q) - 1.0
+        lhs = zeta_bar_eval(Q * x, Q)[0]
+        rhs = zeta_bar_eval(x, Q)[0] - 1.0
         assert abs(lhs - rhs) < 1e-11
 
     def test_p_bar_is_elliptic(self):
         x = 0.6 + 0.3j
-        assert abs(p_bar_eval(Q * x, Q) - p_bar_eval(x, Q)) < 1e-11
+        assert abs(p_bar_eval(Q * x, Q)[0] - p_bar_eval(x, Q)[0]) < 1e-11
 
     def test_p_bar_prime_by_finite_difference(self):
         x = 0.6 + 0.3j
         h = 1e-6
-        fd = (p_bar_eval(x + h, Q) - p_bar_eval(x - h, Q)) / (2 * h)
-        assert abs(p_bar_prime_eval(x, Q) - fd) < 1e-6
+        fd = (p_bar_eval(x + h, Q)[0] - p_bar_eval(x - h, Q)[0]) / (2 * h)
+        assert abs(p_bar_prime_eval(x, Q)[0] - fd) < 1e-6
 
     def test_wp_k1_is_odd_zeta(self):
         alpha = 0.31 + 0.07j
-        assert abs(wp_numeric(1, TAU, alpha)
-                   - zeta_tilde_eval(alpha, TAU)) < 1e-12
+        assert abs(wp_numeric(1, TAU, alpha)[0]
+                   - zeta_tilde_eval(alpha, TAU)[0]) < 1e-12
 
     @pytest.mark.parametrize("tau, alpha", [
         (TAU, 0.31 + 0.07j), (-0.35 + 0.9j, 0.12 - 0.2j),
         (0.1 + 0.7j, 0.47 + 0.01j)])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_wp_lipschitz_matches_hurwitz_rows(self, k, tau, alpha):
-        fast = wp_numeric(k, tau, alpha)
+        fast = wp_numeric(k, tau, alpha)[0]
         slow = wp_hurwitz_rows(k, tau, alpha)
         assert abs(fast - slow) <= 1e-12 * abs(slow)
 
     def test_wp_k3_against_direct_lattice(self):
         alpha = 0.31 + 0.07j
         for k in (3, 4):
-            fast = wp_numeric(k, TAU, alpha)
+            fast = wp_numeric(k, TAU, alpha)[0]
             slow = wp_lattice_direct(k, TAU, alpha, 60)
             assert abs(fast - slow) < 1e-4 * max(abs(fast), 1.0)
+
+
+# Li_{1-k}(w) = sum_d d^(k-1) w^d in closed form, k = 1..4
+POLYLOG = {1: lambda w: w / (1 - w), 2: lambda w: w / (1 - w) ** 2,
+           3: lambda w: w * (1 + w) / (1 - w) ** 3,
+           4: lambda w: w * (1 + 4 * w + w * w) / (1 - w) ** 4}
+
+
+def mp_row_sum(k, x, q):
+    """S_k(x) = sum_{n in Z} Li_{1-k}(q^n x) in 30-digit arithmetic, at the
+    doubles x and q, summed until |q|^m is below 1e-34."""
+    with mpmath.workdps(30):
+        x, q = mpmath.mpc(x), mpmath.mpc(q)
+        li = POLYLOG[k]
+        total, qm = li(x), q
+        while abs(qm) > mpmath.mpf(10) ** -34:
+            total += li(qm * x) + (-1) ** k * li(qm / x)
+            qm *= q
+        return total
+
+
+class TestRowSumBounds:
+    """Each row-sum evaluator returns (value, bound): the rounding level
+    and the tail that the stopping rule leaves, times the prefactor."""
+
+    @staticmethod
+    def evaluate(name, pt):
+        """(value, bound, 30-digit value) of zeta_bar or wp_k at pt."""
+        if name == "zeta_bar":
+            value, bound = zeta_bar_eval(pt.y, pt.q)
+            return value, bound, -0.5 - mp_row_sum(1, pt.y, pt.q)
+        k = int(name[2:])
+        value, bound = wp_numeric(k, pt.tau, pt.alpha)
+        with mpmath.workdps(30):
+            factor = (-2j * mpmath.pi) ** k / math.factorial(k - 1)
+            return value, bound, factor * mp_row_sum(k, pt.y, pt.q)
+
+    @pytest.mark.parametrize("name", ["zeta_bar", "wp2", "wp3", "wp4"])
+    def test_bound_covers_the_error_at_small_im_tau(self, name):
+        # |q| = 0.969: about a thousand shells of size up to 1 are summed
+        # and the stopping rule leaves a tail 1 / (1 - |q|) = 32 times its
+        # tolerance
+        value, bound, ref = self.evaluate(name, EvalPoint(0.005j, 0.3))
+        assert 0 < abs(value - ref) <= bound
+
+    @pytest.mark.parametrize("name", ["zeta_bar", "wp2", "wp3", "wp4"])
+    def test_bound_is_near_rounding_at_moderate_im_tau(self, name):
+        value, bound, ref = self.evaluate(name, EvalPoint(0.1 + 1.2j, 0.3))
+        assert abs(value - ref) <= bound < 1e-13 * abs(value)
 
 
 class TestSuperZeta:
@@ -322,14 +371,14 @@ class TestSuperZeta:
         # at theta = 0 the body is zeta_bar and the epsilon-delta component
         # carries the p_bar correction
         z = super_zeta(self.X, GrassmannNumber(0.0), Q, self.Y)
-        assert abs(z.c0 - zeta_bar_eval(self.X, Q)) < 1e-12
-        expected = -zeta_bar_eval(self.X, Q) * p_bar_eval(self.X, Q) \
+        assert abs(z.c0 - zeta_bar_eval(self.X, Q)[0]) < 1e-12
+        expected = -zeta_bar_eval(self.X, Q)[0] * p_bar_eval(self.X, Q)[0] \
             / (1.0 - self.Y)
         assert abs(z.ced - expected) < 1e-12
 
     def test_theta_component(self):
         z = super_zeta(self.X, DELTA, Q, self.Y)
-        expected = -p_bar_eval(self.X, Q) / ((1.0 - self.Y) * self.X)
+        expected = -p_bar_eval(self.X, Q)[0] / ((1.0 - self.Y) * self.X)
         # delta theta picks out the epsilon-delta slot
         base = super_zeta(self.X, GrassmannNumber(0.0), Q, self.Y)
         assert abs((z - base).ced - expected) < 1e-12

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from superchar.characters import chi_character, e8_lattice
 from superchar.jacobi_forms import phi_weak
-from superchar.series_core import (SPARSE_TERMS, QYSeries, _packed_product,
-                                   euler_product)
+from superchar.series_core import QYSeries, _packed_product, euler_product
 
 
 def mul(a, b, n_q):
@@ -171,24 +170,26 @@ def test_inverse_is_exact():
     assert s * inv == QYSeries.one(12)
 
 
-def int_series(parity, min_size):
+def int_series(parity, monomial):
     """{(n, r2): int} with negative q-exponents, doubled y-exponents of one
-    parity, and coefficients up to 2^90."""
+    parity, and coefficients up to 2^90: one term if ``monomial``, else
+    from 2 to 40."""
     keys = st.tuples(st.integers(-3, 7),
                      st.integers(-5, 4).map(lambda r: 2 * r + parity))
     coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 90, 2 ** 90))
-    return st.dictionaries(keys, coeffs.filter(bool), min_size=min_size,
-                           max_size=40)
+    return st.dictionaries(keys, coeffs.filter(bool),
+                           min_size=1 if monomial else 2,
+                           max_size=1 if monomial else 40)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_packed_product_matches_naive_convolution(data):
-    # the product is packed when both factors have more than SPARSE_TERMS
-    # terms and shifted copy by copy otherwise
-    min_size = data.draw(st.sampled_from([1, SPARSE_TERMS + 1]))
+    # a monomial factor shifts the other block, any other product is
+    # packed; a factor whose terms all lie above q_order is zero
     q_order = data.draw(st.integers(-2, 9))
-    a, b = (data.draw(int_series(data.draw(st.integers(0, 1)), min_size))
+    a, b = (data.draw(int_series(data.draw(st.integers(0, 1)),
+                                 data.draw(st.booleans())))
             for _ in range(2))
     a, b = ({k: c for k, c in x.items() if k[0] <= q_order} for x in (a, b))
     prod = QYSeries(a, q_order) * QYSeries(b, q_order)

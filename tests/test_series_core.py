@@ -345,8 +345,8 @@ coeff_strategy = st.one_of(
 
 # nonnegative q-powers only: with negative powers, truncation at q_order is
 # not associative (a tail term can re-enter range after dividing by q).  Up
-# to 12 terms, so that products take both the shifted-copy path and the
-# Kronecker path (more than SPARSE_TERMS terms in each factor).
+# to 12 terms, so that products take both the monomial shift and the
+# Kronecker path.
 series_strategy = st.dictionaries(
     st.tuples(st.integers(0, 6), st.integers(-4, 4)),
     coeff_strategy, max_size=12,

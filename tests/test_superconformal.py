@@ -329,13 +329,13 @@ class TestGL11:
 
     def test_generators(self):
         j0, q0, h0, l0 = gl11_generators()
-        ident = SuperMatrix.identity(2)
-        assert (l0 + ident).distance(SuperMatrix.zero(2)) == 0.0
+        ident = SuperMatrix.identity()
+        assert (l0 + ident).distance(SuperMatrix.zero()) == 0.0
         # anticommutator {Q0, H0} matches the mode bracket [H_0, Q_0] = L_0
         comm = q0 * h0 + h0 * q0
         assert comm.distance(l0) == 0.0
         # J0 is diagonal with charge -1 on the odd line
-        assert (j0 * j0 + j0).distance(SuperMatrix.zero(2)) == 0.0
+        assert (j0 * j0 + j0).distance(SuperMatrix.zero()) == 0.0
 
     def test_group_element_assembly(self):
         g = gl11_group_element(self.Qv, self.Yv)
@@ -361,7 +361,7 @@ class TestGL11:
             assert (upper * diag * lower * scale).distance(m) < 1e-14
 
     def test_invariant_vectors(self):
-        ident = SuperMatrix.identity(2)
+        ident = SuperMatrix.identity()
         p = coordinate_matrix(1.0, self.Yv)
         assert invariant_conjugation_residual(ident, self.Yv) < 1e-14
         assert invariant_conjugation_residual(p, self.Yv) < 1e-14
