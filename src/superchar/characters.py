@@ -80,12 +80,6 @@ class EvenLattice:
     def is_unimodular(self):
         return abs(self.determinant()) == 1
 
-    def to_json_obj(self):
-        return {"rank": self.rank, "gram": self.gram}
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj):
         lat = cls(obj["gram"])
@@ -463,7 +457,7 @@ _N_CUT = 12
 _Q_MAX = 8
 
 
-def cusp_certificate(delta, k, l, cap_k=0, charge=0, super_case=None):
+def cusp_certificate(delta, k, l, cap_k=0, charge=0, *, super_case):
     """Independent expansion certificate for the cusp predicates, in exact
     integers.
 
@@ -481,8 +475,6 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, super_case=None):
     So the coefficients are sums of binomials that never cancel, the
     certificate divides z out, and it compares integers.
     """
-    if super_case is None:
-        super_case = not (cap_k == 0 and charge == 0)
     e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
     inner = [n for n in range(-_N_CUT, _N_CUT + 1) if n]
     outer = [s * n for n in range(_N_CUT + 1, _N_CUT + 6) for s in (-1, 1)]

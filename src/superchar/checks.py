@@ -129,7 +129,7 @@ def algebra(windows=((-2, 0, 1), (-1, 2), (0, 1))):
     vector-field realization as a homomorphism over every pair (x, y), where
     slot i ranges over L, J, Q, H at the modes of ``windows[i]`` and C."""
     xs, ys, zs = ([sc.AlgebraVector.basis(g, m) for g in "LJQH" for m in w]
-                  + [sc.C()] for w in windows)
+                  + [sc.AlgebraVector.basis("C")] for w in windows)
     worst = max(_max_abs(sc.jacobi_residual(x, y, z))
                 for x, y, z in itertools.product(xs, ys, zs))
     worst_h = max(sc.homomorphism_residual(x, y) for x in xs for y in ys)
@@ -148,7 +148,8 @@ def flatness():
         direct, residue = sc.nabla_commutator({a: 1}, {b: 1})
         worst = max(worst, _max_abs(direct - residue))
     direct, residue = sc.nabla_commutator({-1: 1}, {2: 1})
-    expected = sc.J(0, -2) + sc.C(Fraction(-1, 3))
+    expected = (sc.AlgebraVector.basis("J", 0, -2)
+                + sc.AlgebraVector.basis("C", coeff=Fraction(-1, 3)))
     return [Row("connection-current-commutator", "delta-function-residue",
                 "monomial-grid", worst, 0.0),
             Row("connection-current-example", "delta-function-residue",

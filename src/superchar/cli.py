@@ -20,9 +20,9 @@ from . import jacobi_forms as jf
 from .checks import SUITES
 from .grassmann import berezinian  # noqa: F401 (perfbench/spans.py wraps it)
 from .report import emit_report, format_sig, rows_from_json
-from .series_core import EvalPoint
+from .series_core import DEFAULT_Q_ORDER, EvalPoint
 
-DEFAULTS = {"q_order": 20, "format": "pretty"}
+DEFAULTS = {"q_order": DEFAULT_Q_ORDER, "format": "pretty"}
 FORMATS = ("json", "csv", "pretty")
 
 

@@ -158,7 +158,7 @@ def zeta_tilde_taylor(n_t, n_q):
 
 _MAX_SHELLS = 5000
 #: a row sum stops after three consecutive shells below this fraction of
-#: max(1, |sum so far|)
+#: (1 - |q|) max(1, |sum so far|)
 _SHELL_TOL = 1e-14
 
 
@@ -177,10 +177,11 @@ def _eulerian(n):
 def _shell_sum(k, x, q):
     """(S, bound): S = Li_{1-k}(x) + sum_{m>=1} (Li_{1-k}(q^m x)
     + (-1)^k Li_{1-k}(q^m / x)), summed until three consecutive shells are
-    below tol = _SHELL_TOL max(1, |S|), and a bound on its error: the
-    rounding level 2^-52 sum |Li| plus tol / (1 - |q|), which bounds the
-    tail while the shells shrink like |q|^m."""
-    if abs(q) >= 1.0:
+    below tol (1 - |q|) with tol = _SHELL_TOL max(1, |S|), so that the tail
+    they leave off, shrinking like |q|^m, is about tol; and a bound on its
+    error: the rounding level 2^-52 sum |Li| plus tol / (1 - |q|)."""
+    gap = 1.0 - abs(q)
+    if gap <= 0.0:
         raise ValueError("|q| must be < 1")
     eulerian = _eulerian(k - 1)
     sign = (-1) ** k
@@ -202,10 +203,10 @@ def _shell_sum(k, x, q):
         total += t
         size += abs(inner) + abs(outer)
         tol = _SHELL_TOL * max(1.0, abs(total))
-        if abs(t) <= tol:
+        if abs(t) <= tol * gap:
             quiet += 1
             if quiet >= 3:
-                return total, 2.0 ** -52 * size + tol / (1.0 - abs(q))
+                return total, 2.0 ** -52 * size + tol / gap
         else:
             quiet = 0
     raise ValueError(f"the lattice sum did not converge in {_MAX_SHELLS} "

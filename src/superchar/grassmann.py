@@ -2,12 +2,13 @@
 supermatrices.
 
 Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
-eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0, the even part
-is a0 + a3*eps*delta, the odd part a1*eps + a2*delta.  The public constructor
-coerces its arguments with ``complex()``; arithmetic builds its results with
-the unchecked ``_grassmann`` from components that are complex already, and
-supermatrix arithmetic with the unchecked ``_supermatrix`` from entries that
-are GrassmannNumbers already.
+eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0 and the
+nilpotent part the rest.  A scalar may stand on either side of + and *, and
+on the right of -.  The public constructor coerces its arguments with
+``complex()``; arithmetic builds its results with the unchecked ``_grassmann``
+from components that are complex already, and supermatrix arithmetic with
+the unchecked ``_supermatrix`` from entries that are GrassmannNumbers
+already.
 """
 
 from __future__ import annotations
@@ -36,15 +37,6 @@ class GrassmannNumber:
 
     def nilpotent(self):
         return GrassmannNumber(0, self.ce, self.cd, self.ced)
-
-    def even_part(self):
-        return GrassmannNumber(self.c0, 0, 0, self.ced)
-
-    def odd_part(self):
-        return GrassmannNumber(0, self.ce, self.cd, 0)
-
-    def is_odd(self, tol=0.0):
-        return abs(self.c0) <= tol and abs(self.ced) <= tol
 
     def components(self):
         return (self.c0, self.ce, self.cd, self.ced)
@@ -82,12 +74,6 @@ class GrassmannNumber:
                               self.ced)
         return NotImplemented
 
-    def __rsub__(self, o):
-        if isinstance(o, _SCALARS):
-            return _grassmann(complex(o) - self.c0, -self.ce, -self.cd,
-                              -self.ced)
-        return NotImplemented
-
     def __mul__(self, o):
         a0, a1, a2, a3 = self.c0, self.ce, self.cd, self.ced
         if isinstance(o, GrassmannNumber):
@@ -112,32 +98,10 @@ class GrassmannNumber:
         return _grassmann(inv0, self.ce * m * inv0, self.cd * m * inv0,
                           self.ced * m * inv0)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     # -- comparison --------------------------------------------------------
 
     def max_abs(self):
         return max(abs(self.c0), abs(self.ce), abs(self.cd), abs(self.ced))
-
-    def distance(self, other):
-        o = self._coerce(other)
-        return (self - o).max_abs()
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.components() == o.components()
 
     def __repr__(self):
         return (f"G({self.c0:.6g} + ({self.ce:.6g})e + ({self.cd:.6g})d"
@@ -156,7 +120,6 @@ def _grassmann(c0, ce, cd, ced):
 
 EPS = GrassmannNumber(0, 1, 0, 0)
 DELTA = GrassmannNumber(0, 0, 1, 0)
-ONE = GrassmannNumber(1)
 ZERO = GrassmannNumber(0)
 
 
@@ -180,17 +143,9 @@ class SuperMatrix:
             raise ValueError("SuperMatrix requires a 2x2 array of Grassmann "
                              "or scalar entries")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     @classmethod
     def identity(cls):
         return cls([[1.0, 0.0], [0.0, 1.0]])
-
-    @classmethod
-    def zero(cls):
-        return cls([[0.0, 0.0], [0.0, 0.0]])
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -204,9 +159,6 @@ class SuperMatrix:
         return _supermatrix([[x - y for x, y in zip(r, s)]
                              for r, s in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return _supermatrix([[-x for x in row] for row in self.rows])
-
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
             cols = list(zip(*other.rows))
@@ -217,12 +169,6 @@ class SuperMatrix:
         if o is None:
             return NotImplemented
         return _supermatrix([[x * o for x in row] for row in self.rows])
-
-    def __rmul__(self, other):
-        o = GrassmannNumber._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _supermatrix([[o * x for x in row] for row in self.rows])
 
     def inverse(self):
         """Inverse by the block (Schur complement) formula.

@@ -227,9 +227,9 @@ class QYSeries:
     Python ints (an object array) of content 1, and the series is the
     ``Prefactor`` ``scale`` times them; its power of q is the rational
     ``q_offset`` c.  The exponents n, the truncation ``q_order`` and every
-    method that takes or returns an exponent count from q^c.  ``coeff``,
-    ``coeffs`` and ``terms`` give each coefficient as the complex double
-    nearest its value; ``exact_coeff`` gives it exactly when it is rational.
+    method that takes or returns an exponent count from q^c.  ``coeffs``
+    and ``terms`` give each coefficient as the complex double nearest its
+    value; ``exact_coeff`` gives it exactly when it is rational.
     """
 
     __slots__ = ("q_order", "n0", "r0", "rows", "scale", "_floats", "_terms")
@@ -343,10 +343,6 @@ class QYSeries:
             return i, j // 2
         return None
 
-    def coeff(self, n, r2=0):
-        at = self._index(n, r2)
-        return 0j if at is None else complex(self._values()[at])
-
     def exact_coeff(self, n, r2=0):
         """The coefficient of q^n y^(r2/2) as an int or a Fraction."""
         if self.scale.a or self.scale.b:
@@ -411,9 +407,6 @@ class QYSeries:
         return self._combine(other, 1, min(self.q_order, other.q_order))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
 
     def __sub__(self, other):
         other = self._coerce(other)

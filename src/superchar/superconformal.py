@@ -77,23 +77,8 @@ class AlgebraVector:
             out[key] = out.get(key, 0) - c
         return _algebra_vector(out)
 
-    def __neg__(self):
-        return _algebra_vector({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        scalar = _exact(scalar)
-        return _algebra_vector({k: c * scalar
-                                for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def is_zero(self):
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def parity(self):
         parities = {parity(k[0]) for k in self.terms}
@@ -120,26 +105,6 @@ def _algebra_vector(terms):
     out = object.__new__(AlgebraVector)
     out.terms = terms
     return out
-
-
-def L(m, coeff=1):
-    return AlgebraVector.basis("L", m, coeff)
-
-
-def J(m, coeff=1):
-    return AlgebraVector.basis("J", m, coeff)
-
-
-def Q(m, coeff=1):
-    return AlgebraVector.basis("Q", m, coeff)
-
-
-def H(m, coeff=1):
-    return AlgebraVector.basis("H", m, coeff)
-
-
-def C(coeff=1):
-    return AlgebraVector({CENTRAL: coeff})
 
 
 def _basis_bracket(g1, m, g2, n):
@@ -266,13 +231,6 @@ def _commutator(x, y, stack):
     for k, v in _apply_vector(y, _apply_vector(x, stack)).items():
         out[k] = out.get(k, 0) - sign * v
     return out
-
-
-def realization_commutator(x, y, poly):
-    """[D_x, D_y] applied to ``poly`` with the super sign
-    D_x D_y - (-1)^{|x||y|} D_y D_x (x, y homogeneous)."""
-    out = _commutator(x, y, {(0, mono): c for mono, c in poly.items()})
-    return {mono: v for (_, mono), v in out.items() if v != 0}
 
 
 #: the test monomials t^a zeta^e of ``homomorphism_residual``
