@@ -5,10 +5,10 @@ Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
 eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0 and the
 nilpotent part the rest.  A scalar may stand on either side of + and *, and
 on the right of -.  The public constructor coerces its arguments with
-``complex()``; arithmetic builds its results with the unchecked ``_grassmann``
-from components that are complex already, and supermatrix arithmetic with
-the unchecked ``_supermatrix`` from entries that are GrassmannNumbers
-already.
+``complex()``; arithmetic builds its results unchecked from components that
+are complex already (in place when both operands are GrassmannNumbers, else
+through ``_grassmann``), and supermatrix arithmetic with the unchecked
+``_supermatrix`` from entries that are GrassmannNumbers already.
 """
 
 from __future__ import annotations
@@ -52,9 +52,13 @@ class GrassmannNumber:
         return None
 
     def __add__(self, o):
-        if isinstance(o, GrassmannNumber):
-            return _grassmann(self.c0 + o.c0, self.ce + o.ce,
-                              self.cd + o.cd, self.ced + o.ced)
+        if type(o) is GrassmannNumber:
+            out = object.__new__(GrassmannNumber)
+            out.c0 = self.c0 + o.c0
+            out.ce = self.ce + o.ce
+            out.cd = self.cd + o.cd
+            out.ced = self.ced + o.ced
+            return out
         if isinstance(o, _SCALARS):
             return _grassmann(self.c0 + complex(o), self.ce, self.cd,
                               self.ced)
@@ -66,23 +70,32 @@ class GrassmannNumber:
         return _grassmann(-self.c0, -self.ce, -self.cd, -self.ced)
 
     def __sub__(self, o):
-        if isinstance(o, GrassmannNumber):
-            return _grassmann(self.c0 - o.c0, self.ce - o.ce,
-                              self.cd - o.cd, self.ced - o.ced)
+        if type(o) is GrassmannNumber:
+            out = object.__new__(GrassmannNumber)
+            out.c0 = self.c0 - o.c0
+            out.ce = self.ce - o.ce
+            out.cd = self.cd - o.cd
+            out.ced = self.ced - o.ced
+            return out
         if isinstance(o, _SCALARS):
             return _grassmann(self.c0 - complex(o), self.ce, self.cd,
                               self.ced)
         return NotImplemented
 
     def __mul__(self, o):
-        a0, a1, a2, a3 = self.c0, self.ce, self.cd, self.ced
-        if isinstance(o, GrassmannNumber):
+        if type(o) is GrassmannNumber:
+            a0, a1, a2, a3 = self.c0, self.ce, self.cd, self.ced
             b0, b1, b2, b3 = o.c0, o.ce, o.cd, o.ced
-            return _grassmann(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
-                              a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1)
+            out = object.__new__(GrassmannNumber)
+            out.c0 = a0 * b0
+            out.ce = a0 * b1 + a1 * b0
+            out.cd = a0 * b2 + a2 * b0
+            out.ced = a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1
+            return out
         if isinstance(o, _SCALARS):
             s = complex(o)
-            return _grassmann(a0 * s, a1 * s, a2 * s, a3 * s)
+            return _grassmann(self.c0 * s, self.ce * s, self.cd * s,
+                              self.ced * s)
         return NotImplemented
 
     __rmul__ = __mul__  # a scalar commutes with every element

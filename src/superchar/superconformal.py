@@ -13,20 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .grassmann import (DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian,
-                        exp_nilpotent)
+from .grassmann import (DELTA, EPS, GrassmannNumber, SuperMatrix, _supermatrix,
+                        berezinian, exp_nilpotent)
 
-EVEN_GENERATORS = {"L", "J", "C"}
-ODD_GENERATORS = {"Q", "H"}
+_PARITY = {"L": 0, "J": 0, "C": 0, "Q": 1, "H": 1}
 CENTRAL = ("C",)
 
 
 def parity(gen):
-    if gen in EVEN_GENERATORS:
-        return 0
-    if gen in ODD_GENERATORS:
-        return 1
-    raise ValueError(f"unknown generator {gen!r}")
+    p = _PARITY.get(gen)
+    if p is None:
+        raise ValueError(f"unknown generator {gen!r}")
+    return p
 
 
 def _exact(c):
@@ -60,10 +58,10 @@ class AlgebraVector:
                 if c:
                     self.terms[key] = c
 
-    @classmethod
-    def basis(cls, gen, mode=None, coeff=1):
+    @staticmethod
+    def basis(gen, mode=None, coeff=1):
         key = CENTRAL if gen == "C" else (gen, int(mode))
-        return cls({key: coeff})
+        return _algebra_vector({key: coeff})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -95,10 +93,10 @@ class AlgebraVector:
 
 
 def _algebra_vector(terms):
-    """The AlgebraVector of the exact coefficients ``terms`` (ints or
-    Fractions).  A dict of nonzero ints is taken over as it is; one that
-    holds a zero or a Fraction goes through the public constructor, which
-    drops zeros and turns integral Fractions into ints."""
+    """The AlgebraVector of the coefficients ``terms``.  A dict of nonzero
+    ints is taken over as it is; one that holds a zero or any other number
+    goes through the public constructor, which drops zeros and makes each
+    coefficient exact (an int where it is integral)."""
     for c in terms.values():
         if type(c) is not int or not c:
             return AlgebraVector(terms)
@@ -154,29 +152,36 @@ def _basis_bracket(g1, m, g2, n):
     return swapped
 
 
-def mode_bracket(x, y):
-    """Super bracket of two (bilinear combinations of) basis modes."""
+def _bracket(x, y):
+    """Super bracket of two term dicts {key: coefficient}, as a term dict
+    that may still hold zeros and integral Fractions."""
     out = {}
-    for k1, c1 in x.terms.items():
+    for k1, c1 in x.items():
         if k1 == CENTRAL:
             continue
-        for k2, c2 in y.terms.items():
+        for k2, c2 in y.items():
             if k2 == CENTRAL:
                 continue
             c = c1 * c2
             for key, b in _basis_bracket(k1[0], k1[1], k2[0], k2[1]).items():
                 out[key] = out.get(key, 0) + b * c
-    return _algebra_vector(out)
+    return out
+
+
+def mode_bracket(x, y):
+    """Super bracket of two (bilinear combinations of) basis modes."""
+    return _algebra_vector(_bracket(x.terms, y.terms))
 
 
 def jacobi_residual(x, y, z):
     """(-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]]
-    for homogeneous vectors; zero iff the graded Jacobi identity holds."""
+    for homogeneous vectors; zero iff the graded Jacobi identity holds.
+    The brackets nest on term dicts, and only the sum is normalised."""
     px, py, pz = x.parity(), y.parity(), z.parity()
     out = {}
     for a, b, c, odd_sign in ((x, y, z, px * pz), (y, z, x, py * px),
                               (z, x, y, pz * py)):
-        for key, v in mode_bracket(a, mode_bracket(b, c)).terms.items():
+        for key, v in _bracket(a.terms, _bracket(b.terms, c.terms)).items():
             out[key] = out.get(key, 0) + (-v if odd_sign else v)
     return _algebra_vector(out)
 
@@ -385,22 +390,28 @@ def invariant_conjugation_residual(m, y):
 JET_KEYS = ("Ft", "Fz", "Pt", "Pz", "Ftt", "Ftz", "Ptt", "Ptz")
 
 
+def _first_order(ft, fz, pt, pz):
+    """The first-order jet coordinates (q, eps0, delta0, y) from Ft, Fz, Pt
+    and Pz, followed by 1/Ft."""
+    ft_inv = ft.inverse()
+    eps0 = -fz * ft_inv
+    delta0 = pt * ft_inv
+    y = pz * ft_inv - fz * pt * ft_inv * ft_inv
+    return ft, eps0, delta0, y, ft_inv
+
+
 def solve_jet(jets):
     """Solve the first- and second-order jet relations for the coordinates
     (q, eps0, delta0, y; tau1, alpha1, eps1, delta1) of a superconformal
-     2-jet given the derivatives of the even coordinate F and the odd
+    2-jet given the derivatives of the even coordinate F and the odd
     coordinate Psi at the base point.
 
     ``jets`` maps the keys Ft, Fz, Pt, Pz, Ftt, Ftz, Ptt, Ptz to Grassmann
     numbers (F* even/odd as dictated by the parity of F and the derivative).
     """
     g = {k: GrassmannNumber._coerce(jets[k]) for k in JET_KEYS}
-    ft, fz, pt, pz = g["Ft"], g["Fz"], g["Pt"], g["Pz"]
-    q = ft
-    ft_inv = ft.inverse()
-    eps0 = -fz * ft_inv
-    delta0 = pt * ft_inv
-    y = pz * ft_inv - fz * pt * ft_inv * ft_inv
+    pt, pz = g["Pt"], g["Pz"]
+    q, eps0, delta0, y, ft_inv = _first_order(g["Ft"], g["Fz"], pt, pz)
     pz_inv = pz.inverse()
     r1 = g["Ftt"] * ft_inv * 0.5
     r2 = g["Ftz"] * ft_inv
@@ -447,18 +458,20 @@ def jet_matrix_identity_residual(jets):
         (q/y) [[1, eps0], [delta0, y - eps0 delta0]]
             = Ber(rho) [[Ft, -Fz], [Pt, Pz]]
 
-    where rho = [[Ft, Pt], [Fz, Pz]] is the jet coordinate matrix."""
-    g = {k: GrassmannNumber._coerce(jets[k]) for k in JET_KEYS[:4]}
-    p = solve_jet({**jets})
-    q, y = p["q"], p["y"]
+    where rho = [[Ft, Pt], [Fz, Pz]] is the jet coordinate matrix.
+
+    With (q, eps0, delta0, y) from the first-order solve, both sides reduce
+    to y^{-1} [[Ft, -Fz], [Pt, Pz]] for *any* Ft, Fz, Pt, Pz with invertible
+    Ft and Pz and with Fz Pt squaring to zero (Fz or Pt odd), since
+    y - eps0 delta0 = Pz/Ft and Ber(rho) = Ft/Pz + Fz Pt/Pz^2 = 1/y.  So the
+    identity checks the solve against the Berezinian's ordering of the odd
+    entries (C*B), not the jet data: a scaled Pz or an Fz with a body still
+    reads zero, while a Berezinian that takes B*C does not."""
+    ft, fz, pt, pz = (GrassmannNumber._coerce(jets[k]) for k in JET_KEYS[:4])
+    q, eps0, delta0, y, _ = _first_order(ft, fz, pt, pz)
     qy = q * y.inverse()
-    lhs = SuperMatrix([
-        [GrassmannNumber(1.0), p["eps0"]],
-        [p["delta0"], y - p["eps0"] * p["delta0"]],
-    ]) * qy
-    rho = SuperMatrix([[g["Ft"], g["Pt"]], [g["Fz"], g["Pz"]]])
-    rhs = SuperMatrix([
-        [g["Ft"], -g["Fz"]],
-        [g["Pt"], g["Pz"]],
-    ]) * berezinian(rho)
+    lhs = _supermatrix([[qy, eps0 * qy],
+                        [delta0 * qy, (y - eps0 * delta0) * qy]])
+    rho = _supermatrix([[ft, pt], [fz, pz]])
+    rhs = _supermatrix([[ft, -fz], [pt, pz]]) * berezinian(rho)
     return lhs.distance(rhs)

@@ -226,7 +226,7 @@ cplx = st.builds(complex, parts, parts)
 bodies = cplx.filter(lambda z: abs(z) >= 0.05)
 elements = st.builds(GrassmannNumber, bodies, cplx, cplx, cplx)
 scalars = st.one_of(
-    st.integers(-1000, 1000).filter(bool), bodies,
+    st.just(True), st.integers(-1000, 1000).filter(bool), bodies,
     st.fractions(min_value=-50, max_value=50,
                  max_denominator=64).filter(bool),
     parts.filter(lambda x: abs(x) >= 0.05))
@@ -249,6 +249,15 @@ class TestArithmeticAgainstReference:
         assert_same(s * a, ref_mul(ref_of(s), ref_of(a)))
         assert_same(-a, ref_neg(ref_of(a)))
         assert_same(a.inverse(), ref_inverse(ref_of(a)))
+
+    @pytest.mark.parametrize("other", ["x", None])
+    def test_other_operands_raise_type_error(self, other):
+        a = g(1, 2, 3, 4)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
     def test_public_constructor_coerces(self):
         x = GrassmannNumber(1, Fraction(1, 2), 2.0, 1j)

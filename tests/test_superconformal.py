@@ -180,6 +180,8 @@ class TestExactCoefficients:
 
     def test_integral_fractions_become_ints(self):
         assert type(basis("C", coeff=Fraction(4, 2)).terms[("C",)]) is int
+        assert basis("L", 0, Fraction(4, 2)).terms == {("L", 0): 2}
+        assert type(basis("L", 0, Fraction(4, 2)).terms[("L", 0)]) is int
         assert basis("L", 0, 1.5).terms == {("L", 0): Fraction(3, 2)}
         # results built internally keep the same normal form
         third = basis("C", coeff=Fraction(1, 3))
@@ -193,10 +195,15 @@ class TestExactCoefficients:
         assert (basis("L", 1, 2) + basis("L", 1, -2)
                 + basis("J", 0)).terms == {("J", 0): 1}
         assert basis("J", 2, 0).terms == {}
+        assert basis("L", 0, 0).terms == {}
         assert mode_bracket(basis("J", 1) + basis("J", 2),
                             basis("J", -1, 3)).terms == {("C",): 1}
         assert jacobi_residual(basis("L", 1), basis("J", -1),
                                basis("H", 0)).terms == {}
+
+    def test_unknown_generator_has_no_parity(self):
+        with pytest.raises(ValueError, match="unknown generator 'X'"):
+            basis("X", 1).parity()
 
     def test_perturbed_central_term_fails_the_jacobi_row(self, monkeypatch):
         # C(m/6) added to the [H_m, Q_{-m}] central term breaks the graded
@@ -441,3 +448,63 @@ class TestJets:
         for _ in range(50):
             jets = jet_from_params(random_params(rng))
             assert jet_matrix_identity_residual(jets) < 1e-10
+
+
+def ref_jet_identity_residual(jets):
+    """``jet_matrix_identity_residual`` in its first formulation: the full
+    ``solve_jet`` and the public, coercing SuperMatrix constructor."""
+    ft, fz, pt, pz = (GrassmannNumber._coerce(jets[k])
+                      for k in ("Ft", "Fz", "Pt", "Pz"))
+    p = solve_jet(jets)
+    q, y, eps0, delta0 = p["q"], p["y"], p["eps0"], p["delta0"]
+    lhs = SuperMatrix([
+        [GrassmannNumber(1.0), eps0],
+        [delta0, y - eps0 * delta0],
+    ]) * (q * y.inverse())
+    rho = SuperMatrix([[ft, pt], [fz, pz]])
+    rhs = SuperMatrix([[ft, -fz], [pt, pz]]) * berezinian(rho)
+    return lhs.distance(rhs)
+
+
+def ref_first_order(jets):
+    """The first-order jet coordinates, written out as ``solve_jet`` first
+    wrote them."""
+    ft, fz, pt, pz = (GrassmannNumber._coerce(jets[k])
+                      for k in ("Ft", "Fz", "Pt", "Pz"))
+    ft_inv = ft.inverse()
+    return {"q": ft, "eps0": -fz * ft_inv, "delta0": pt * ft_inv,
+            "y": pz * ft_inv - fz * pt * ft_inv * ft_inv}
+
+
+class TestJetIdentityResidual:
+    def test_equals_the_full_solve_formulation(self):
+        rng = random.Random(13)
+        for i in range(200):
+            jets = jet_from_params(random_params(rng))
+            if i % 2:
+                # data no coordinate change has: the identity still holds
+                jets["Pz"] = jets["Pz"] * rng.uniform(0.5, 2.0)
+                jets["Fz"] = jets["Fz"] + rng.uniform(-1, 1)
+            if i % 50 == 0:
+                jets["Ft"] = rng.uniform(0.5, 2.0)  # a scalar entry
+            got = jet_matrix_identity_residual(jets)
+            assert got == ref_jet_identity_residual(jets)
+            assert got < 1e-10
+            back = solve_jet(jets)
+            for key, want in ref_first_order(jets).items():
+                assert back[key].components() == want.components(), key
+
+    def test_a_berezinian_in_b_c_order_fails_the_row(self, monkeypatch):
+        def b_times_c(m):
+            a, b = m.rows[0]
+            c, d = m.rows[1]
+            dinv = d.inverse()
+            return a * dinv + b * c * dinv * dinv
+
+        jets = jet_from_params(random_params(random.Random(11)))
+        assert jet_matrix_identity_residual(jets) < 1e-10
+        monkeypatch.setattr(superconformal, "berezinian", b_times_c)
+        assert jet_matrix_identity_residual(jets) > 1e-2
+        row = next(r for r in checks.gl11()
+                   if r.identity == "jet-coordinate-roundtrip")
+        assert not row.passed and row.residual > 1e-2
