@@ -215,7 +215,7 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
         if name in _LATTICE_POLES and _on_lattice(alpha_c, tau_c):
             raise ZeroDivisionError
         value, bound = run(point)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise click.UsageError(str(exc))
     except ZeroDivisionError:
         raise click.UsageError(f"{name} has a pole at alpha = {alpha} "
@@ -269,7 +269,7 @@ def character(ctx, lattice_path, mode, q_order):
     lat = _read(lattice_path, "lattice", ch.EvenLattice.from_json)
     try:
         cs = ch.chi_character(lat, n_q, mode)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise click.UsageError(str(exc))
     _echo_terms({
         "rank": lat.rank,

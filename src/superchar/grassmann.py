@@ -183,21 +183,6 @@ class SuperMatrix:
             return NotImplemented
         return _supermatrix([[x * o for x in row] for row in self.rows])
 
-    def inverse(self):
-        """Inverse by the block (Schur complement) formula.
-
-        Entry products are ordered so the formula is valid when the diagonal
-        entries are even and the off-diagonal entries are odd.
-        """
-        a, b = self.rows[0]
-        c, d = self.rows[1]
-        sa = (a - b * d.inverse() * c).inverse()
-        sd = (d - c * a.inverse() * b).inverse()
-        return _supermatrix([
-            [sa, -(a.inverse() * b * sd)],
-            [-(d.inverse() * c * sa), sd],
-        ])
-
     def max_abs(self):
         return max(x.max_abs() for row in self.rows for x in row)
 

@@ -375,14 +375,6 @@ def coordinate_matrix(q, y):
     return m * q
 
 
-def invariant_conjugation_residual(m, y):
-    """Residual of P^{-1} M P = M for the unscaled coordinate-change matrix
-    P = ``coordinate_matrix(1, y)``; zero iff M is fixed by the linear
-    action on vectors."""
-    p = coordinate_matrix(1.0, y)
-    return (p.inverse() * m * p).distance(m)
-
-
 # ---------------------------------------------------------------------------
 # second-order jets
 # ---------------------------------------------------------------------------

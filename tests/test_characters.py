@@ -307,29 +307,20 @@ class TestCharacter:
         assert sorted(modes) == ["closed", "product"]
 
     def test_characters_suite_reads_exact_coefficients(self, monkeypatch):
-        # 2^60 + 240 and 2^60 + 241 round to the same double, and so do
-        # 2^60 + k and 2^60 + k + 1/2 (to a whole number): only exact
-        # coefficients show these misses in the integrality and theta rows
+        # 2^60 + 240 and 2^60 + 241 round to the same double: only exact
+        # coefficients show this miss in the theta row
         big = 2 ** 60
-        counts, fock, theta = (characters.count_vectors_by_norm,
-                               characters.fock_oracle,
-                               characters.lattice_theta)
-
-        def bump(series, c):
-            return series + QYSeries.monomial(c, 1, 0, series.q_order)
+        counts, theta = (characters.count_vectors_by_norm,
+                         characters.lattice_theta)
 
         monkeypatch.setattr(characters, "count_vectors_by_norm",
                             lambda lat, n: [c + big * (k == 1) for k, c in
                                             enumerate(counts(lat, n))])
-        monkeypatch.setattr(characters, "fock_oracle",
-                            lambda lat, n, counts=None:
-                            bump(fock(lat, n), big + Fraction(1, 2)))
         monkeypatch.setattr(characters, "lattice_theta",
-                            lambda lat, n: bump(theta(lat, n), big + 1))
+                            lambda lat, n: theta(lat, n) + QYSeries.monomial(
+                                big + 1, 1, 0, n))
         rows = {r.identity: r for r in checks.characters()}
-        assert rows["fock-oracle-integrality"].residual == 0.5
         assert rows["lattice-theta-vs-enumeration"].residual == 1.0
-        assert not rows["fock-oracle-integrality"].passed
         assert not rows["lattice-theta-vs-enumeration"].passed
 
     def test_product_matches_fock_oracle(self):

@@ -155,6 +155,13 @@ class TestEval:
             ref = complex(ref)
         assert abs(value - ref) <= 1e-12 * abs(ref)
 
+    def test_theta_past_the_y_guard_is_usage_error(self, runner):
+        result = runner.invoke(main, ["eval", "theta", "--tau", "1i",
+                                      "--alpha", "0.1",
+                                      "--q-order", "20200"])
+        assert result.exit_code == 2
+        assert "exceeds the guard" in result.output
+
     def test_accepts_j_suffix(self, runner):
         result = runner.invoke(
             main, ["eval", "eta", "--tau", "0.2+1.1j"])
@@ -280,7 +287,7 @@ class TestVerify:
         points = {obj["identity"]: obj["point"]
                   for obj in json.loads(result.output)
                   if obj["identity"] != "jet-coordinate-roundtrip"}
-        assert len(points) == 5
+        assert len(points) == 4
         assert {tuple(p) for p in points.values()} == {(0.06, 0.175, -0.06,
                                                         0.015)}
         src = tmp_path / "rows.json"
@@ -420,6 +427,22 @@ class TestCharacter:
         result = runner.invoke(
             main, ["character", "--lattice", "/nope.json"])
         assert result.exit_code == 3
+
+    def test_rank_past_the_y_guard_is_usage_error(self, runner, tmp_path):
+        # E8^51 is the smallest sum of E8s whose y-exponents pass the guard
+        e8 = json.loads((pathlib.Path(superchar.__file__).parent / "data"
+                         / "e8.json").read_text())["gram"]
+        rank = 8 * 51
+        gram = [[0] * rank for _ in range(rank)]
+        for b in range(0, rank, 8):
+            for i in range(8):
+                gram[b + i][b:b + 8] = e8[i]
+        src = tmp_path / "e8x51.json"
+        src.write_text(json.dumps({"rank": rank, "gram": gram}))
+        result = runner.invoke(main, ["character", "--lattice", str(src),
+                                      "--q-order", "0"])
+        assert result.exit_code == 2
+        assert "exceeds the guard" in result.output
 
     @pytest.mark.parametrize("entry", [0.5, float("inf")])
     def test_non_integral_gram_is_usage_error(self, runner, tmp_path, entry):

@@ -110,13 +110,6 @@ class TestSuperMatrix:
         assert (m * a).distance(a) == 0.0
         assert (a * m).distance(a) == 0.0
 
-    def test_inverse_roundtrip(self):
-        a = SuperMatrix([[g(2, 0, 0, 1), odd(1, -1)],
-                         [odd(0.5, 2), g(3, 0, 0, -2)]])
-        ident = SuperMatrix.identity()
-        assert (a * a.inverse()).distance(ident) < 1e-13
-        assert (a.inverse() * a).distance(ident) < 1e-13
-
     def test_only_two_by_two(self):
         with pytest.raises(ValueError):
             SuperMatrix([[g(2), odd(1, 0), odd(0, 1)],
@@ -134,7 +127,7 @@ class TestSuperMatrix:
     def test_arithmetic_results_hold_grassmann_entries(self):
         a = SuperMatrix([[g(2, 0, 0, 1), odd(1, -1)],
                          [odd(0.5, 2), g(3, 0, 0, -2)]])
-        for m in (a + a, a - a, a * a, a * 2, a * EPS, a.inverse()):
+        for m in (a + a, a - a, a * a, a * 2, a * EPS):
             assert len(m.rows) == 2 and all(len(row) == 2 for row in m.rows)
             assert all(type(x) is GrassmannNumber for row in m.rows
                        for x in row)
