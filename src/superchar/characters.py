@@ -263,15 +263,14 @@ def chi_character(lattice, n_q=DEFAULT_Q_ORDER, mode="product"):
     theta_l = lattice_theta(lattice, n_q)
     if mode == "product":
         osc = infinite_product(_oscillator_binomials(n_q), n_q) ** (r // 2)
-        den = euler_product(n_q) ** r
         prefactor = QYSeries.monomial(1, 0, r // 2, n_q)  # y^{r/4}
         # the two y-free factors first: one y-block product fewer
-        chi = prefactor * osc * (den.invert() * theta_l)
+        chi = prefactor * osc * (euler_product(n_q, -r) * theta_l)
         return CharacterSeries(chi, r)
     if mode == "closed":
         if r % 8 != 0:
             raise ValueError("closed form requires rank divisible by 8")
-        chi = (eta_series(n_q).invert() ** (3 * r // 2)
+        chi = (eta_series(n_q, -3 * r // 2)
                * theta_offset_series(n_q) ** (r // 2) * theta_l)
         if chi.q_offset:
             raise ValueError(f"q-offset {chi.q_offset} has not cancelled")

@@ -24,16 +24,16 @@ from .series_core import (DEFAULT_Q_ORDER, EXACT_I, EXACT_TWO_PI_I, EvalPoint,
                           Prefactor, QYSeries, euler_product)
 
 
-def eta_series(n_q=DEFAULT_Q_ORDER):
-    """Dedekind eta, q^{1/24} prod (1 - q^n): the Euler product to q^n_q
-    with q-offset 1/24."""
-    return euler_product(n_q) * Prefactor(c=Fraction(1, 24))
+def eta_series(n_q=DEFAULT_Q_ORDER, k=1):
+    """The k-th power of Dedekind eta, q^{k/24} prod (1 - q^n)^k for an
+    integer k: the Euler product's power to q^n_q with q-offset k/24."""
+    return euler_product(n_q, k) * Prefactor(c=Fraction(k, 24))
 
 
 def discriminant_series(n_q=DEFAULT_Q_ORDER):
-    """The normalized cusp form q prod (1 - q^n)^24 (integer coefficients
-    1, -24, 252, ...), with q-offset 0."""
-    return euler_product(n_q) ** 24 * QYSeries.monomial(1, 1, 0, n_q)
+    """The normalized cusp form Delta = eta^24 = q prod (1 - q^n)^24
+    (integer coefficients 1, -24, 252, ...), with q-offset 0."""
+    return euler_product(n_q, 24) * QYSeries.monomial(1, 1, 0, n_q)
 
 
 def theta_sum_terms(n_q):
@@ -55,13 +55,6 @@ def _theta_mantissa(n_q):
 def theta_offset_series(n_q=DEFAULT_Q_ORDER):
     """The odd Jacobi theta function: its mantissa with q-offset 1/8."""
     return _theta_mantissa(n_q) * Prefactor(c=Fraction(1, 8))
-
-
-def theta_prime_zero(n_q=DEFAULT_Q_ORDER):
-    """d/d alpha theta at alpha = 0, a series in q alone with q-offset 1/8:
-    2 pi sum_k (-1)^k (2k+1) q^{k(k+1)/2 + 1/8} (equal to 2 pi eta^3)."""
-    d = theta_offset_series(n_q).y_d_dy() * EXACT_TWO_PI_I
-    return d.y_substitute_one()
 
 
 class JacobiForm:
@@ -156,35 +149,51 @@ def jacobi_eisenstein_numeric(k, m, point, cutoff=40):
 # ---------------------------------------------------------------------------
 
 def phi_weak(name, n_q=DEFAULT_Q_ORDER):
-    """The standard generators of weak Jacobi forms, as exact series:
+    """The standard generators of weak Jacobi forms, as exact series
+    (Eichler-Zagier, The Theory of Jacobi Forms, section 3 and Thm 9.3).
+    phi_m1_half, phi_m2_1 and phi_10_1 are a power of theta times a power
+    of eta, and phi_0_1 and phi_12_1 the heat operator on phi_m2_1 and
+    phi_10_1, so no series is inverted:
 
     * ``phi_m1_half``: weight -1 index 1/2, theta / theta'(tau, 0)
-      (leading Taylor coefficient in alpha exactly 1);
-    * ``phi_m2_1``: weight -2 index 1, (2 pi i)^2 phi_m1_half^2;
-    * ``phi_0_1``: weight 0 index 1, the heat operator applied to phi_m2_1
-      (Eichler-Zagier, The Theory of Jacobi Forms, section 3 and
-      Thm 9.3): 6 ((y d/dy)^2 - 4 q d/dq) phi_m2_1 - 5 E_2 phi_m2_1,
-      y + 10 + y^-1 at q^0;
-    * ``phi_10_1`` and ``phi_12_1``: weight 10 and 12 index 1, the cusp
-      forms Delta * phi_m2_1 and Delta * phi_0_1, Delta = q prod (1-q^n)^24.
+      (leading Taylor coefficient in alpha exactly 1); by Jacobi's
+      identity theta'(tau, 0) = 2 pi eta^3, so this is
+      theta eta^-3 / (2 pi);
+    * ``phi_m2_1``: weight -2 index 1, (2 pi i)^2 phi_m1_half^2 =
+      -theta^2 eta^-6;
+    * ``phi_0_1``: weight 0 index 1, the heat operator applied to phi_m2_1:
+      6 ((y d/dy)^2 - 4 q d/dq) phi_m2_1 - 5 E_2 phi_m2_1, y + 10 + y^-1
+      at q^0;
+    * ``phi_10_1``: weight 10 index 1, the cusp form Delta phi_m2_1 =
+      -theta^2 eta^18, Delta = eta^24 = q prod (1-q^n)^24;
+    * ``phi_12_1``: weight 12 index 1, the cusp form Delta phi_0_1, as the
+      heat operator at weight 10 applied to phi_10_1:
+      6 ((y d/dy)^2 - 4 q d/dq) phi_10_1 + 19 E_2 phi_10_1.
+
+    At weight k the heat operator's E_2 coefficient is 2k - 1; since
+    q d/dq Delta = E_2 Delta, the weight-10 operator on Delta phi_m2_1 is
+    Delta times the weight -2 one on phi_m2_1.
     """
-    if name in ("phi_m1_half", "phi_m2_1"):
-        # phi_m2_1 squares theta and theta' before dividing: theta^2 is
-        # sparse, phi_m1_half^2 is not
-        k = 1 if name == "phi_m1_half" else 2
-        ratio = theta_offset_series(n_q) ** k / theta_prime_zero(n_q) ** k
-        if k == 1:
-            return JacobiForm(name, -1, Fraction(1, 2), ratio)
-        return JacobiForm(name, -2, 1, ratio * EXACT_TWO_PI_I ** 2)
-    if name == "phi_0_1":
-        base = phi_weak("phi_m2_1", n_q).offset_series
-        series = (6 * (base.y_d_dy().y_d_dy() - 4 * base.q_d_dq())
-                  - 5 * eisenstein(2, n_q) * base)
-        return JacobiForm(name, 0, 1, series)
-    if name in ("phi_10_1", "phi_12_1"):
-        base = phi_weak("phi_m2_1" if name == "phi_10_1" else "phi_0_1", n_q)
-        series = base.offset_series * discriminant_series(n_q)
-        return JacobiForm(name, base.weight + 12, 1, series)
+    if name == "phi_m1_half":
+        # theta eta^-3 with both q-offsets (1/8 and -1/8) left out
+        series = (_theta_mantissa(n_q) * euler_product(n_q, -3)
+                  * Prefactor(b=-1))
+        return JacobiForm(name, -1, Fraction(1, 2), series)
+    if name in ("phi_m2_1", "phi_10_1"):
+        # theta^2 is q^{1/4} times the square of the mantissa: that offset
+        # cancels the q^{-1/4} of eta^-6 and makes a whole q with the
+        # q^{3/4} of eta^18
+        square = _theta_mantissa(n_q) ** 2 * -1
+        if name == "phi_m2_1":
+            return JacobiForm(name, -2, 1, square * euler_product(n_q, -6))
+        q = QYSeries.monomial(1, 1, 0, n_q)
+        return JacobiForm(name, 10, 1, square * (euler_product(n_q, 18) * q))
+    if name in ("phi_0_1", "phi_12_1"):
+        base = phi_weak("phi_m2_1" if name == "phi_0_1" else "phi_10_1", n_q)
+        f, k = base.offset_series, base.weight
+        series = (6 * (f.y_d_dy().y_d_dy() - 4 * f.q_d_dq())
+                  + (2 * k - 1) * eisenstein(2, n_q) * f)
+        return JacobiForm(name, k + 2, 1, series)
     raise ValueError(f"unknown weak Jacobi form {name!r}")
 
 

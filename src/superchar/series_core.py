@@ -286,10 +286,6 @@ class QYSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, q_order=DEFAULT_Q_ORDER):
-        return cls({}, q_order)
-
-    @classmethod
     def one(cls, q_order=DEFAULT_Q_ORDER):
         return cls({(0, 0): 1}, q_order)
 
@@ -414,12 +410,6 @@ class QYSeries:
             return NotImplemented
         return self._combine(other, -1, min(self.q_order, other.q_order))
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._combine(self, -1, min(self.q_order, other.q_order))
-
     def _scaled(self, s):
         if (s.is_one() if isinstance(s, Prefactor)
                 else isinstance(s, (int, Fraction)) and s == 1):
@@ -438,7 +428,7 @@ class QYSeries:
         scale = self.scale * other.scale
         a, b = self.rows, other.rows
         if not (a.size and b.size):
-            return QYSeries.zero(q_order)
+            return QYSeries({}, q_order)
         if a.size == 1 or b.size == 1:
             # a monomial's block is one unit (its content is in the
             # prefactor): the other block only moves, and the unit scales
@@ -447,7 +437,7 @@ class QYSeries:
                                   q_order)
         n_rows = min(q_order - n0 + 1, a.shape[0] + b.shape[0] - 1)
         if n_rows <= 0:
-            return QYSeries.zero(q_order)
+            return QYSeries({}, q_order)
         return QYSeries._make(_kronecker(a, b, n_rows), n0, r0, scale,
                               q_order)
 
@@ -499,8 +489,8 @@ class QYSeries:
         c = self.rows[0, j]
         # rows 0 .. n_rows - 1 of the inverse mantissa land in the q-range
         n_rows = self.q_order + self.n0 + 1
-        power = 1 - QYSeries._make(self.rows, 0, -2 * j, Prefactor(),
-                                   n_rows - 1) / c
+        power = QYSeries.one(n_rows - 1) - QYSeries._make(
+            self.rows, 0, -2 * j, Prefactor(), n_rows - 1) / c
         inverse = 1 + power
         while (power := power * power).rows.size:
             inverse = inverse + inverse * power
@@ -607,7 +597,7 @@ def infinite_product(binomials, n_q):
     if any(a < 0 or b2 % 2 for a, b2, _ in binomials):
         raise ValueError("binomials need a >= 0 and an even b2")
     if n_q < 0:
-        return QYSeries.zero(n_q)
+        return QYSeries({}, n_q)
     binomials = [(a, b2 // 2, c) for a, b2, c in binomials if a <= n_q]
     majorant = np.zeros(n_q + 1, object)
     majorant[0] = 1
@@ -635,17 +625,34 @@ def infinite_product(binomials, n_q):
                           2 * (left - origin), Prefactor(), n_q)
 
 
-def euler_product(n_q):
-    """prod_{n>=1} (1 - q^n), truncated at q-order n_q, by Euler's
-    pentagonal number theorem: sum over all integers k of
-    (-1)^k q^{k(3k-1)/2}."""
-    terms = {}
-    k = 0
-    while k * (3 * k - 1) // 2 <= n_q:
-        for j in (k, -k):
-            terms[(j * (3 * j - 1) // 2, 0)] = (-1) ** (j % 2)
-        k += 1
-    return QYSeries(terms, n_q)
+def euler_product(n_q, k=1):
+    """prod_{n>=1} (1 - q^n)^k for an integer k, truncated at q-order n_q.
+
+    Euler's pentagonal number theorem gives the k = 1 series
+    f = sum over all integers m of (-1)^m q^{m(3m-1)/2}.  Any other power
+    p = f^k follows from J. C. P. Miller's recurrence for powers of a
+    series with f_0 = 1, which comes from comparing coefficients in
+    f q dp/dq = k p q df/dq:
+
+        n p_n = sum_{j=1}^{n} ((k + 1) j - n) f_j p_{n-j}.
+
+    The p_n are integers, so every division is exact; and only the about
+    sqrt(8 n / 3) pentagonal j have f_j != 0, whatever k is.  A negative
+    power costs as much as a positive one, with no series inverse."""
+    pentagonal = {}
+    m = 0
+    while m * (3 * m - 1) // 2 <= n_q:
+        for j in (m, -m):
+            pentagonal[j * (3 * j - 1) // 2] = (-1) ** (j % 2)
+        m += 1
+    if k == 1:
+        return QYSeries({(j, 0): f for j, f in pentagonal.items()}, n_q)
+    p = [1] + [0] * max(n_q, 0)
+    for n in range(1, n_q + 1):
+        p[n] = sum(((k + 1) * j - n) * f * p[n - j]
+                   for j, f in pentagonal.items() if 0 < j <= n) // n
+    return QYSeries._make(np.array(p, object)[:, None], 0, 0, Prefactor(),
+                          n_q)
 
 
 # perfbench/spans.py reads this name and patches its ``__mul__`` and

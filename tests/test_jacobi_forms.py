@@ -9,10 +9,9 @@ from superchar.jacobi_forms import (
     discriminant_series, eisenstein_e4, eisenstein_e6, eta_series,
     expected_f1, jacobi_eisenstein_numeric,
     lemma_ratio, lemma_shift_residual, phi_10_1_eisenstein_numeric, phi_weak,
-    quasi_jacobi_coeffs, theta_form, theta_offset_series, theta_prime_zero,
-    transformation_check,
+    quasi_jacobi_coeffs, theta_form, theta_offset_series, transformation_check,
 )
-from superchar.series_core import EvalPoint
+from superchar.series_core import EXACT_TWO_PI_I, EvalPoint, Prefactor
 
 # Ramanujan tau(1..10)
 TAU_COEFFS = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643,
@@ -22,6 +21,13 @@ SIGMA3 = [1, 9, 28, 73, 126, 252, 344, 585]
 SIGMA5 = [1, 33, 244, 1057, 3126, 8052]
 
 POINT = EvalPoint(0.13 + 1.21j, 0.07 + 0.03j)
+
+
+def theta_prime_zero(n_q):
+    """d/d alpha theta at alpha = 0, from the theta series alone: 2 pi i
+    y d/dy, then y = 1."""
+    d = theta_offset_series(n_q).y_d_dy() * EXACT_TWO_PI_I
+    return d.y_substitute_one()
 
 
 class TestEtaAndDiscriminant:
@@ -88,12 +94,13 @@ class TestTheta:
         assert abs(a + b) < 1e-12 * abs(a)
 
     def test_theta_prime_zero_is_eta_cubed(self):
-        tp = theta_prime_zero(20)
-        eta3 = eta_series(20) ** 3
-        pt = EvalPoint(0.2 + 1.1j, 0.0)
-        v1, _ = tp.evaluate(pt)
-        v2, _ = eta3.evaluate(pt)
-        assert v1 == pytest.approx(2 * cmath.pi * v2)
+        # Jacobi's identity theta'(tau, 0) = 2 pi eta^3, on which phi_m1_half
+        # rests
+        for n_q in (0, 1, 20, 100):
+            tp = theta_prime_zero(n_q)
+            assert tp.q_offset == Fraction(1, 8)
+            assert tp == eta_series(n_q) ** 3 * Prefactor(b=1)
+            assert tp == eta_series(n_q, 3) * Prefactor(b=1)
 
 
 class TestWeakForms:
@@ -140,14 +147,26 @@ class TestWeakForms:
             assert abs(a - b) < 1e-3 * max(abs(a), abs(b))
 
     def test_phi_0_1_times_discriminant(self):
-        # phi_12_1 = Delta phi_0_1 by construction; cross-check numerically
-        f0 = phi_weak("phi_0_1", 30)
-        f12 = phi_weak("phi_12_1", 30)
-        d = discriminant_series(30)
-        pt = POINT
-        v, _ = d.evaluate(pt)
-        assert f0.evaluate(pt) * v == pytest.approx(f12.evaluate(pt),
-                                                    rel=1e-6)
+        # phi_12_1 is the weight-10 heat operator on phi_10_1; Delta phi_0_1
+        # is the product it replaces
+        n_q = 60
+        delta = discriminant_series(n_q)
+        assert (phi_weak("phi_12_1", n_q).offset_series
+                == delta * phi_weak("phi_0_1", n_q).offset_series)
+
+    def test_phi_10_1_is_discriminant_times_phi_m2_1(self):
+        n_q = 60
+        assert (phi_weak("phi_10_1", n_q).offset_series
+                == discriminant_series(n_q)
+                * phi_weak("phi_m2_1", n_q).offset_series)
+
+    def test_eta_powers_are_the_theta_prime_quotients(self):
+        # the quotients by theta'(tau, 0) that eta^-3 and eta^-6 replace
+        n_q = 60
+        theta, tp = theta_offset_series(n_q), theta_prime_zero(n_q)
+        assert phi_weak("phi_m1_half", n_q).offset_series == theta / tp
+        assert (phi_weak("phi_m2_1", n_q).offset_series
+                == theta ** 2 / tp ** 2 * EXACT_TWO_PI_I ** 2)
 
 
 class TestJacobiEisensteinNumeric:

@@ -122,8 +122,8 @@ def y_without_fz_pt(real):
     return mutated
 
 
-def theta_prime_times_1_plus_1e6(real):
-    return lambda n_q: real(n_q) * Fraction(1000001, 1000000)
+def euler_product_times_1_plus_1e6(real):
+    return lambda n_q, k=1: real(n_q, k) * Fraction(1000001, 1000000)
 
 
 def phi_m2_1_times_1_plus_qy(real):
@@ -201,9 +201,11 @@ MUTATIONS = {
         (sc, "action_factors", swap_charges),
     ("gl11", "jet-coordinate-roundtrip"):
         (sc, "_first_order", y_without_fz_pt),
-    # theta'(0) off by one part in 10^6: 1.0e-6 against 1e-8
+    # every power of the Euler product off by one part in 10^6, so that
+    # phi_m1_half no longer divides by theta'(0) = 2 pi eta^3: 1.0e-6
+    # against 1e-8
     ("jacobi_forms", "phi-m1-half-leading-coefficient"):
-        (jf, "theta_prime_zero", theta_prime_times_1_plus_1e6),
+        (jf, "euler_product", euler_product_times_1_plus_1e6),
     ("jacobi_forms", "phi_m2_1-transformation"):
         (jf, "phi_weak", phi_m2_1_times_1_plus_qy),
     # 2 pi i negated in jacobi_forms: the factor of lemma_shift_residual

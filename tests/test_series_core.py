@@ -55,7 +55,7 @@ class TestQYSeriesArithmetic:
         # regression: repeated accumulation through zero must clear the key
         a = small_series({(0, 0): 1, (3, 0): 1})
         b = small_series({(3, 0): -1})
-        total = QYSeries.zero(12)
+        total = QYSeries({}, 12)
         total = total + b
         total = total + a
         assert (3, 0) not in total.coeffs
@@ -131,7 +131,7 @@ class TestQYSeriesArithmetic:
             assert s != other
         assert s * EXACT_I + s * EXACT_I == s * EXACT_I * 2
         # the zero series adds to any prefactor
-        assert QYSeries.zero(12) + s * EXACT_I == s * EXACT_I
+        assert QYSeries({}, 12) + s * EXACT_I == s * EXACT_I
 
 
 class TestQOffset:
@@ -167,7 +167,7 @@ class TestQOffset:
             with pytest.raises(ValueError):
                 other - s
         assert (shifted + shifted).q_offset == Fraction(1, 2)
-        assert shifted - shifted == QYSeries.zero(12)
+        assert shifted - shifted == QYSeries({}, 12)
 
     def test_equality_sees_the_offset(self):
         s = small_series({(0, 0): 1, (1, 1): 2})
@@ -217,7 +217,7 @@ class TestInvert:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            QYSeries.zero().invert()
+            QYSeries().invert()
 
 
 class TestEulerProduct:
@@ -235,6 +235,18 @@ class TestEulerProduct:
     def test_infinite_product_of_the_euler_factors(self):
         prod = infinite_product([(n, 0, -1) for n in range(1, 27)], 26)
         assert prod == euler_product(26)
+
+    @pytest.mark.parametrize("k", [-36, -6, -3, -1, 0, 1, 18, 24])
+    @pytest.mark.parametrize("n_q", [0, 1, 2, 40, 100])
+    def test_power_is_the_repeated_product_or_its_inverse(self, n_q, k):
+        ref = QYSeries.one(n_q)
+        for _ in range(abs(k)):
+            ref = ref * euler_product(n_q)
+        if k < 0:
+            ref = ref.invert()
+        power = euler_product(n_q, k)
+        assert power == ref
+        assert (power.q_order, power.q_offset) == (n_q, 0)
 
 
 def binomial_fold(binomials, n_q):
