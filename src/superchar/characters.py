@@ -347,12 +347,14 @@ def fock_oracle(lattice, n_q, counts=None):
 def fock_weighted_trace(fock, insertion):
     """The state sum ``fock`` of ``fock_oracle`` with an L_0 or J_0
     insertion: every state is weighted by its total weight ("L0") or its
-    total charge including the C/6 shift ("J0")."""
+    total charge including the C/6 shift ("J0").  The states are summed
+    into coefficients by (weight, charge), so the coefficient of
+    q^n y^(r2/2) is weighted by its own n or r2/2."""
     if insertion not in ("L0", "J0"):
         raise ValueError("insertion must be 'L0' or 'J0'")
-    # the states are summed into coefficients by (weight, charge), so the
-    # weighting acts on each coefficient as q d/dq or y d/dy
-    return fock.q_d_dq() if insertion == "L0" else fock.y_d_dy()
+    return QYSeries({(n, r2): (n if insertion == "L0" else Fraction(r2, 2))
+                     * fock.exact_coeff(n, r2) for n, r2, _ in fock.terms()},
+                    fock.q_order)
 
 
 # ---------------------------------------------------------------------------

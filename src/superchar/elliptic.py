@@ -270,7 +270,7 @@ def super_zeta(x, theta, q, y):
     """
     x = GrassmannNumber._coerce(x)
     theta = GrassmannNumber._coerce(theta)
-    one_minus_y = 1.0 - complex(y)
+    one_minus_y = 1 - y
     if one_minus_y == 0:
         raise ZeroDivisionError("y = 1 is a pole of the extended zeta")
     # zeta_bar and p_bar at x = x0 + n to first order in the nilpotent n
@@ -279,8 +279,8 @@ def super_zeta(x, theta, q, y):
     s1, s2, s3 = (_shell_sum(k, x0, q)[0] for k in (1, 2, 3))
     zb = GrassmannNumber(-0.5 - s1) + n * (-s2 / x0)
     pb = GrassmannNumber(s2) + n * (s3 / x0)
-    return (zb * (GrassmannNumber(1.0) - EPS * DELTA * pb * (1.0 / one_minus_y))
-            + theta * EPS * pb * x.inverse() * (1.0 / one_minus_y))
+    return (zb * (GrassmannNumber(1) - EPS * DELTA * pb * (1 / one_minus_y))
+            + theta * EPS * pb * x.inverse() * (1 / one_minus_y))
 
 
 def z_action(x, theta, q, y):
@@ -288,8 +288,6 @@ def z_action(x, theta, q, y):
     (x, theta) -> (q (x + eps theta), q (y - eps delta) theta + q delta x)."""
     x = GrassmannNumber._coerce(x)
     theta = GrassmannNumber._coerce(theta)
-    q = complex(q)
-    y = complex(y)
     x_new = (x + EPS * theta) * q
     theta_new = (GrassmannNumber(y) - EPS * DELTA) * theta * q + DELTA * x * q
     return x_new, theta_new
@@ -300,5 +298,5 @@ def super_zeta_lemma_residual(x, theta, q, y):
     under the integer action; returns the max component deviation."""
     x2, theta2 = z_action(x, theta, q, y)
     lhs = super_zeta(x2, theta2, q, y)
-    rhs = super_zeta(x, theta, q, y) - 1.0
+    rhs = super_zeta(x, theta, q, y) - 1
     return (lhs - rhs).max_abs()

@@ -1,13 +1,14 @@
 """Grassmann algebra on two odd generators eps, delta, and 2x2 (1|1)
-supermatrices.
+supermatrices, over any number ring.
 
-Elements are a0 + a1*eps + a2*delta + a3*eps*delta with complex components.
-eps^2 = delta^2 = 0 and eps*delta = -delta*eps; the body is a0 and the
-nilpotent part the rest.  A scalar may stand on either side of + and *, and
-on the right of -.  The public constructor coerces its arguments with
-``complex()``; arithmetic builds its results unchecked from components that
-are complex already (in place when both operands are GrassmannNumbers, else
-through ``_grassmann``), and supermatrix arithmetic with the unchecked
+Elements are a0 + a1*eps + a2*delta + a3*eps*delta whose components are
+ints, Fractions, floats or complex numbers, each kept in the ring it was
+given: over Fractions every identity is exact.  eps^2 = delta^2 = 0 and
+eps*delta = -delta*eps; the body is a0 and the nilpotent part the rest.  A
+scalar may stand on either side of + and *, and on the right of -.  The
+public constructor checks that its arguments are numbers; arithmetic builds
+its results unchecked (in place when both operands are GrassmannNumbers,
+else through ``_grassmann``), and supermatrix arithmetic with the unchecked
 ``_supermatrix`` from entries that are GrassmannNumbers already.
 """
 
@@ -19,15 +20,15 @@ _SCALARS = (int, float, complex, Fraction)
 
 
 class GrassmannNumber:
-    """An element of the complex Grassmann algebra on eps and delta."""
+    """An element of the Grassmann algebra on eps and delta."""
 
     __slots__ = ("c0", "ce", "cd", "ced")
 
-    def __init__(self, c0=0.0, ce=0.0, cd=0.0, ced=0.0):
-        self.c0 = complex(c0)
-        self.ce = complex(ce)
-        self.cd = complex(cd)
-        self.ced = complex(ced)
+    def __init__(self, c0=0, ce=0, cd=0, ced=0):
+        for c in (c0, ce, cd, ced):
+            if not isinstance(c, _SCALARS):
+                raise TypeError(f"a Grassmann component is a number, not {c!r}")
+        self.c0, self.ce, self.cd, self.ced = c0, ce, cd, ced
 
     # -- structure ---------------------------------------------------------
 
@@ -48,7 +49,7 @@ class GrassmannNumber:
         if isinstance(x, GrassmannNumber):
             return x
         if isinstance(x, _SCALARS):
-            return _grassmann(complex(x), 0j, 0j, 0j)
+            return _grassmann(x, 0, 0, 0)
         return None
 
     def __add__(self, o):
@@ -60,8 +61,7 @@ class GrassmannNumber:
             out.ced = self.ced + o.ced
             return out
         if isinstance(o, _SCALARS):
-            return _grassmann(self.c0 + complex(o), self.ce, self.cd,
-                              self.ced)
+            return _grassmann(self.c0 + o, self.ce, self.cd, self.ced)
         return NotImplemented
 
     __radd__ = __add__
@@ -78,8 +78,7 @@ class GrassmannNumber:
             out.ced = self.ced - o.ced
             return out
         if isinstance(o, _SCALARS):
-            return _grassmann(self.c0 - complex(o), self.ce, self.cd,
-                              self.ced)
+            return _grassmann(self.c0 - o, self.ce, self.cd, self.ced)
         return NotImplemented
 
     def __mul__(self, o):
@@ -93,9 +92,8 @@ class GrassmannNumber:
             out.ced = a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1
             return out
         if isinstance(o, _SCALARS):
-            s = complex(o)
-            return _grassmann(self.c0 * s, self.ce * s, self.cd * s,
-                              self.ced * s)
+            return _grassmann(self.c0 * o, self.ce * o, self.cd * o,
+                              self.ced * o)
         return NotImplemented
 
     __rmul__ = __mul__  # a scalar commutes with every element
@@ -103,10 +101,12 @@ class GrassmannNumber:
     def inverse(self):
         """Inverse in closed form c0^-1 (1 - N/c0), N the nilpotent part:
         N^2 = 0, since (a eps + b delta)^2 = ab (eps delta + delta eps) = 0
-        and every other term of N^2 has degree above two."""
+        and every other term of N^2 has degree above two.  An int body
+        inverts to a Fraction."""
         if self.c0 == 0:
             raise ZeroDivisionError("Grassmann number with zero body")
-        inv0 = 1.0 / self.c0
+        inv0 = Fraction(1, self.c0) if isinstance(self.c0, int) \
+            else 1 / self.c0
         m = -inv0
         return _grassmann(inv0, self.ce * m * inv0, self.cd * m * inv0,
                           self.ced * m * inv0)
@@ -117,12 +117,14 @@ class GrassmannNumber:
         return max(abs(self.c0), abs(self.ce), abs(self.cd), abs(self.ced))
 
     def __repr__(self):
-        return (f"G({self.c0:.6g} + ({self.ce:.6g})e + ({self.cd:.6g})d"
-                f" + ({self.ced:.6g})ed)")
+        # six significant digits, a Fraction exactly
+        c0, ce, cd, ced = (c if isinstance(c, Fraction) else f"{c:.6g}"
+                           for c in self.components())
+        return f"G({c0} + ({ce})e + ({cd})d + ({ced})ed)"
 
 
 def _grassmann(c0, ce, cd, ced):
-    """The GrassmannNumber with four complex components, unchecked."""
+    """The GrassmannNumber with these four number components, unchecked."""
     out = object.__new__(GrassmannNumber)
     out.c0 = c0
     out.ce = ce
@@ -133,10 +135,9 @@ def _grassmann(c0, ce, cd, ced):
 
 EPS = GrassmannNumber(0, 1, 0, 0)
 DELTA = GrassmannNumber(0, 0, 1, 0)
-ZERO = GrassmannNumber(0)
 
 
-def odd(a, b=0.0):
+def odd(a, b=0):
     """The odd element a*eps + b*delta."""
     return GrassmannNumber(0, a, b, 0)
 
@@ -158,7 +159,7 @@ class SuperMatrix:
 
     @classmethod
     def identity(cls):
-        return cls([[1.0, 0.0], [0.0, 1.0]])
+        return cls([[1, 0], [0, 1]])
 
     def __add__(self, other):
         if not isinstance(other, SuperMatrix):
@@ -174,10 +175,9 @@ class SuperMatrix:
 
     def __mul__(self, other):
         if isinstance(other, SuperMatrix):
-            cols = list(zip(*other.rows))
-            return _supermatrix([
-                [sum((x * y for x, y in zip(row, col)), ZERO) for col in cols]
-                for row in self.rows])
+            (e, f), (g, h) = other.rows
+            return _supermatrix([[a * e + b * g, a * f + b * h]
+                                 for a, b in self.rows])
         o = GrassmannNumber._coerce(other)
         if o is None:
             return NotImplemented
@@ -221,10 +221,10 @@ def exp_nilpotent(m):
     """Matrix exponential of a nilpotent matrix by summing powers until a
     power vanishes exactly; raises if none of the first _EXP_TERMS + 1
     does."""
-    out = term = SuperMatrix.identity()
-    for k in range(1, _EXP_TERMS + 2):
-        term = term * m * (1.0 / k)
-        if term.max_abs() == 0.0:
+    out, term = SuperMatrix.identity(), m
+    for k in range(2, _EXP_TERMS + 3):
+        if term.max_abs() == 0:
             return out
         out = out + term
+        term = term * m * Fraction(1, k)
     raise ValueError(f"matrix is not nilpotent within {_EXP_TERMS} powers")

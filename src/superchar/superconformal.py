@@ -330,7 +330,7 @@ def gl11_group_element(q, y):
     exponentials and the diagonal factors exp(-2 pi i alpha J_0) = diag(1, y),
     exp(-2 pi i tau L_0) = q * Id.  Equals q [[1, delta], [eps, y + eps delta]].
     """
-    J0, Q0, H0, _ = gl11_generators()
+    _, Q0, H0, _ = gl11_generators()
     f1 = exp_nilpotent(H0 * EPS)
     f2 = SuperMatrix([[1, 0], [0, y]])
     f3 = SuperMatrix([[q, 0], [0, q]])
@@ -345,10 +345,10 @@ def action_matrix(delta_wt, charge, odd_parity, q, y):
         q^{-Delta} y^{-(c+1)} [[y + Delta eps delta, s Delta eps], [s delta, 1]].
     """
     s = -1 if odd_parity else 1
-    scale = complex(q) ** -delta_wt * complex(y) ** -(charge + 1)
+    scale = q ** -delta_wt * y ** -(charge + 1)
     m = SuperMatrix([
         [GrassmannNumber(y) + EPS * DELTA * delta_wt, EPS * (s * delta_wt)],
-        [DELTA * s, GrassmannNumber(1.0)],
+        [DELTA * s, 1],
     ])
     return m * scale
 
@@ -358,20 +358,16 @@ def action_factors(delta_wt, charge, odd_parity, q, y):
     unipotent factor, a diagonal y-charge factor, and a lower unipotent
     factor, whose product equals the assembled matrix."""
     s = -1 if odd_parity else 1
-    y = complex(y)
     upper = SuperMatrix([[1, EPS * (s * delta_wt)], [0, 1]])
     diag = SuperMatrix([[y ** -charge, 0], [0, y ** -(charge + 1)]])
     lower = SuperMatrix([[1, 0], [DELTA * s, 1]])
-    return complex(q) ** -delta_wt, upper, diag, lower
+    return q ** -delta_wt, upper, diag, lower
 
 
 def coordinate_matrix(q, y):
     """The coordinate-change matrix q [[1, eps], [delta, y - eps delta]];
     its Berezinian is exactly y^{-1}."""
-    m = SuperMatrix([
-        [GrassmannNumber(1.0), EPS],
-        [DELTA, GrassmannNumber(y) - EPS * DELTA],
-    ])
+    m = SuperMatrix([[1, EPS], [DELTA, GrassmannNumber(y) - EPS * DELTA]])
     return m * q
 
 

@@ -279,26 +279,29 @@ class TestVerify:
                          "coordinate-matrix-berezinian"):
             assert rows[identity]["pass"], rows[identity]
 
-    def test_gl11_rows_carry_their_point(self, runner, tmp_path):
+    def test_gl11_point_rows_are_exact(self, runner, tmp_path):
         result = runner.invoke(
             main, ["verify", "--suite", "gl11", "--format", "json"])
         assert result.exit_code == 0
-        # every row but the random-jet round trip is computed at one point
-        points = {obj["identity"]: obj["point"]
-                  for obj in json.loads(result.output)
-                  if obj["identity"] != "jet-coordinate-roundtrip"}
-        assert len(points) == 4
-        assert {tuple(p) for p in points.values()} == {(0.06, 0.175, -0.06,
-                                                        0.015)}
+        # every row but the random-jet round trip is an exact identity
+        # over the rationals, which carries no (tau, alpha)
+        exact = {obj["identity"]: obj for obj in json.loads(result.output)
+                 if obj["identity"] != "jet-coordinate-roundtrip"}
+        assert len(exact) == 4
+        for obj in exact.values():
+            assert (obj["residual"], obj["tolerance"], obj["point"]) \
+                == (0.0, 0.0, None), obj
         src = tmp_path / "rows.json"
         src.write_text(result.output)
         table = runner.invoke(
             main, ["report", "--input", str(src), "--format", "csv"])
         assert table.exit_code == 0
-        csv_points = {r["identity"]: r["point"]
-                      for r in csv.DictReader(io.StringIO(table.output))}
-        for identity in points:
-            assert csv_points[identity] == "0.06;0.175;-0.06;0.015"
+        csv_rows = {r["identity"]: r
+                    for r in csv.DictReader(io.StringIO(table.output))}
+        for identity in exact:
+            row = csv_rows[identity]
+            assert (row["residual"], row["tolerance"], row["point"],
+                    row["pass"]) == ("0", "0", "", "true"), row
 
     def test_csv_format_header(self, runner):
         result = runner.invoke(

@@ -252,8 +252,46 @@ class TestArithmeticAgainstReference:
             with pytest.raises(TypeError):
                 op(other, a)
 
-    def test_public_constructor_coerces(self):
-        x = GrassmannNumber(1, Fraction(1, 2), 2.0, 1j)
-        assert x.components() == (1, 0.5, 2, 1j)
-        assert all(type(c) is complex for c in x.components())
-        assert all(type(c) is complex for c in (x + 1).components())
+    def test_fractions_stay_fractions(self):
+        x = g(*map(Fraction, (2, 1, -5, 3), (3, 2, 7, 1)))
+        y = g(*map(Fraction, (-4, 2, 1, 7), (9, 1, 3, 5)))
+        half = Fraction(1, 2)
+        for z in (x + y, x - y, x * y, x + half, x - half, half * x,
+                  x.inverse()):
+            assert all(type(c) is Fraction for c in z.components()), z
+        assert (x * x.inverse() - 1).components() == (0, 0, 0, 0)
+        m = SuperMatrix([[x, odd(half, -half)], [odd(half * 3, half), y]])
+        ber = berezinian(m)
+        assert all(type(c) is Fraction for c in ber.components())
+        assert ber.body == x.body / y.body
+
+    @pytest.mark.parametrize("bad", ["1", None, [1], EPS])
+    def test_non_number_component_is_type_error(self, bad):
+        with pytest.raises(TypeError):
+            GrassmannNumber(bad)
+        with pytest.raises(TypeError):
+            GrassmannNumber(1, 0, 0, bad)
+
+
+class TestExactRings:
+    def test_int_body_inverts_to_fractions(self):
+        inv = g(2, 1).inverse()
+        assert inv.components() == (Fraction(1, 2), Fraction(-1, 4), 0, 0)
+        assert all(type(c) is Fraction for c in inv.components())
+        assert (g(2, 1) * inv - 1).max_abs() == 0
+
+    def test_repr_of_fraction_components(self):
+        x = g(Fraction(3, 7), 0, Fraction(-5, 4), 2.5)
+        assert repr(x) == "G(3/7 + (0)e + (-5/4)d + (2.5)ed)"
+        assert repr(SuperMatrix([[x, 0], [0, 1j]])) == (
+            "SuperMatrix([G(3/7 + (0)e + (-5/4)d + (2.5)ed), "
+            "G(0 + (0)e + (0)d + (0)ed)], [G(0 + (0)e + (0)d + (0)ed), "
+            "G(0+1j + (0)e + (0)d + (0)ed)])")
+
+    def test_exp_nilpotent_is_exact_over_the_integers(self):
+        n = SuperMatrix([[g(0, 0, 0, 3), odd(1, 2)], [odd(-2, 1), g(0)]])
+        e = exp_nilpotent(n)
+        assert (e * exp_nilpotent(n * -1)).distance(
+            SuperMatrix.identity()) == 0
+        assert all(type(c) in (int, Fraction) for row in e.rows
+                   for x in row for c in x.components())

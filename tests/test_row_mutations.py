@@ -156,9 +156,14 @@ def plus_q(real):
     return lambda n_q: real(n_q) + QYSeries.monomial(1, 1, 0, n_q)
 
 
-def swap_insertions(real):
-    return lambda fock, insertion: real(
-        fock, {"L0": "J0", "J0": "L0"}[insertion])
+def weight_plus_one(real):
+    """q d/dq weighting q^n by n + 1."""
+    return lambda series: real(series) + series
+
+
+def doubled(real):
+    """y d/dy weighting y^(r2/2) by r2."""
+    return lambda series: real(series) * 2
 
 
 def chi_times_series(real):
@@ -225,10 +230,10 @@ MUTATIONS = {
         (ch, "_boson_sector", one_boson_too_many),
     ("characters", "lattice-theta-vs-enumeration"):
         (ch, "eisenstein_e4", plus_q),
+    # the Fock side weights its coefficients without q d/dq or y d/dy
     ("characters", "trace-insertion-L0"):
-        (ch, "fock_weighted_trace", swap_insertions),
-    ("characters", "trace-insertion-J0"):
-        (ch, "fock_weighted_trace", swap_insertions),
+        (QYSeries, "q_d_dq", weight_plus_one),
+    ("characters", "trace-insertion-J0"): (QYSeries, "y_d_dy", doubled),
     ("character_jacobi", "chi-rank-8-transformation"):
         (ch, "chi_character", chi_times_series),
 }

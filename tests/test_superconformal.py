@@ -386,6 +386,33 @@ class TestGL11:
                 2, 1, parity_flag, self.Qv, self.Yv)
             assert (upper * diag * lower * scale).distance(m) < 1e-14
 
+    # the same identities over the rationals, where they hold exactly
+    Qx, Yx = Fraction(3, 7), Fraction(-5, 4)
+
+    def test_exact_group_element_assembly(self):
+        g = gl11_group_element(self.Qx, self.Yx)
+        expected = SuperMatrix([
+            [1, DELTA], [EPS, GrassmannNumber(self.Yx) + EPS * DELTA],
+        ]) * self.Qx
+        assert g.distance(expected) == 0
+        assert all(type(c) is Fraction for row in g.rows for x in row
+                   for c in x.components())
+
+    def test_exact_berezinians_are_inverse_y(self):
+        for m in (gl11_group_element(self.Qx, self.Yx),
+                  coordinate_matrix(self.Qx, self.Yx)):
+            ber = berezinian(m)
+            assert (ber - 1 / self.Yx).max_abs() == 0
+            assert ber.body == Fraction(-4, 5)
+
+    def test_exact_action_matrix_factorization(self):
+        for parity_flag in (False, True):
+            m = action_matrix(2, 1, parity_flag, self.Qx, self.Yx)
+            scale, upper, diag, lower = action_factors(
+                2, 1, parity_flag, self.Qx, self.Yx)
+            assert scale == Fraction(49, 9)
+            assert (upper * diag * lower * scale).distance(m) == 0
+
     def test_suite_checks_factorization_and_coordinate_berezinian(self):
         rows = {r.identity: r for r in checks.gl11()}
         for identity in ("action-matrix-factorization",
