@@ -406,13 +406,18 @@ def super_cusp_predicate(delta, k, l, cap_k, charge):
 
 
 def cusp_class(delta, k, l, cap_k=0, charge=0, super_case=False):
-    """The (e, f, l) on which the cusp certificate depends: the translate
-    by q^n carries the prefactor q^{n e} y^{n f}, with e = 1 + k - delta
-    and f = 0 in the non-super case, e = K + k - delta and f = K - 1 - c in
-    the super case.  Otherwise k only shifts every x-exponent, and the
-    certificate never compares across x-exponents."""
+    """The (e, sign f, l) on which the cusp certificate depends: the
+    translate by q^n carries the prefactor q^{n e} y^{n f}, with
+    e = 1 + k - delta and f = 0 in the non-super case, e = K + k - delta
+    and f = K - 1 - c in the super case.  Otherwise k only shifts every
+    x-exponent, and the certificate never compares across x-exponents.
+    It uses the y-power n f only to test keys for equality (within and
+    across the two cutoffs) and to find the least key of a q-shell; for
+    f != 0, n -> n f is injective and strictly monotone, so sign f gives
+    every answer that f gives, and for f = 0 every y-power is 0."""
     if super_case:
-        return cap_k + k - delta, cap_k - 1 - charge, l
+        sign_f = (cap_k > 1 + charge) - (cap_k < 1 + charge)
+        return cap_k + k - delta, sign_f, l
     return 1 + k - delta, 0, l
 
 

@@ -267,9 +267,9 @@ def expected_f1(form, point):
 # transformation-law verification
 # ---------------------------------------------------------------------------
 
-def _transform_residual(form, element, point):
-    """Returns (lhs, rhs) for one group element at one point; the law is
-    lhs = (character) * rhs with a unimodular character constant."""
+def _transform_residual(form, element, point, value):
+    """(lhs, rhs) for one group element at a point where the form takes
+    ``value``; the law is lhs = (character) * rhs, a unimodular constant."""
     kind = element[0]
     k = form.weight
     l = float(form.index)
@@ -288,7 +288,7 @@ def _transform_residual(form, element, point):
             TWO_PI_I * l * c * alpha * alpha / denom)
     else:
         raise ValueError(f"unknown element kind {element[0]!r}")
-    return lhs, factor * form.evaluate(point)
+    return lhs, factor * value
 
 
 def _element_label(element):
@@ -305,11 +305,14 @@ def transformation_check(form, elements, points):
     For each element a best-fit unimodular character constant is measured
     from the sample points (half-integral index forms transform with a
     nontrivial character); the residual is relative to that constant,
-    which is recorded in the element label.
+    which is recorded in the element label.  The form is evaluated once at
+    each point.
     """
+    values = [form.evaluate(p) for p in points]
     out = []
     for element in elements:
-        pairs = [_transform_residual(form, element, p) for p in points]
+        pairs = [_transform_residual(form, element, p, v)
+                 for p, v in zip(points, values)]
         num = sum(lhs * rhs.conjugate() for lhs, rhs in pairs)
         char = num / abs(num) if num else 1 + 0j
         label = _element_label(element)

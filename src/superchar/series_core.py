@@ -532,23 +532,28 @@ class QYSeries:
         Returns ``(value, bound)`` where ``bound`` is the magnitude of the
         last retained q-shell, a heuristic truncation error estimate; the
         value includes the factor q^c of the offset, the bound |q^c|.
-        Raises if |q| >= 1.
+        Raises if |q| >= 1.  Each power of q and y is computed once per
+        call; each term is c * q^n * y^(r2/2), summed in (n, r2) order.
         """
         q = point.q
         if abs(q) >= 1.0:
             raise ValueError(f"|q| = {abs(q)} >= 1: series diverges")
-        value = 0j
-        shells = {}
         # y^(1/2) is defined through alpha, not a branch cut in y
         sqrt_y = cmath.exp(1j * cmath.pi * point.alpha)
+        n_rows, n_cols = self.rows.shape  # no zero edge rows or columns
+        y_pow = {r2: sqrt_y ** r2
+                 for r2 in range(self.r0, self.r0 + 2 * n_cols, 2)}
+        value, bound, row, last = 0j, 0.0, None, self.n0 + n_rows - 1
         # term by term in (n, r2) order: the character constants that
         # transformation_check prints in its row labels carry the rounding
         # of this sum
         for n, r2, c in self.terms():
-            term = c * q ** n * sqrt_y ** r2
+            if n != row:
+                row, q_n = n, q ** n
+            term = c * q_n * y_pow[r2]
             value += term
-            shells[n] = shells.get(n, 0.0) + abs(term)
-        bound = shells[max(shells)] if shells else 0.0
+            if n == last:
+                bound += abs(term)
         if self.scale.c:
             offset = cmath.exp(2j * math.pi * point.tau * float(self.scale.c))
             value, bound = value * offset, bound * abs(offset)

@@ -345,6 +345,7 @@ def action_matrix(delta_wt, charge, odd_parity, q, y):
         q^{-Delta} y^{-(c+1)} [[y + Delta eps delta, s Delta eps], [s delta, 1]].
     """
     s = -1 if odd_parity else 1
+    q, y = (Fraction(x) if isinstance(x, int) else x for x in (q, y))
     scale = q ** -delta_wt * y ** -(charge + 1)
     m = SuperMatrix([
         [GrassmannNumber(y) + EPS * DELTA * delta_wt, EPS * (s * delta_wt)],
@@ -359,6 +360,7 @@ def action_factors(delta_wt, charge, odd_parity, q, y):
     factor, whose product equals the assembled matrix."""
     s = -1 if odd_parity else 1
     upper = SuperMatrix([[1, EPS * (s * delta_wt)], [0, 1]])
+    q, y = (Fraction(x) if isinstance(x, int) else x for x in (q, y))
     diag = SuperMatrix([[y ** -charge, 0], [0, y ** -(charge + 1)]])
     lower = SuperMatrix([[1, 0], [DELTA * s, 1]])
     return q ** -delta_wt, upper, diag, lower

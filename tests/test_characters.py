@@ -425,6 +425,25 @@ class TestCuspPredicates:
                     mismatches.append((d, k, l, cap_k, c))
         assert mismatches == []
 
+    def test_certificate_depends_on_the_sign_of_f_only(self, monkeypatch):
+        # with Delta = K = 0 the super class of (k, l, c) is (k, -1 - c, l):
+        # every (e, f, l) with e in -8..11, f in -6..6 and l in 1..5,
+        # certified at sign f and, through a class that keeps f, at f
+        points = list(itertools.product(range(-8, 12), range(-6, 7),
+                                        range(1, 6)))
+
+        def certificates():
+            return [cusp_certificate(0, e, l, 0, -1 - f, super_case=True)
+                    for e, f, l in points]
+
+        at_sign = certificates()
+        monkeypatch.setattr(
+            characters, "cusp_class",
+            lambda delta, k, l, cap_k, charge, super_case:
+                (cap_k + k - delta, cap_k - 1 - charge, l))
+        assert certificates() == at_sign
+        assert 0 < sum(at_sign) < len(points) == 1300
+
     def test_translates_expand_to_integer_binomials(self):
         # class (e, f, l) = (1, 0, 2): the translate n = 1 gives
         # (-z)^-2 sum_j (j+1) (x/z)^j q^(1+j), and n = -1 gives
@@ -483,7 +502,7 @@ class TestCuspCertificatePerClass:
 
     def test_every_call_computes_its_certificates(self, monkeypatch):
         # one certificate per class and no memo across calls: 52 classes
-        # cover the 192 plain points and 440 the 2688 super points
+        # cover the 192 plain points and 168 the 2688 super points
         calls = []
         real = characters.cusp_certificate
 
@@ -492,7 +511,7 @@ class TestCuspCertificatePerClass:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(characters, "cusp_certificate", counted)
-        for super_grid, classes in ((False, 52), (True, 440)) * 2:
+        for super_grid, classes in ((False, 52), (True, 168)) * 2:
             calls.clear()
             assert cusp_grid_check(super_grid=super_grid) == []
             assert len(calls) == classes

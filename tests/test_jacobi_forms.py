@@ -5,13 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from superchar import characters, jacobi_forms
 from superchar.jacobi_forms import (
     discriminant_series, eisenstein_e4, eisenstein_e6, eta_series,
     expected_f1, jacobi_eisenstein_numeric,
     lemma_ratio, lemma_shift_residual, phi_10_1_eisenstein_numeric, phi_weak,
     quasi_jacobi_coeffs, theta_form, theta_offset_series, transformation_check,
 )
-from superchar.series_core import EXACT_TWO_PI_I, EvalPoint, Prefactor
+from superchar.series_core import (
+    EXACT_TWO_PI_I, EvalPoint, Prefactor, QYSeries,
+)
 
 # Ramanujan tau(1..10)
 TAU_COEFFS = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643,
@@ -317,3 +320,46 @@ class TestTransformationCheck:
         assert len(rows) == 8
         for label, _, resid in rows:
             assert resid <= 1e-9, (label, resid)
+
+    ELEMENTS = [("shift", 1, 0), ("shift", 0, 1), ("shift", 1, 1),
+                ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: phi_weak("phi_m2_1", 30),
+        lambda: phi_weak("phi_m1_half", 30),
+        lambda: jacobi_forms.JacobiForm(
+            "chi-rank-8", 0, 2, characters.chi_character(
+                characters.e8_lattice(), 30, "closed").chi),
+    ], ids=["phi_m2_1", "phi_m1_half", "chi_E8"])
+    def test_form_evaluated_once_per_point(self, monkeypatch, make):
+        form = make()
+        expected = transformation_per_element(form, self.ELEMENTS, self.POINTS)
+        calls = []
+        evaluate = QYSeries.evaluate
+
+        def counted(series, point):
+            calls.append(point)
+            return evaluate(series, point)
+
+        monkeypatch.setattr(QYSeries, "evaluate", counted)
+        rows = transformation_check(form, self.ELEMENTS, self.POINTS)
+        assert len(calls) == len(self.POINTS) * (len(self.ELEMENTS) + 1)
+        assert rows == expected
+
+
+def transformation_per_element(form, elements, points):
+    """``transformation_check`` with the form evaluated at each point once
+    per group element: the reference for evaluating it once per point."""
+    out = []
+    for element in elements:
+        pairs = [jacobi_forms._transform_residual(form, element, p,
+                                                  form.evaluate(p))
+                 for p in points]
+        num = sum(lhs * rhs.conjugate() for lhs, rhs in pairs)
+        char = num / abs(num) if num else 1 + 0j
+        label = jacobi_forms._element_label(element)
+        label_c = f"{label}[char={char.real:+.6f}{char.imag:+.6f}j]"
+        for p, (lhs, rhs) in zip(points, pairs):
+            resid = abs(lhs - char * rhs) / max(abs(lhs), abs(rhs), 1e-30)
+            out.append((label_c, p, resid))
+    return out

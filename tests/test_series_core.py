@@ -1,11 +1,14 @@
 import cmath
 import json
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superchar import characters, elliptic, jacobi_forms
 from superchar.series_core import (
     EXACT_I, EXACT_TWO_PI_I, EvalPoint, Prefactor, QYSeries, euler_product,
     infinite_product,
@@ -342,6 +345,45 @@ class TestEvaluate:
         s = QYSeries.monomial(1, -1, 0)
         with pytest.raises(ValueError):
             s.evaluate(EvalPoint(0.3, 0.0))  # would need Im tau > 0 anyway
+
+
+def evaluate_per_term(series, point):
+    """``QYSeries.evaluate`` with every power of q and y computed for its
+    own term and every term's magnitude added to its shell: the reference
+    for the powers computed once per call."""
+    q = point.q
+    value, shells = 0j, {}
+    sqrt_y = cmath.exp(1j * cmath.pi * point.alpha)
+    for n, r2, c in series.terms():
+        term = c * q ** n * sqrt_y ** r2
+        value += term
+        shells[n] = shells.get(n, 0.0) + abs(term)
+    bound = shells[max(shells)] if shells else 0.0
+    if series.scale.c:
+        offset = cmath.exp(2j * math.pi * point.tau * float(series.scale.c))
+        value, bound = value * offset, bound * abs(offset)
+    return value, bound
+
+
+@pytest.mark.parametrize("make", [
+    lambda: characters.chi_character(characters.e8_lattice(), 30,
+                                     "closed").chi,
+    lambda: jacobi_forms.phi_weak("phi_m2_1", 30).offset_series,
+    # half-integral y-powers and a (2 pi)^-1 prefactor
+    lambda: jacobi_forms.phi_weak("phi_m1_half", 30).offset_series,
+    # negative powers of y
+    lambda: elliptic.zeta_bar_series(10, 20),
+    # the q-offset 1/24
+    lambda: jacobi_forms.eta_series(30),
+    lambda: QYSeries({}, 10),
+], ids=["chi_E8", "phi_m2_1", "phi_m1_half", "zeta_bar", "eta", "empty"])
+def test_evaluate_is_the_sum_term_by_term(make):
+    series = make()
+    rng = random.Random(24)
+    for _ in range(60):
+        point = EvalPoint(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 2)),
+                          complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)))
+        assert series.evaluate(point) == evaluate_per_term(series, point)
 
 
 class TestJsonRoundTrip:

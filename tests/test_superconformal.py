@@ -413,6 +413,18 @@ class TestGL11:
             assert scale == Fraction(49, 9)
             assert (upper * diag * lower * scale).distance(m) == 0
 
+    def test_action_matrix_factorization_exact_at_integers(self):
+        # negative powers of an int q or y are Fractions, not floats
+        for parity_flag in (False, True):
+            m = action_matrix(2, 1, parity_flag, 2, 3)
+            scale, upper, diag, lower = action_factors(2, 1, parity_flag, 2, 3)
+            assert type(scale) is Fraction and scale == Fraction(1, 4)
+            distance = (upper * diag * lower * scale).distance(m)
+            assert distance == 0 and type(distance) is Fraction
+            assert all(isinstance(c, (int, Fraction)) for mat in (m, diag)
+                       for row in mat.rows for x in row
+                       for c in x.components())
+
     def test_suite_checks_factorization_and_coordinate_berezinian(self):
         rows = {r.identity: r for r in checks.gl11()}
         for identity in ("action-matrix-factorization",
