@@ -92,6 +92,16 @@ class EvenLattice:
         return cls.from_json_obj(json.loads(text))
 
 
+def _even_lattice(gram):
+    """The EvenLattice of this list of int rows, unchecked: for a principal
+    block of a validated Gram matrix, which is already symmetric, even,
+    integral and positive definite."""
+    out = object.__new__(EvenLattice)
+    out.gram = gram
+    out.rank = len(gram)
+    return out
+
+
 def e8_lattice():
     """The E8 root lattice (Gram matrix of the simply-laced Cartan type with
     a 7-chain and one branch node)."""
@@ -215,7 +225,7 @@ def lattice_theta(lattice, n_q=DEFAULT_Q_ORDER):
     enumeration."""
     theta = QYSeries.one(n_q)
     for idx in _orthogonal_components(lattice.gram):
-        part = EvenLattice([[lattice.gram[i][j] for j in idx] for i in idx])
+        part = _even_lattice([[lattice.gram[i][j] for j in idx] for i in idx])
         if part.is_unimodular():
             theta = theta * _unimodular_theta(part, n_q)
         else:
@@ -422,16 +432,21 @@ def cusp_class(delta, k, l, cap_k=0, charge=0, super_case=False):
 
 
 def _add_translates(acc, e, f, l, translates, q_max):
-    """Add to ``acc`` = {(q_pow, x_pow, y_pow): int} the geometric
-    expansions of the translates n in ``translates`` of the averaged section
-    of class (e, f, l), with x-exponents taken relative to k.  The power of
-    z in each term is fixed by its key, (-z)^{-l} z^{-j} at x^j for n > 0
-    and z^j at x^{-l-j} for n < 0, so it is divided out and every
-    coefficient is an integer."""
+    """Add to ``acc`` = {(q_pow, x_pow, y_pow): int}, and return it, the
+    geometric expansions of the translates n in ``translates`` of the
+    averaged section of class (e, f, l), with x-exponents taken relative to
+    k.  The power of z in each term is fixed by its key, (-z)^{-l} z^{-j}
+    at x^j for n > 0 and z^j at x^{-l-j} for n < 0, so it is divided out
+    and every coefficient is an integer.  The q-powers of a translate rise
+    from its first term, so it stops and returns None instead at the first
+    translate whose first term has a negative q-power: n e < 0 for n > 0,
+    m (l - e) < 0 for n = -m < 0."""
     sign = -1 if l % 2 else 1  # (-z)^{-l} = (-1)^l z^{-l}
     for n in translates:
         q_pref, y_pow = n * e, n * f
         if n > 0:
+            if q_pref < 0:
+                return None
             # (q^n x - z)^{-l} = (-z)^{-l} sum_j C(l-1+j, j) (x/z)^j q^{nj}
             j = 0
             while q_pref + n * j <= q_max:
@@ -440,6 +455,8 @@ def _add_translates(acc, e, f, l, translates, q_max):
                 j += 1
         else:
             m = -n
+            if q_pref + m * l < 0:
+                return None
             # (q^{-m} x - z)^{-l} = q^{ml} x^{-l} sum_j C(l-1+j,j) (z/x)^j q^{mj}
             j = 0
             while q_pref + m * l + m * j <= q_max:
@@ -479,14 +496,19 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, *, super_case):
     one key (q-power, x-power, y-power) carries the same power of z and the
     same sign, and the translates n > 0 and n < 0 have disjoint x-powers.
     So the coefficients are sums of binomials that never cancel, the
-    certificate divides z out, and it compares integers.
+    certificate divides z out, and it compares integers.  For the same
+    reason the first term with a negative q-power that the expansion meets
+    stays nonzero in the sum, so the expansion stops there and the sum does
+    not extend.
     """
     e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
     inner = [n for n in range(-_N_CUT, _N_CUT + 1) if n]
     outer = [s * n for n in range(_N_CUT + 1, _N_CUT + 6) for s in (-1, 1)]
     small = _add_translates({}, e, f, l, inner, _Q_MAX)
+    if small is None:
+        return False
     large = _add_translates(dict(small), e, f, l, outer, _Q_MAX)
-    if any(key[0] < 0 and v != 0 for key, v in large.items()):
+    if large is None:
         return False
     if any(v != large[key] for key, v in small.items()):
         return False

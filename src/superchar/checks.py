@@ -130,9 +130,8 @@ def algebra(windows=((-2, 0, 1), (-1, 2), (0, 1))):
     slot i ranges over L, J, Q, H at the modes of ``windows[i]`` and C."""
     xs, ys, zs = ([sc.AlgebraVector.basis(g, m) for g in "LJQH" for m in w]
                   + [sc.AlgebraVector.basis("C")] for w in windows)
-    worst = max(_max_abs(sc.jacobi_residual(x, y, z))
-                for x, y, z in itertools.product(xs, ys, zs))
-    worst_h = max(sc.homomorphism_residual(x, y) for x in xs for y in ys)
+    worst = max(_max_abs(v) for v in sc.jacobi_residuals(xs, ys, zs))
+    worst_h = max(sc.homomorphism_residuals(xs, ys))
     return [Row("graded-jacobi-identity", "mode-bracket-table",
                 "generator-scan", worst, 0.0),
             Row("vector-field-homomorphism", "derivation-realization",

@@ -232,7 +232,7 @@ class QYSeries:
     value; ``exact_coeff`` gives it exactly when it is rational.
     """
 
-    __slots__ = ("q_order", "n0", "r0", "rows", "scale", "_floats", "_terms")
+    __slots__ = ("q_order", "n0", "r0", "rows", "scale", "_terms")
 
     def __init__(self, coeffs=None, q_order=DEFAULT_Q_ORDER):
         """``coeffs`` maps (n, r2) to the coefficient of q^n y^(r2/2), an
@@ -275,7 +275,7 @@ class QYSeries:
         else:
             rows, n0, r0, scale = rows[:0, :0], 0, 0, Prefactor()
         self.rows, self.n0, self.r0, self.scale = rows, n0, r0, scale
-        self._floats = self._terms = None
+        self._terms = None
 
     @classmethod
     def _make(cls, rows, n0, r0, scale, q_order):
@@ -305,26 +305,17 @@ class QYSeries:
         """The rational power c of q that multiplies every term."""
         return Fraction(self.scale.c)
 
-    def _values(self):
-        """The block as complex doubles, each correctly rounded."""
-        if self._floats is None:
-            num, den = self.scale.ratio()
-            parts = np.array([c * num / den for c in self.rows.ravel().tolist()],
-                             dtype=float).reshape(self.rows.shape)
-            self._floats = np.zeros(self.rows.shape, complex)
-            if self.scale.a:
-                self._floats.imag = parts
-            else:
-                self._floats.real = parts
-        return self._floats
-
     def terms(self):
-        """The nonzero terms (n, r2, c), sorted by (n, r2)."""
+        """The nonzero terms (n, r2, c), sorted by (n, r2), each c the
+        correctly rounded complex double."""
         if self._terms is None:
             i, j = np.nonzero(self.rows)
+            num, den = self.scale.ratio()
+            parts = [c * num / den for c in self.rows[i, j].tolist()]
+            values = ([complex(0.0, x) for x in parts] if self.scale.a
+                      else [complex(x) for x in parts])
             self._terms = tuple(zip((self.n0 + i).tolist(),
-                                    (self.r0 + 2 * j).tolist(),
-                                    self._values()[i, j].tolist()))
+                                    (self.r0 + 2 * j).tolist(), values))
         return self._terms
 
     @property

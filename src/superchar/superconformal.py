@@ -173,17 +173,43 @@ def mode_bracket(x, y):
     return _algebra_vector(_bracket(x.terms, y.terms))
 
 
+def _jacobi_sum(outer, inner, odd):
+    """The sum of (-1)^odd[i] [outer[i], inner[i]] over the three cyclic
+    terms of the graded Jacobi identity, on term dicts, normalised."""
+    out = {}
+    for a, bc, odd_sign in zip(outer, inner, odd):
+        for key, v in _bracket(a, bc).items():
+            out[key] = out.get(key, 0) + (-v if odd_sign else v)
+    return _algebra_vector(out)
+
+
 def jacobi_residual(x, y, z):
     """(-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]]
     for homogeneous vectors; zero iff the graded Jacobi identity holds.
     The brackets nest on term dicts, and only the sum is normalised."""
     px, py, pz = x.parity(), y.parity(), z.parity()
-    out = {}
-    for a, b, c, odd_sign in ((x, y, z, px * pz), (y, z, x, py * px),
-                              (z, x, y, pz * py)):
-        for key, v in _bracket(a.terms, _bracket(b.terms, c.terms)).items():
-            out[key] = out.get(key, 0) + (-v if odd_sign else v)
-    return _algebra_vector(out)
+    x, y, z = x.terms, y.terms, z.terms
+    return _jacobi_sum((x, y, z), (_bracket(y, z), _bracket(z, x),
+                                   _bracket(x, y)),
+                       (px * pz, py * px, pz * py))
+
+
+def jacobi_residuals(xs, ys, zs):
+    """``jacobi_residual(x, y, z)`` for (x, y, z) in
+    ``itertools.product(xs, ys, zs)``, in that order.  Each inner bracket
+    [y,z], [z,x] and [x,y] is taken once per pair and each parity once per
+    vector, not once per triple."""
+    px, py, pz = ([v.parity() for v in vs] for vs in (xs, ys, zs))
+    xs, ys, zs = ([v.terms for v in vs] for vs in (xs, ys, zs))
+    yz = [[_bracket(y, z) for z in zs] for y in ys]
+    zx = [[_bracket(z, x) for z in zs] for x in xs]
+    for i, x in enumerate(xs):
+        xy = [_bracket(x, y) for y in ys]
+        for j, y in enumerate(ys):
+            for k, z in enumerate(zs):
+                yield _jacobi_sum((x, y, z), (yz[j][k], zx[i][k], xy[j]),
+                                  (px[i] * pz[k], py[j] * px[i],
+                                   pz[k] * py[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +255,22 @@ def _apply_vector(vec, stack):
     return out
 
 
-def _commutator(x, y, stack):
-    """D_x D_y - (-1)^{|x||y|} D_y D_x on a stack (x, y homogeneous)."""
-    sign = (-1) ** (x.parity() * y.parity())
-    out = _apply_vector(x, _apply_vector(y, stack))
-    for k, v in _apply_vector(y, _apply_vector(x, stack)).items():
-        out[k] = out.get(k, 0) - sign * v
-    return out
+def _test_stack():
+    """The test monomials t^a zeta^e (|a| <= 6) of ``homomorphism_residual``
+    as one stack keyed by (source monomial, monomial)."""
+    return {((a, e), (a, e)): 1 for a in range(-6, 7) for e in (0, 1)}
 
 
-#: the test monomials t^a zeta^e of ``homomorphism_residual``
-_TEST_MONOMIALS = tuple((a, e) for a in range(-6, 7) for e in (0, 1))
+def _homomorphism_gap(x, y, stack, dx, dy, odd):
+    """[D_x, D_y] - D_[x,y] on ``stack``, with C sent to zero, as
+    {key: difference}; ``dx`` and ``dy`` are D_x(stack) and D_y(stack) and
+    ``odd`` is |x||y|, so [D_x, D_y] = D_x D_y - (-1)^odd D_y D_x."""
+    gap = _apply_vector(x, dy)
+    for k, v in _apply_vector(y, dx).items():
+        gap[k] = gap.get(k, 0) + (v if odd else -v)
+    for k, v in _apply_vector(mode_bracket(x, y), stack).items():
+        gap[k] = gap.get(k, 0) - v
+    return gap
 
 
 def homomorphism_residual(x, y):
@@ -247,13 +278,23 @@ def homomorphism_residual(x, y):
     [x, y] with C sent to zero, over the test monomials t^a zeta^e
     (|a| <= 6), all applied at once as one stack keyed by (source
     monomial, monomial)."""
-    stack = {(mono, mono): 1 for mono in _TEST_MONOMIALS}
-    lhs = _commutator(x, y, stack)
-    rhs = _apply_vector(mode_bracket(x, y), stack)
-    worst = 0
-    for k in lhs.keys() | rhs.keys():
-        worst = max(worst, abs(lhs.get(k, 0) - rhs.get(k, 0)))
-    return worst
+    stack = _test_stack()
+    gap = _homomorphism_gap(x, y, stack, _apply_vector(x, stack),
+                            _apply_vector(y, stack), x.parity() * y.parity())
+    return max(map(abs, gap.values()), default=0)
+
+
+def homomorphism_residuals(xs, ys):
+    """``homomorphism_residual(x, y)`` for (x, y) in
+    ``itertools.product(xs, ys)``, in that order, with D_v(stack) and the
+    parity of each vector computed once, not once per pair."""
+    stack = _test_stack()
+    xs, ys = ([(v, _apply_vector(v, stack), v.parity()) for v in vs]
+              for vs in (xs, ys))
+    for x, dx, px in xs:
+        for y, dy, py in ys:
+            gap = _homomorphism_gap(x, y, stack, dx, dy, px * py)
+            yield max(map(abs, gap.values()), default=0)
 
 
 # ---------------------------------------------------------------------------

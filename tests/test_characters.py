@@ -453,6 +453,97 @@ class TestCuspPredicates:
                        **{(1 + j, -2 - j, 0): j + 1 for j in range(8)}}
         assert all(type(v) is int for v in acc.values())
 
+    @pytest.mark.parametrize("e, l", [(-1, 2), (3, 2)])
+    def test_translates_stop_at_a_negative_q_power(self, e, l):
+        # e < 0: the first term of n = 1 is q^e; e > l: that of n = -1 is
+        # q^(l - e)
+        assert characters._add_translates({}, e, 0, l, [1, -1], 8) is None
+        assert characters._add_translates({}, e, 1, l, [-1, 1], 8) is None
+
+    def test_certificate_is_the_full_expansion(self):
+        # Delta -3..8, k -2..10, l 1..6, and for the super case c -4..4 and
+        # K 0..2: 936 plain and 25,272 super points, each certified by the
+        # package and by the full expansion (once per class)
+        certs = {}
+        points = 0
+        for d, k, l in itertools.product(range(-3, 9), range(-2, 11),
+                                         range(1, 7)):
+            for args, super_case in [((d, k, l, 0, 0), False)] + [
+                    ((d, k, l, cap_k, c), True)
+                    for cap_k, c in itertools.product(range(3), range(-4, 5))]:
+                key = characters.cusp_class(*args, super_case)
+                if key not in certs:
+                    certs[key] = full_expansion_certificate(*key)
+                assert cusp_certificate(*args, super_case=super_case) \
+                    == certs[key], (args, super_case)
+                points += 1
+        assert points == 26208
+        assert 0 < sum(certs.values()) < len(certs)
+
+    @pytest.mark.parametrize("mutant", ["truncating", "skipping"])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_not_failing_at_a_negative_q_power_fails_the_rows(
+            self, monkeypatch, mutant, row):
+        # the expansion cut at the first translate with a negative q-power,
+        # or that translate left out, without failing the certificate:
+        # classes with e < 0 or e > l look extended.  Adding its terms
+        # instead is no mutant: the outer translates then open a q-shell
+        # below every shell of the inner ones, so the certificate fails
+        # all the same
+        real = characters._add_translates
+
+        def truncating(acc, e, f, l, translates, q_max):
+            for n in translates:
+                if real({}, e, f, l, [n], q_max) is None:
+                    return acc
+                real(acc, e, f, l, [n], q_max)
+            return acc
+
+        def skipping(acc, e, f, l, translates, q_max):
+            for n in translates:
+                if real({}, e, f, l, [n], q_max) is not None:
+                    real(acc, e, f, l, [n], q_max)
+            return acc
+
+        assert checks.cusp()[row].passed
+        monkeypatch.setattr(characters, "_add_translates",
+                            {"truncating": truncating,
+                             "skipping": skipping}[mutant])
+        assert not checks.cusp()[row].passed
+
+
+def full_expansion_translates(acc, e, f, l, translates, q_max):
+    """``_add_translates`` as it was before it stopped at a negative
+    q-power: every translate expanded to q^q_max."""
+    sign = -1 if l % 2 else 1
+    for n in translates:
+        m = abs(n)
+        start = n * e if n > 0 else n * e + m * l
+        j = 0
+        while start + m * j <= q_max:
+            key = (start + m * j, j if n > 0 else -l - j, n * f)
+            acc[key] = acc.get(key, 0) + (sign if n > 0 else 1) \
+                * math.comb(l - 1 + j, j)
+            j += 1
+    return acc
+
+
+def full_expansion_certificate(e, f, l):
+    """The certificate of class (e, f, l) from both full expansions: no
+    negative q-power, equal coefficients at common keys, and no q-shell
+    whose least y-power is new or drops."""
+    inner = [n for n in range(-12, 13) if n]
+    outer = [s * n for n in range(13, 18) for s in (-1, 1)]
+    small = full_expansion_translates({}, e, f, l, inner, 8)
+    large = full_expansion_translates(dict(small), e, f, l, outer, 8)
+    if any(key[0] < 0 and v != 0 for key, v in large.items()):
+        return False
+    if any(v != large[key] for key, v in small.items()):
+        return False
+    min_small = characters._shell_min_y(small)
+    return all(qp in min_small and ymin >= min_small[qp]
+               for qp, ymin in characters._shell_min_y(large).items())
+
 
 GRID = [(d, k, l) for d in range(6) for k in range(8) for l in range(1, 5)]
 

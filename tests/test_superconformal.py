@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ from superchar.grassmann import (
     DELTA, EPS, GrassmannNumber, SuperMatrix, berezinian, odd,
 )
 from superchar.superconformal import (
-    AlgebraVector, _commutator, action_factors, action_matrix,
-    coordinate_matrix, gl11_generators, gl11_group_element,
-    homomorphism_residual, jacobi_residual, jet_from_params,
-    jet_matrix_identity_residual, mode_bracket, nabla_commutator, solve_jet,
+    AlgebraVector, _apply_vector, _homomorphism_gap, action_factors,
+    action_matrix, coordinate_matrix, gl11_generators, gl11_group_element,
+    homomorphism_residual, homomorphism_residuals, jacobi_residual,
+    jacobi_residuals, jet_from_params, jet_matrix_identity_residual,
+    mode_bracket, nabla_commutator, solve_jet,
 )
 
 basis = AlgebraVector.basis
@@ -262,10 +264,11 @@ def ref_homomorphism(x, y):
     return worst
 
 
-# the generator scan of the ``algebra`` suite: x over windows[0], y over
-# windows[1]
-SCAN_X, SCAN_Y = ([basis(g, m) for g in "LJQH" for m in w]
-                  + [basis("C")] for w in ((-2, 0, 1), (-1, 2)))
+# the generator scan of the ``algebra`` suite: x, y and z over its three
+# windows
+SCAN_X, SCAN_Y, SCAN_Z = (
+    [basis(g, m) for g in "LJQH" for m in w] + [basis("C")]
+    for w in ((-2, 0, 1), (-1, 2), (0, 1)))
 
 
 def skew_bracket(monkeypatch, coeff_shift):
@@ -322,11 +325,59 @@ class TestVectorFieldRealization:
         r = homomorphism_residual(basis("J", 3), basis("J", -3))
         assert r == 0
 
-    def test_commutator_on_monomial(self):
+    def test_commutator_on_monomial(self, monkeypatch):
         # [D_{L_1}, D_{L_{-1}}] on t^2: equals D_{[L_1, L_{-1}]} = D_{2 L_0},
-        # which sends t^2 to -2 * 2 t^2
-        got = _commutator(basis("L", 1), basis("L", -1), {(0, (2, 0)): 1})
-        assert got == {(0, (2, 0)): -4}
+        # which sends t^2 to -2 * 2 t^2, so the gap is 0 there; with the
+        # bracket table emptied the gap is the commutator itself
+        x, y, stack = basis("L", 1), basis("L", -1), {(0, (2, 0)): 1}
+
+        def gap():
+            return _homomorphism_gap(x, y, stack, _apply_vector(x, stack),
+                                     _apply_vector(y, stack), 0)
+
+        assert gap() == {(0, (2, 0)): 0}
+        monkeypatch.setattr(superconformal, "_basis_bracket",
+                            lambda *args: {})
+        assert gap() == {(0, (2, 0)): -4}
+
+
+def seeded_modes(seed, count=6):
+    """``count`` basis modes with |m| <= 6 from a seeded generator, and C."""
+    rng = random.Random(seed)
+    return [basis(rng.choice("LJQH"), rng.randint(-6, 6))
+            for _ in range(count)] + [basis("C")]
+
+
+SCANS = [(SCAN_X, SCAN_Y, SCAN_Z), [seeded_modes(seed) for seed in (7, 8, 9)]]
+
+
+class TestScans:
+    """The scans yield what the per-item functions return, item by item,
+    in ``itertools.product`` order."""
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("scan", SCANS, ids=["verify", "seeded"])
+    def test_jacobi_scan_is_the_per_triple_residual(self, monkeypatch,
+                                                    skewed, scan):
+        if skewed:
+            skew_bracket(monkeypatch, lambda m, n: m - 2 * n)
+        xs, ys, zs = scan
+        got = [v.terms for v in jacobi_residuals(xs, ys, zs)]
+        assert got == [jacobi_residual(x, y, z).terms
+                       for x, y, z in itertools.product(xs, ys, zs)]
+        assert any(got) == skewed
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("scan", SCANS, ids=["verify", "seeded"])
+    def test_homomorphism_scan_is_the_per_pair_residual(self, monkeypatch,
+                                                        skewed, scan):
+        if skewed:
+            skew_bracket(monkeypatch, lambda m, n: m - 2 * n)
+        xs, ys, _ = scan
+        got = list(homomorphism_residuals(xs, ys))
+        assert got == [homomorphism_residual(x, y)
+                       for x, y in itertools.product(xs, ys)]
+        assert any(got) == skewed
 
 
 class TestFlatness:
