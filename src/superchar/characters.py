@@ -415,20 +415,19 @@ def super_cusp_predicate(delta, k, l, cap_k, charge):
     return False
 
 
-def cusp_class(delta, k, l, cap_k=0, charge=0, super_case=False):
-    """The (e, sign f, l) on which the cusp certificate depends: the
-    translate by q^n carries the prefactor q^{n e} y^{n f}, with
-    e = 1 + k - delta and f = 0 in the non-super case, e = K + k - delta
-    and f = K - 1 - c in the super case.  Otherwise k only shifts every
-    x-exponent, and the certificate never compares across x-exponents.
-    It uses the y-power n f only to test keys for equality (within and
-    across the two cutoffs) and to find the least key of a q-shell; for
-    f != 0, n -> n f is injective and strictly monotone, so sign f gives
-    every answer that f gives, and for f = 0 every y-power is 0."""
-    if super_case:
-        sign_f = (cap_k > 1 + charge) - (cap_k < 1 + charge)
-        return cap_k + k - delta, sign_f, l
-    return 1 + k - delta, 0, l
+def cusp_class(delta, k, l, cap_k, charge):
+    """The (e, sign f, l) on which the cusp certificate of the section
+    x^k theta^K a/(x-z)^l depends: the translate by q^n carries the
+    prefactor q^{n e} y^{n f} with e = K + k - delta and f = K - 1 - c.
+    The plain section x^k a/(x-z)^l is the one at (K, c) = (1, 0), of class
+    (1 + k - delta, 0, l).  Otherwise k only shifts every x-exponent, and
+    the certificate never compares across x-exponents.  It uses the
+    y-power n f only to test keys for equality (within and across the two
+    cutoffs) and to find the least key of a q-shell; for f != 0, n -> n f
+    is injective and strictly monotone, so sign f gives every answer that
+    f gives, and for f = 0 every y-power is 0."""
+    sign_f = (cap_k > 1 + charge) - (cap_k < 1 + charge)
+    return cap_k + k - delta, sign_f, l
 
 
 def _add_translates(acc, e, f, l, translates, q_max):
@@ -480,9 +479,9 @@ _N_CUT = 12
 _Q_MAX = 8
 
 
-def cusp_certificate(delta, k, l, cap_k=0, charge=0, *, super_case):
-    """Independent expansion certificate for the cusp predicates, in exact
-    integers.
+def cusp_certificate(e, f, l):
+    """Independent expansion certificate for the cusp predicates at the
+    class (e, f, l) of ``cusp_class``, in exact integers.
 
     The averaged section is expanded to q^_Q_MAX at translate cutoffs
     _N_CUT and _N_CUT + 5 (the larger expansion adds the translates
@@ -501,7 +500,6 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, *, super_case):
     stays nonzero in the sum, so the expansion stops there and the sum does
     not extend.
     """
-    e, f, l = cusp_class(delta, k, l, cap_k, charge, super_case)
     inner = [n for n in range(-_N_CUT, _N_CUT + 1) if n]
     outer = [s * n for n in range(_N_CUT + 1, _N_CUT + 6) for s in (-1, 1)]
     small = _add_translates({}, e, f, l, inner, _Q_MAX)
@@ -521,30 +519,30 @@ def cusp_certificate(delta, k, l, cap_k=0, charge=0, *, super_case):
     return True
 
 
-def cusp_grid_check(super_grid=False):
-    """Compare predicate and certificate over the grid Delta 0..5, k 0..7,
-    l 1..4 and, for the super predicate, c -3..3 and K 0..1; returns the
-    list of mismatches (empty iff they agree everywhere).  The certificate
-    is computed once per ``cusp_class`` and the predicate at every point."""
+def cusp_grid_check():
+    """Compare both cusp predicates with the certificate over the grid
+    Delta 0..5, k 0..7, l 1..4: the plain predicate at (K, c) = (1, 0),
+    the super predicate at c -3..3 and K 0..1.  Returns the lists of plain
+    and super mismatches (both empty iff they agree everywhere).  The
+    certificate is computed once per ``cusp_class`` and each predicate at
+    every point."""
     certs = {}
 
-    def certificate(*args):
-        key = cusp_class(*args, super_case=super_grid)
+    def certificate(*point):
+        key = cusp_class(*point)
         if key not in certs:
-            certs[key] = cusp_certificate(*args, super_case=super_grid)
+            certs[key] = cusp_certificate(*key)
         return certs[key]
 
-    mismatches = []
+    plain, super_ = [], []
     for delta, k, l in itertools.product(range(6), range(8), range(1, 5)):
-        if not super_grid:
-            pred = cusp_predicate(delta, k, l)
-            cert = certificate(delta, k, l)
+        pred = cusp_predicate(delta, k, l)
+        cert = certificate(delta, k, l, 1, 0)
+        if pred != cert:
+            plain.append((delta, k, l, pred, cert))
+        for c, cap_k in itertools.product(range(-3, 4), (0, 1)):
+            pred = super_cusp_predicate(delta, k, l, cap_k, c)
+            cert = certificate(delta, k, l, cap_k, c)
             if pred != cert:
-                mismatches.append((delta, k, l, pred, cert))
-        else:
-            for c, cap_k in itertools.product(range(-3, 4), (0, 1)):
-                pred = super_cusp_predicate(delta, k, l, cap_k, c)
-                cert = certificate(delta, k, l, cap_k, c)
-                if pred != cert:
-                    mismatches.append((delta, k, l, cap_k, c, pred, cert))
-    return mismatches
+                super_.append((delta, k, l, cap_k, c, pred, cert))
+    return plain, super_

@@ -224,12 +224,6 @@ def p_bar_eval(x, q):
     return _shell_sum(2, x, q)
 
 
-def p_bar_prime_eval(x, q):
-    """Numeric d/dx p_bar(x) = S_3(x) / x."""
-    s, bound = _shell_sum(3, x, q)
-    return s / x, bound / abs(x)
-
-
 def zeta_tilde_eval(t, tau):
     """Numeric odd zeta zeta_tilde(t) = 2 pi i zeta_bar(e^{2 pi i t})."""
     q = cmath.exp(TWO_PI_I * tau)

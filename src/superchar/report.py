@@ -109,9 +109,19 @@ def emit_report(rows, fmt):
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
+def _point(value):
+    """A row's point as four floats; ValueError if it is not four numbers."""
+    if not (isinstance(value, list) and len(value) == 4 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value)):
+        raise ValueError(f"a point is a list of four numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def rows_from_json(text):
-    """Rows from a JSON list of row objects; ValueError if it is not one, or
-    if a row's ``pass`` disagrees with its residual and tolerance."""
+    """Rows from a JSON list of row objects; ValueError if it is not one, if
+    a row's point is not four numbers, or if a row's ``pass`` disagrees with
+    its residual and tolerance."""
     data = json.loads(text)
     if not isinstance(data, list) or \
             not all(isinstance(obj, dict) for obj in data):
@@ -123,7 +133,7 @@ def rows_from_json(text):
             identity=obj["identity"],
             paper_ref=obj.get("paper_ref", ""),
             element=obj.get("element", ""),
-            point=tuple(obj["point"]) if obj.get("point") is not None else None,
+            point=None if obj.get("point") is None else _point(obj["point"]),
             residual=obj["residual"],
             tolerance=obj["tolerance"],
             elapsed_s=None if obj.get("elapsed_s") is None

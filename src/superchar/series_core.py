@@ -435,10 +435,8 @@ class QYSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if not isinstance(k, int) or k < 0:
             return NotImplemented
-        if k < 0:
-            return self.invert() ** (-k)
         if k == 0:
             return QYSeries.one(self.q_order)
         result, base = None, self
@@ -451,8 +449,6 @@ class QYSeries:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, QYSeries):
-            return self * other.invert()
         if isinstance(other, (int, Fraction)):
             other = Prefactor(other)
         if isinstance(other, Prefactor):

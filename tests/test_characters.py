@@ -9,7 +9,7 @@ import pytest
 from superchar import characters, checks
 from superchar.characters import (
     EvenLattice, chi_character, count_vectors_by_norm, cusp_certificate,
-    cusp_grid_check, cusp_predicate, e8_lattice, fock_oracle,
+    cusp_class, cusp_grid_check, cusp_predicate, e8_lattice, fock_oracle,
     fock_weighted_trace, integer_determinant, jacobi_triple_product,
     lattice_theta, super_cusp_predicate,
 )
@@ -395,53 +395,56 @@ class TestCuspPredicates:
         assert super_cusp_predicate(1, 1, 1, 1, 1)
         assert not super_cusp_predicate(1, 1, 1, 1, -1)
 
+    def test_plain_section_is_the_super_section_at_k1_c0(self):
+        # x^k a/(x-z)^l is x^k theta a/(x-z)^l at charge 0: the same
+        # predicate and the class (1 + k - Delta, 0, l), well past the grid
+        for d, k, l in itertools.product(range(-3, 12), range(-3, 14),
+                                         range(1, 8)):
+            assert cusp_predicate(d, k, l) \
+                == super_cusp_predicate(d, k, l, 1, 0), (d, k, l)
+            assert cusp_class(d, k, l, 1, 0) == (1 + k - d, 0, l)
+
     def test_certificate_matches_predicate_samples(self):
         for args in ((1, 1, 2), (2, 1, 1), (0, 4, 2)):
-            assert cusp_certificate(*args, super_case=False) \
+            assert cusp_certificate(*cusp_class(*args, 1, 0)) \
                 == cusp_predicate(*args)
 
     def test_grid_non_super(self):
-        assert cusp_grid_check() == []
+        assert cusp_grid_check()[0] == []
 
     def test_grid_super(self):
-        assert cusp_grid_check(super_grid=True) == []
+        assert cusp_grid_check()[1] == []
 
-    @pytest.mark.parametrize("super_grid", [False, True])
-    def test_wide_grid(self, super_grid):
+    def test_wide_grid(self):
         # past the grid of cusp_grid_check: Delta 0..8, k 0..10, l 1..6,
-        # and for the super predicate K 0..2 and c -4..4, so 594 plain and
-        # 16,038 super points, one certificate per class
+        # the plain predicate at (K, c) = (1, 0) and the super predicate at
+        # K 0..2 and c -4..4, so 594 plain and 16,038 super points, one
+        # certificate per class
         certs, mismatches = {}, []
+
+        def certificate(*point):
+            key = cusp_class(*point)
+            if key not in certs:
+                certs[key] = cusp_certificate(*key)
+            return certs[key]
+
         for d, k, l in itertools.product(range(9), range(11), range(1, 7)):
-            for cap_k, c in (itertools.product(range(3), range(-4, 5))
-                             if super_grid else [(0, 0)]):
-                key = characters.cusp_class(d, k, l, cap_k, c, super_grid)
-                if key not in certs:
-                    certs[key] = cusp_certificate(d, k, l, cap_k, c,
-                                                  super_case=super_grid)
-                pred = (super_cusp_predicate(d, k, l, cap_k, c) if super_grid
-                        else cusp_predicate(d, k, l))
-                if pred != certs[key]:
+            if cusp_predicate(d, k, l) != certificate(d, k, l, 1, 0):
+                mismatches.append((d, k, l))
+            for cap_k, c in itertools.product(range(3), range(-4, 5)):
+                if super_cusp_predicate(d, k, l, cap_k, c) \
+                        != certificate(d, k, l, cap_k, c):
                     mismatches.append((d, k, l, cap_k, c))
         assert mismatches == []
 
-    def test_certificate_depends_on_the_sign_of_f_only(self, monkeypatch):
-        # with Delta = K = 0 the super class of (k, l, c) is (k, -1 - c, l):
+    def test_certificate_depends_on_the_sign_of_f_only(self):
         # every (e, f, l) with e in -8..11, f in -6..6 and l in 1..5,
-        # certified at sign f and, through a class that keeps f, at f
+        # certified at f and at sign f
         points = list(itertools.product(range(-8, 12), range(-6, 7),
                                         range(1, 6)))
-
-        def certificates():
-            return [cusp_certificate(0, e, l, 0, -1 - f, super_case=True)
-                    for e, f, l in points]
-
-        at_sign = certificates()
-        monkeypatch.setattr(
-            characters, "cusp_class",
-            lambda delta, k, l, cap_k, charge, super_case:
-                (cap_k + k - delta, cap_k - 1 - charge, l))
-        assert certificates() == at_sign
+        at_sign = [cusp_certificate(e, (f > 0) - (f < 0), l)
+                   for e, f, l in points]
+        assert [cusp_certificate(*p) for p in points] == at_sign
         assert 0 < sum(at_sign) < len(points) == 1300
 
     def test_translates_expand_to_integer_binomials(self):
@@ -461,21 +464,20 @@ class TestCuspPredicates:
         assert characters._add_translates({}, e, 1, l, [-1, 1], 8) is None
 
     def test_certificate_is_the_full_expansion(self):
-        # Delta -3..8, k -2..10, l 1..6, and for the super case c -4..4 and
-        # K 0..2: 936 plain and 25,272 super points, each certified by the
-        # package and by the full expansion (once per class)
+        # Delta -3..8, k -2..10, l 1..6, the plain section at (K, c) =
+        # (1, 0) and the super one at K 0..2 and c -4..4: the classes of 936
+        # plain and 25,272 super points, each certified by the package and
+        # by the full expansion
         certs = {}
         points = 0
         for d, k, l in itertools.product(range(-3, 9), range(-2, 11),
                                          range(1, 7)):
-            for args, super_case in [((d, k, l, 0, 0), False)] + [
-                    ((d, k, l, cap_k, c), True)
-                    for cap_k, c in itertools.product(range(3), range(-4, 5))]:
-                key = characters.cusp_class(*args, super_case)
+            for cap_k, c in [(1, 0)] + list(
+                    itertools.product(range(3), range(-4, 5))):
+                key = cusp_class(d, k, l, cap_k, c)
                 if key not in certs:
                     certs[key] = full_expansion_certificate(*key)
-                assert cusp_certificate(*args, super_case=super_case) \
-                    == certs[key], (args, super_case)
+                    assert cusp_certificate(*key) == certs[key], key
                 points += 1
         assert points == 26208
         assert 0 < sum(certs.values()) < len(certs)
@@ -549,28 +551,24 @@ GRID = [(d, k, l) for d in range(6) for k in range(8) for l in range(1, 5)]
 
 
 class TestCuspCertificatePerClass:
-    """``cusp_grid_check`` computes one certificate per (e, f, l) class; the
-    per-point ``cusp_certificate`` is the oracle."""
+    """``cusp_grid_check`` computes one certificate per (e, f, l) class;
+    ``cusp_certificate`` of each point's class is the oracle."""
 
-    @pytest.mark.parametrize("super_grid", [False, True])
-    def test_class_certificate_is_the_point_certificate(self, monkeypatch,
-                                                        super_grid):
-        # a predicate that matches nothing makes every point a mismatch,
-        # so the grid check reports the certificate it used at each point
+    def test_class_certificate_is_the_point_certificate(self, monkeypatch):
+        # predicates that match nothing make every point a mismatch, so the
+        # grid check reports the certificate it used at each point
         monkeypatch.setattr(characters, "cusp_predicate", lambda *a: None)
         monkeypatch.setattr(characters, "super_cusp_predicate",
                             lambda *a: None)
-        got = cusp_grid_check(super_grid=super_grid)
-        if super_grid:
-            points = [(d, k, l, cap_k, c) for d, k, l in GRID
-                      for c in range(-3, 4) for cap_k in (0, 1)]
-            assert [m[:5] for m in got] == points
-            for m in got:
-                assert m[6] == cusp_certificate(*m[:5], super_case=True), m
-        else:
-            assert [m[:3] for m in got] == GRID
-            for m in got:
-                assert m[4] == cusp_certificate(*m[:3], super_case=False), m
+        plain, super_ = cusp_grid_check()
+        assert [m[:3] for m in plain] == GRID
+        for m in plain:
+            assert m[4] == cusp_certificate(*cusp_class(*m[:3], 1, 0)), m
+        points = [(d, k, l, cap_k, c) for d, k, l in GRID
+                  for c in range(-3, 4) for cap_k in (0, 1)]
+        assert [m[:5] for m in super_] == points
+        for m in super_:
+            assert m[6] == cusp_certificate(*cusp_class(*m[:5])), m
 
     def test_mismatches_are_counted_per_point(self, monkeypatch):
         # branch (b) of the super predicate weakened from K > 1 + c to
@@ -584,28 +582,43 @@ class TestCuspCertificatePerClass:
         monkeypatch.setattr(characters, "super_cusp_predicate", weakened)
         per_point = sum(
             weakened(d, k, l, cap_k, c)
-            != cusp_certificate(d, k, l, cap_k, c, super_case=True)
+            != cusp_certificate(*cusp_class(d, k, l, cap_k, c))
             for d, k, l in GRID for c in range(-3, 4) for cap_k in (0, 1))
         assert per_point == 44
-        assert len(cusp_grid_check(super_grid=True)) == per_point
-        row = checks.cusp()[1]
-        assert row.residual == per_point and not row.passed
+        plain, super_ = cusp_grid_check()
+        assert plain == [] and len(super_) == per_point
+        plain_row, super_row = checks.cusp()
+        assert plain_row.passed
+        assert super_row.residual == per_point and not super_row.passed
 
-    def test_every_call_computes_its_certificates(self, monkeypatch):
-        # one certificate per class and no memo across calls: 52 classes
-        # cover the 192 plain points and 168 the 2688 super points
+    @staticmethod
+    def _counted(monkeypatch):
         calls = []
         real = characters.cusp_certificate
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
         monkeypatch.setattr(characters, "cusp_certificate", counted)
-        for super_grid, classes in ((False, 52), (True, 168)) * 2:
+        return calls
+
+    def test_every_call_computes_its_certificates(self, monkeypatch):
+        # one certificate per class and no memo across calls: the 52
+        # classes of the 192 plain points are among the 168 of the 2688
+        # super points
+        calls = self._counted(monkeypatch)
+        for _ in range(2):
             calls.clear()
-            assert cusp_grid_check(super_grid=super_grid) == []
-            assert len(calls) == classes
+            assert cusp_grid_check() == ([], [])
+            assert len(calls) == len(set(calls)) == 168
+        assert {cusp_class(*p, 1, 0) for p in GRID} <= set(calls)
+
+    def test_the_cusp_suite_computes_168_certificates(self, monkeypatch):
+        # both rows from one pass: 168 certificates, not 52 + 168
+        calls = self._counted(monkeypatch)
+        assert all(row.passed for row in checks.cusp())
+        assert len(calls) == 168
 
 
 class TestJacobiCharacter:

@@ -398,6 +398,37 @@ class TestReport:
         assert result.exit_code == 2
         assert "bad report file" in result.output
 
+    @staticmethod
+    def _row_at(tmp_path, point):
+        src = tmp_path / "rows.json"
+        src.write_text(json.dumps([{
+            "suite": "elliptic", "identity": "id", "paper_ref": "ref",
+            "element": "el", "point": point, "residual": 0.0,
+            "tolerance": 1e-6, "pass": True, "elapsed_s": 0.5}]))
+        return str(src)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("point", [[1, "x"], "ab", [1, "x", 0, 0],
+                                       [0.1, 1.2, 0.3], [True, 1, 0, 0]])
+    def test_malformed_point_is_usage_error(self, runner, tmp_path, fmt,
+                                            point):
+        result = runner.invoke(main, ["report", "--input",
+                                      self._row_at(tmp_path, point),
+                                      "--format", fmt])
+        assert result.exit_code == 2, result.output
+        assert "bad report file" in result.output
+        assert "four numbers" in result.output
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_point_is_read_as_four_floats(self, runner, tmp_path, fmt):
+        result = runner.invoke(main, ["report", "--input",
+                                      self._row_at(tmp_path, [0.25, 1, 0, 3]),
+                                      "--format", fmt])
+        assert result.exit_code == 0
+        assert {"json": "0.25,\n      1.0,\n      0.0,\n      3.0",
+                "csv": ",0.25;1;0;3,",
+                "pretty": "@ (0.25;1;0;3)"}[fmt] in result.output
+
     def test_missing_input_exits_3(self, runner):
         result = runner.invoke(
             main, ["report", "--input", "/definitely/not/here.json"])

@@ -32,7 +32,6 @@ ALLOWED = {
     "superconformal.homomorphism_residual": "perfbench",
     # references that tests compare the package against
     "jacobi_forms.phi_10_1_eisenstein_numeric": "oracle",
-    "elliptic.p_bar_prime_eval": "oracle",
     "series_core.QYSeries.__eq__": "oracle",
     "series_core.QYSeries.y_substitute_one": "oracle",
     "grassmann.GrassmannNumber.components": "oracle",

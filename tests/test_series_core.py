@@ -151,7 +151,7 @@ class TestQOffset:
         a = euler_product(10) * Prefactor(c=Fraction(1, 8))
         assert (a ** 3).q_offset == Fraction(3, 8)
         assert (a ** 8).q_offset == 1
-        assert (a ** -2).q_offset == Fraction(-1, 4)
+        assert (a.invert() ** 2).q_offset == Fraction(-1, 4)
         # an integral offset stays in the prefactor: the mantissa keeps
         # every row to q_order, as it does without the offset
         assert (a ** 8).rows.shape == (euler_product(10) ** 8).rows.shape
@@ -221,6 +221,15 @@ class TestInvert:
     def test_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             QYSeries().invert()
+
+    def test_no_quotient_by_a_series_or_negative_power(self):
+        # an inverse is asked for by name; / takes scalars and prefactors
+        s = small_series({(0, 0): 1, (1, 0): -1})
+        with pytest.raises(TypeError):
+            s / s
+        with pytest.raises(TypeError):
+            s ** -1
+        assert s / 2 == s * Fraction(1, 2)
 
 
 class TestEulerProduct:
