@@ -415,25 +415,22 @@ class TestCuspPredicates:
     def test_grid_super(self):
         assert cusp_grid_check()[1] == []
 
-    def test_wide_grid(self):
-        # past the grid of cusp_grid_check: Delta 0..8, k 0..10, l 1..6,
-        # the plain predicate at (K, c) = (1, 0) and the super predicate at
-        # K 0..2 and c -4..4, so 594 plain and 16,038 super points, one
+    @pytest.mark.parametrize("super_grid", [False, True])
+    def test_wide_grid(self, super_grid):
+        # past the grid of cusp_grid_check: Delta 0..8, k 0..10, l 1..6;
+        # the plain predicate at (K, c) = (1, 0), or the super predicate at
+        # K 0..2 and c -4..4, so 594 plain or 16,038 super points, one
         # certificate per class
         certs, mismatches = {}, []
-
-        def certificate(*point):
-            key = cusp_class(*point)
-            if key not in certs:
-                certs[key] = cusp_certificate(*key)
-            return certs[key]
-
         for d, k, l in itertools.product(range(9), range(11), range(1, 7)):
-            if cusp_predicate(d, k, l) != certificate(d, k, l, 1, 0):
-                mismatches.append((d, k, l))
-            for cap_k, c in itertools.product(range(3), range(-4, 5)):
-                if super_cusp_predicate(d, k, l, cap_k, c) \
-                        != certificate(d, k, l, cap_k, c):
+            for cap_k, c in (itertools.product(range(3), range(-4, 5))
+                             if super_grid else [(1, 0)]):
+                key = cusp_class(d, k, l, cap_k, c)
+                if key not in certs:
+                    certs[key] = cusp_certificate(*key)
+                pred = (super_cusp_predicate(d, k, l, cap_k, c) if super_grid
+                        else cusp_predicate(d, k, l))
+                if pred != certs[key]:
                     mismatches.append((d, k, l, cap_k, c))
         assert mismatches == []
 
@@ -554,21 +551,25 @@ class TestCuspCertificatePerClass:
     """``cusp_grid_check`` computes one certificate per (e, f, l) class;
     ``cusp_certificate`` of each point's class is the oracle."""
 
-    def test_class_certificate_is_the_point_certificate(self, monkeypatch):
+    @pytest.mark.parametrize("super_grid", [False, True])
+    def test_class_certificate_is_the_point_certificate(self, monkeypatch,
+                                                        super_grid):
         # predicates that match nothing make every point a mismatch, so the
         # grid check reports the certificate it used at each point
         monkeypatch.setattr(characters, "cusp_predicate", lambda *a: None)
         monkeypatch.setattr(characters, "super_cusp_predicate",
                             lambda *a: None)
         plain, super_ = cusp_grid_check()
-        assert [m[:3] for m in plain] == GRID
-        for m in plain:
-            assert m[4] == cusp_certificate(*cusp_class(*m[:3], 1, 0)), m
-        points = [(d, k, l, cap_k, c) for d, k, l in GRID
-                  for c in range(-3, 4) for cap_k in (0, 1)]
-        assert [m[:5] for m in super_] == points
-        for m in super_:
-            assert m[6] == cusp_certificate(*cusp_class(*m[:5])), m
+        if super_grid:
+            points = [(d, k, l, cap_k, c) for d, k, l in GRID
+                      for c in range(-3, 4) for cap_k in (0, 1)]
+            assert [m[:5] for m in super_] == points
+            for m in super_:
+                assert m[6] == cusp_certificate(*cusp_class(*m[:5])), m
+        else:
+            assert [m[:3] for m in plain] == GRID
+            for m in plain:
+                assert m[4] == cusp_certificate(*cusp_class(*m[:3], 1, 0)), m
 
     def test_mismatches_are_counted_per_point(self, monkeypatch):
         # branch (b) of the super predicate weakened from K > 1 + c to
