@@ -118,10 +118,18 @@ def _point(value):
     return tuple(float(v) for v in value)
 
 
+def _text(value, key):
+    """A row's text field ``key``; ValueError if it is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"a row's {key} is a string, got {value!r}")
+    return value
+
+
 def rows_from_json(text):
     """Rows from a JSON list of row objects; ValueError if it is not one, if
-    a row's point is not four numbers, or if a row's ``pass`` disagrees with
-    its residual and tolerance."""
+    a row's suite, identity, paper_ref or element is not a string, if its
+    point is not four numbers, or if its ``pass`` disagrees with its
+    residual and tolerance."""
     data = json.loads(text)
     if not isinstance(data, list) or \
             not all(isinstance(obj, dict) for obj in data):
@@ -129,10 +137,10 @@ def rows_from_json(text):
     rows = []
     for obj in data:
         row = VerificationRow(
-            suite=obj.get("suite", ""),
-            identity=obj["identity"],
-            paper_ref=obj.get("paper_ref", ""),
-            element=obj.get("element", ""),
+            suite=_text(obj.get("suite", ""), "suite"),
+            identity=_text(obj["identity"], "identity"),
+            paper_ref=_text(obj.get("paper_ref", ""), "paper_ref"),
+            element=_text(obj.get("element", ""), "element"),
             point=None if obj.get("point") is None else _point(obj["point"]),
             residual=obj["residual"],
             tolerance=obj["tolerance"],

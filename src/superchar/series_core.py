@@ -13,18 +13,30 @@ r * i^a * (2 pi)^b * q^c, so sums, products, powers and inverses stay exact
 at every order, the powers of 2 pi i cancel exactly, and so do the
 rational q-offsets c of eta (1/24) and theta (1/8).  Coefficients are ints
 or Fractions; a sum of series whose prefactors differ in their powers of
-i, 2 pi or q is an error, not a rounding.  Products of dense blocks use
-Kronecker substitution: each block is packed into one Python integer and
-the two are multiplied once (D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009); a
-monomial factor only shifts the other block, and an infinite product of
-binomials is built in place on one int64 block when its coefficients fit
-a machine word.
+i, 2 pi or q is an error, not a rounding.
+
+A product of two blocks takes one of three routes, by the share of
+nonzero entries in the sparser factor:
+
+* a monomial (one entry) only shifts the other block, with no copy;
+* a factor with under an eighth of its entries nonzero, such as a power of
+  theta up to theta^2, adds one shifted, scaled copy of the other block
+  per nonzero entry, in int64 when sum |c| over those entries times the
+  other block's largest |entry| is below 2^63 (a bound on every product
+  coefficient) and in Python ints otherwise;
+* any other pair is packed by Kronecker substitution: each block becomes
+  one Python integer and the two are multiplied once (D. Harvey, "Faster
+  polynomial multiplication via multipoint Kronecker substitution",
+  J. Symb. Comput. 44, 2009).
+
+An infinite product of binomials is built in place on one int64 block when
+its coefficients fit a machine word.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -219,6 +231,49 @@ def _packed_product(a, b, n_rows, square):
                     dtype=object).reshape(n_rows, stride)
 
 
+#: The share of nonzero entries below which a factor is multiplied in as
+#: shifted copies.  Timed against the packed product at q^20-100 (Python
+#: 3.11, one core of a 2-core Xeon), the copies took 0.04-1.04 times as
+#: long for a theta mantissa (1-6% nonzero) times eta-powers, theta^2 and
+#: itself.  For theta^2 they took 0.17-1.03 times as long at 8-11% nonzero
+#: (q^56-100), 0.71-1.55 at 11-12% (q^42-54), 0.84-1.50 at 13% (q^40) and
+#: 1.5-1.7 at 17% (q^20).  A factor of many distinct large entries against
+#: a wide block past int64, which no series here has, took up to 3.4 times
+#: as long as copies at 6-13%.
+_COPIES_SHARE = 1 / 8
+
+
+def _shifted_copies(sparse, block, n_rows):
+    """The first ``n_rows`` rows of the product of two integer blocks (object
+    arrays), as one copy of ``block``, shifted by the entry's row and column
+    and scaled by its value, per nonzero entry of ``sparse``; rows past
+    ``n_rows`` are never formed, and the block is scaled once per distinct
+    value.  Each coefficient of the product sums at most one term c d per
+    nonzero entry c of sparse, d an entry of block, so it, each partial sum
+    and each term are at most sum |c| * max|d| in absolute value.  When that
+    bound is below 2^63 the copies add up in one int64 block, which no step
+    can overflow; otherwise they add up in Python ints."""
+    i, j = np.nonzero(sparse[:n_rows])
+    entries = sorted(zip(sparse[i, j].tolist(), i.tolist(), j.tolist()))
+    block = block[:n_rows]
+    try:
+        words = block.astype(np.int64)
+        top = max(int(words.max()), -int(words.min()))
+    except OverflowError:
+        top = 1 << 63
+    word = sum(abs(c) for c, _, _ in entries) * top < 1 << 63
+    if word:
+        block = words
+    height, width = block.shape
+    out = np.zeros((n_rows, sparse.shape[1] + width - 1), block.dtype)
+    for c, group in itertools.groupby(entries, key=lambda e: e[0]):
+        copy = c * block
+        for _, s, t in group:
+            h = min(height, n_rows - s)
+            out[s:s + h, t:t + width] += copy[:h]
+    return out.astype(object) if word else out
+
+
 class QYSeries:
     """Truncated Laurent series q^c sum_{n, r2} c_{n,r2} q^n y^(r2/2).
 
@@ -305,17 +360,23 @@ class QYSeries:
         """The rational power c of q that multiplies every term."""
         return Fraction(self.scale.c)
 
+    def _parts(self):
+        """The exponents n and r2 of the nonzero terms, sorted by (n, r2),
+        and each term's real or (when the prefactor holds i) imaginary part
+        as the correctly rounded double."""
+        i, j = np.nonzero(self.rows)
+        num, den = self.scale.ratio()
+        return ((self.n0 + i).tolist(), (self.r0 + 2 * j).tolist(),
+                [c * num / den for c in self.rows[i, j].tolist()])
+
     def terms(self):
         """The nonzero terms (n, r2, c), sorted by (n, r2), each c the
         correctly rounded complex double."""
         if self._terms is None:
-            i, j = np.nonzero(self.rows)
-            num, den = self.scale.ratio()
-            parts = [c * num / den for c in self.rows[i, j].tolist()]
+            ns, r2s, parts = self._parts()
             values = ([complex(0.0, x) for x in parts] if self.scale.a
                       else [complex(x) for x in parts])
-            self._terms = tuple(zip((self.n0 + i).tolist(),
-                                    (self.r0 + 2 * j).tolist(), values))
+            self._terms = tuple(zip(ns, r2s, values))
         return self._terms
 
     @property
@@ -410,6 +471,12 @@ class QYSeries:
                               self.n0, self.r0, scale, self.q_order)
 
     def __mul__(self, other):
+        """The product, truncated at the lesser q-order.  A scalar goes
+        into the prefactor; a monomial factor shifts the other block; a
+        factor with under ``_COPIES_SHARE`` of its entries nonzero is
+        multiplied in as shifted copies (``_shifted_copies``), and any
+        other pair of blocks as one packed integer product
+        (``_kronecker``).  Every route gives the same exact integers."""
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         if not isinstance(other, QYSeries):
@@ -429,8 +496,13 @@ class QYSeries:
         n_rows = min(q_order - n0 + 1, a.shape[0] + b.shape[0] - 1)
         if n_rows <= 0:
             return QYSeries({}, q_order)
-        return QYSeries._make(_kronecker(a, b, n_rows), n0, r0, scale,
-                              q_order)
+        shares = [np.count_nonzero(x) / x.size for x in (a, b)]
+        if min(shares) < _COPIES_SHARE:
+            sparse, block = (a, b) if shares[0] <= shares[1] else (b, a)
+            rows = _shifted_copies(sparse, block, n_rows)
+        else:
+            rows = _kronecker(a, b, n_rows)
+        return QYSeries._make(rows, n0, r0, scale, q_order)
 
     __rmul__ = __mul__
 
@@ -567,9 +639,15 @@ class QYSeries:
         return f"QYSeries[{body}{more}; q_order={self.q_order}]"
 
     def to_json_obj(self):
+        """The q-order, the y-parity and the terms as [n, r2, re, im],
+        written from the block with no complex built per term."""
+        ns, r2s, parts = self._parts()
+        terms = ([[n, r2, 0.0, x] for n, r2, x in zip(ns, r2s, parts)]
+                 if self.scale.a else
+                 [[n, r2, x, 0.0] for n, r2, x in zip(ns, r2s, parts)])
         return {"q_order": self.q_order,
                 "half_integral": self.half_integral,
-                "terms": [[n, r2, c.real, c.imag] for n, r2, c in self.terms()]}
+                "terms": terms}
 
 
 def infinite_product(binomials, n_q):
@@ -629,8 +707,10 @@ def euler_product(n_q, k=1):
         n p_n = sum_{j=1}^{n} ((k + 1) j - n) f_j p_{n-j}.
 
     The p_n are integers, so every division is exact; and only the about
-    sqrt(8 n / 3) pentagonal j have f_j != 0, whatever k is.  A negative
-    power costs as much as a positive one, with no series inverse."""
+    sqrt(8 n / 3) pentagonal j have f_j != 0, whatever k is: each sum runs
+    over the positive ones in increasing order and stops at the first
+    j > n.  A negative power costs as much as a positive one, with no
+    series inverse."""
     pentagonal = {}
     m = 0
     while m * (3 * m - 1) // 2 <= n_q:
@@ -639,10 +719,15 @@ def euler_product(n_q, k=1):
         m += 1
     if k == 1:
         return QYSeries({(j, 0): f for j, f in pentagonal.items()}, n_q)
+    steps = sorted((j, f) for j, f in pentagonal.items() if j > 0)
     p = [1] + [0] * max(n_q, 0)
     for n in range(1, n_q + 1):
-        p[n] = sum(((k + 1) * j - n) * f * p[n - j]
-                   for j, f in pentagonal.items() if 0 < j <= n) // n
+        total = 0
+        for j, f in steps:
+            if j > n:
+                break
+            total += ((k + 1) * j - n) * f * p[n - j]
+        p[n] = total // n
     return QYSeries._make(np.array(p, object)[:, None], 0, 0, Prefactor(),
                           n_q)
 

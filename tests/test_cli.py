@@ -420,6 +420,25 @@ class TestReport:
         assert "four numbers" in result.output
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("field", ["suite", "identity", "paper_ref",
+                                       "element"])
+    def test_non_string_field_is_usage_error(self, runner, tmp_path, fmt,
+                                             field):
+        # one row holds a number where the other holds a string: sorting
+        # the two rows would compare an int with a str
+        rows = [{"suite": "elliptic", "identity": "id", "paper_ref": "ref",
+                 "element": "el", "point": None, "residual": 0.0,
+                 "tolerance": 0.0, "pass": True, field: value}
+                for value in (1, "a")]
+        src = tmp_path / "rows.json"
+        src.write_text(json.dumps(rows))
+        result = runner.invoke(main, ["report", "--input", str(src),
+                                      "--format", fmt])
+        assert result.exit_code == 2, result.output
+        assert "bad report file" in result.output
+        assert f"a row's {field} is a string, got 1" in result.output
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_point_is_read_as_four_floats(self, runner, tmp_path, fmt):
         result = runner.invoke(main, ["report", "--input",
                                       self._row_at(tmp_path, [0.25, 1, 0, 3]),

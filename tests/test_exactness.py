@@ -4,6 +4,7 @@ references built here from plain integer dict products, one binomial
 factor at a time; the packed product and the inverse are compared with
 naive integer arithmetic."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from superchar.characters import chi_character, e8_lattice
 from superchar.jacobi_forms import phi_weak
-from superchar.series_core import QYSeries, _packed_product, euler_product
+from superchar.series_core import (EXACT_I, Prefactor, QYSeries,
+                                   _packed_product, _shifted_copies,
+                                   euler_product)
 
 
 def mul(a, b, n_q):
@@ -219,3 +222,88 @@ def test_packed_product_at_the_machine_word(width, sign):
         assert (_packed_product(a, b, n_rows, False) == naive[:n_rows]).all()
         assert (_packed_product(b, b, n_rows, True)
                 == sign * naive[:n_rows]).all()
+
+
+@st.composite
+def block_series(draw, parity, sparse):
+    """{(n, r2): int} on an r x w block, r >= 3 and w >= 6, from q^n0
+    y^(r0/2) with n0 and r0 down to -3 and -10, both corners nonzero: under
+    an eighth of its entries nonzero if ``sparse``, else at least an
+    eighth.  Coefficients run up to 2^90."""
+    r, w = draw(st.integers(3, 12)), draw(st.integers(6, 10))
+    n0 = draw(st.integers(-3, 3))
+    r0 = 2 * draw(st.integers(-5, 2)) + parity
+    cut = -(-r * w // 8)  # k nonzero entries are under an eighth iff k < cut
+    k = draw(st.integers(2, cut - 1) if sparse
+             else st.integers(cut, min(r * w, cut + 24)))
+    inner = draw(st.lists(st.integers(1, r * w - 2), unique=True,
+                          min_size=k - 2, max_size=k - 2))
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 90, 2 ** 90))
+    return {(n0 + cell // w, r0 + 2 * (cell % w)): draw(coeffs.filter(bool))
+            for cell in [0, r * w - 1] + inner}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shifted_copies_match_naive_convolution(data):
+    # a factor under or over an eighth of nonzero entries (shifted copies
+    # or a packed product), times itself or a series of either y-parity;
+    # the factor keeps every row while the product's q_order can cut its
+    # upper rows
+    sparse = data.draw(st.booleans())
+    a = data.draw(block_series(data.draw(st.integers(0, 1)), sparse))
+    top = max(n for n, _ in a)
+    if data.draw(st.booleans()):
+        q_order = data.draw(st.integers(top, top + 3))
+        left = right = QYSeries(a, q_order)
+        b = a
+    else:
+        q_order = data.draw(st.integers(-2, 14))
+        left = QYSeries(a, max(q_order, top))
+        b = data.draw(int_series(data.draw(st.integers(0, 1)),
+                                 data.draw(st.booleans())))
+        b = {k: c for k, c in b.items() if k[0] <= q_order}
+        right = QYSeries(b, q_order)
+    assert (np.count_nonzero(left.rows) / left.rows.size < 1 / 8) == sparse
+    prod = left * right
+    ref = mul(a, b, q_order)
+    keys = set(ref) | set(prod.coeffs)
+    assert {k: prod.exact_coeff(*k) for k in keys} == \
+        {k: ref.get(k, 0) for k in keys}
+
+
+@pytest.mark.parametrize("total, m", [(2 ** 63 - 1, 92737 * 649657),
+                                      (2 ** 63, 2 ** 31)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shifted_copies_at_the_machine_word(total, m, sign):
+    # two entries of one column, at q^0 and q^16, times a column of 17
+    # entries m: the coefficient at q^16 sums both terms, sum |c| * m =
+    # total, the bound that picks int64.  2^63 - 1 = 7^2 73 127 337 92737
+    # 649657 fits an int64; 2^63 must take Python ints.
+    s = total // m
+    assert s * m == total
+    sparse = np.zeros((17, 1), dtype=object)
+    sparse[0, 0], sparse[16, 0] = sign, sign * (s - 1)
+    block = np.full((17, 1), m, dtype=object)
+    naive = np.zeros((33, 1), dtype=object)
+    for i, k in np.ndindex(17, 17):
+        naive[i + k, 0] += sparse[i, 0] * block[k, 0]
+    assert naive[16, 0] == sign * total
+    for n_rows in (33, 17, 9):
+        assert (_shifted_copies(sparse, block, n_rows)
+                == naive[:n_rows]).all()
+    # through QYSeries, with m - 1 at q^16 so that no content divides out
+    a = QYSeries({(0, 0): sign, (16, 0): sign * (s - 1)}, 40)
+    b = QYSeries({(n, 0): m for n in range(16)} | {(16, 0): m - 1}, 40)
+    assert (a * b).exact_coeff(16) == sign * (total - 1)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), EXACT_I,
+                                   Prefactor(Fraction(-2, 7), 1, -3)])
+def test_json_terms_are_the_rounded_terms(scale):
+    # the prefactors 1/3, i and -2/7 i (2 pi)^-3, over a coefficient past
+    # 2^53 that the rounding changes
+    series = QYSeries({(-1, 1): 2 ** 60 + 1, (0, -3): -5, (2, 1): 7},
+                      4) * scale
+    expect = [[n, r2, c.real, c.imag] for n, r2, c in series.terms()]
+    assert json.dumps(series.to_json_obj()["terms"]) == json.dumps(expect)
