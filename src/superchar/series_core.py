@@ -15,19 +15,26 @@ rational q-offsets c of eta (1/24) and theta (1/8).  Coefficients are ints
 or Fractions; a sum of series whose prefactors differ in their powers of
 i, 2 pi or q is an error, not a rounding.
 
-A product of two blocks takes one of three routes, by the share of
-nonzero entries in the sparser factor:
+A product of two blocks takes one of three routes:
 
 * a monomial (one entry) only shifts the other block, with no copy;
-* a factor with under an eighth of its entries nonzero, such as a power of
-  theta up to theta^2, adds one shifted, scaled copy of the other block
-  per nonzero entry, in int64 when sum |c| over those entries times the
-  other block's largest |entry| is below 2^63 (a bound on every product
-  coefficient) and in Python ints otherwise;
-* any other pair is packed by Kronecker substitution: each block becomes
-  one Python integer and the two are multiplied once (D. Harvey, "Faster
-  polynomial multiplication via multipoint Kronecker substitution",
-  J. Symb. Comput. 44, 2009).
+* a y-free factor (one column) times a wider block, or any factor with
+  under an eighth of its entries nonzero (such as a power of theta up to
+  theta^2), goes as shifted copies: the factor with fewer nonzero entries
+  adds one shifted, scaled copy of the other block per nonzero entry.  The
+  copies add up in int64 when sum |c| over those entries times the other
+  block's largest |entry| is below 2^63 (a bound on every product
+  coefficient).  Otherwise each q-row (or y-column) of the copied block is
+  one Python integer of signed digits sized by that bound, and a copy is
+  one shifted multiple of each; which factor is copied, and along which
+  axis it is packed, is chosen by an estimate of the integer work;
+* any other pair, dense 2-D or both y-free, is packed by Kronecker
+  substitution: each block becomes one Python integer and the two are
+  multiplied once (D. Harvey, "Faster polynomial multiplication via
+  multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).
+
+Blocks go to and from digits of any width through numpy, as 64-bit limbs;
+only an entry past int64 is converted one Python int at a time.
 
 An infinite product of binomials is built in place on one int64 block when
 its coefficients fit a machine word.
@@ -162,16 +169,82 @@ def _half_digits(width, count):
     return int.from_bytes(half * count, "little")
 
 
+def _as_words(block):
+    """``block`` as an int64 array, or the block itself (Python ints) when
+    an entry does not fit."""
+    try:
+        return block.astype(np.int64)
+    except OverflowError:
+        return block
+
+
+def _max_abs(block):
+    """The largest |entry| of an int64 block or a block of Python ints."""
+    if block.dtype == object:
+        return max(map(abs, block.ravel().tolist()))
+    return int(np.abs(block).view(np.uint64).max())  # |-2^63| wraps to 2^63
+
+
+def _limbs(count, width):
+    """``count`` zeroed digits of ``width`` bytes as rows of 64-bit limbs,
+    and the half base 2^(8 width - 1) as it falls in the top limb."""
+    n = -(-width // 8)
+    half = np.uint64(1 << 8 * (width - 8 * n) + 63)
+    return np.zeros((count, n), "<i8"), half
+
+
+def _encode(block, width):
+    """The entries d of ``block`` in order as little-endian digits of
+    ``width`` bytes, each d + 2^(8 width - 1) (every |d| is below that).
+    An int64 block is written by numpy as 64-bit limbs: d in two's
+    complement, a negative d borrowing from every limb above the first,
+    and the half added to the top limb.  A block of Python ints is written
+    one digit at a time."""
+    flat = block.ravel()
+    if flat.dtype == object:
+        half = 1 << (8 * width - 1)
+        return b"".join([(d + half).to_bytes(width, "little")
+                         for d in flat.tolist()])
+    limbs, half = _limbs(flat.size, width)
+    if limbs.shape[1] > 1:
+        limbs[:, 1:] = (flat >> 63)[:, None]
+    limbs[:, 0] = flat
+    limbs.view(np.uint64)[:, -1] += half
+    return limbs.view(np.uint8)[:, :width].tobytes()
+
+
+def _decode(data, width):
+    """The digits that ``_encode`` writes, read back from ``data`` as a
+    flat object array of Python ints.  numpy reads each digit as 64-bit
+    limbs and takes the half off the top limb; a digit whose upper limbs
+    are not the sign of its low limb does not fit int64 and is read as a
+    Python int."""
+    count = len(data) // width
+    limbs, half = _limbs(count, width)
+    limbs.view(np.uint8)[:, :width] = np.frombuffer(
+        data, np.uint8).reshape(count, width)
+    limbs.view(np.uint64)[:, -1] -= half
+    low = limbs[:, 0]
+    values = low.astype(object)
+    if limbs.shape[1] > 1:
+        wide = (limbs[:, 1:] != (low >> 63)[:, None]).any(axis=1)
+        for k in np.flatnonzero(wide).tolist():
+            values[k] = int.from_bytes(data[k * width:(k + 1) * width],
+                                       "little") - (1 << 8 * width - 1)
+    return values
+
+
 def _kronecker(a, b, n_rows):
     """The first ``n_rows`` rows of the product of two integer blocks (object
-    arrays; rows are q-powers, columns whole y-powers).  Each block is
-    packed into one integer, one row (or column) per ``stride`` digits so
-    that product rows cannot overlap, in signed digits wide enough for every
-    product coefficient; one big-integer product then does the whole
-    convolution.  CPython multiplies integers of n and m < n digits in
-    about n m^0.585 steps, so q runs along the integer (columns packed one
-    after another) when that makes the smaller factor short enough, as for
-    a y-free factor."""
+    arrays; rows are q-powers, columns whole y-powers) that are either both
+    y-free or both wider than one column: a y-free factor times a wider
+    block goes to ``_shifted_copies``.  Each block is packed into one
+    integer, one row (or column) per ``stride`` digits so that product rows
+    cannot overlap, in signed digits wide enough for every product
+    coefficient; one big-integer product then does the whole convolution.
+    CPython multiplies integers of n and m < n digits in about n m^0.585
+    steps, so q runs along the integer (columns packed one after another)
+    when that makes the smaller factor short enough."""
     square = a is b
     a, b = a[:n_rows], b[:n_rows]
     (ra, wa), (rb, wb) = a.shape, b.shape
@@ -189,89 +262,137 @@ def _packed_product(a, b, n_rows, square):
     """The first ``n_rows`` rows of the product of two integer blocks, each
     packed row-major into one integer; masking off the low digits of the
     product truncates it.  The digit width comes from a bound of at least
-    max|a| max|b| (neither block is zero), so digits of at most 8 bytes
-    put every input and product coefficient in an int64: numpy then packs
-    and unpacks the whole block at once, where wider digits go one Python
-    int at a time."""
+    max|a| max|b| (neither block is zero), both maxima read from the int64
+    words of the blocks unless an entry does not fit.  ``_encode`` and
+    ``_decode`` move the digits of any width through numpy."""
     stride = a.shape[1] + b.shape[1] - 1
-    bound = (max(map(abs, a.ravel().tolist()))
-             * max(map(abs, b.ravel().tolist()))
+    a = _as_words(a)
+    b = a if square else _as_words(b)
+    top = _max_abs(a)
+    bound = (top * (top if square else _max_abs(b))
              * min(a.shape[0], b.shape[0]) * min(a.shape[1], b.shape[1]))
     width = bound.bit_length() // 8 + 1  # bytes per digit, sign included
-    half = 1 << (8 * width - 1)
-    word = width <= 8
 
     def pack(block):
-        padded = np.zeros((block.shape[0], stride),
-                          np.int64 if word else object)
+        padded = np.zeros((block.shape[0], stride), block.dtype)
         padded[:, :block.shape[1]] = block
-        if word:
-            digits = (padded.view(np.uint64) + np.uint64(half)).astype(
-                "<u8", copy=False)
-            data = digits.view(np.uint8).reshape(-1, 8)[:, :width].tobytes()
-        else:
-            data = b"".join([(c + half).to_bytes(width, "little")
-                             for c in padded.ravel().tolist()])
-        return int.from_bytes(data, "little") - _half_digits(width,
-                                                             padded.size)
+        return (int.from_bytes(_encode(padded, width), "little")
+                - _half_digits(width, padded.size))
 
     packed = pack(a)
     product = packed * (packed if square else pack(b))
     count = n_rows * stride
     mask = (1 << (8 * width * count)) - 1
     low = (product + _half_digits(width, count)) & mask
-    data = low.to_bytes(width * count, "little")
-    if word:
-        digits = np.zeros((count, 8), np.uint8)
-        digits[:, :width] = np.frombuffer(data, np.uint8).reshape(count, width)
-        values = (digits.view("<u8")[:, 0] - np.uint64(half)).view(np.int64)
-        return values.astype(object).reshape(n_rows, stride)
-    return np.array([int.from_bytes(data[k:k + width], "little") - half
-                     for k in range(0, len(data), width)],
-                    dtype=object).reshape(n_rows, stride)
+    return _decode(low.to_bytes(width * count, "little"),
+                   width).reshape(n_rows, stride)
 
 
 #: The share of nonzero entries below which a factor is multiplied in as
-#: shifted copies.  Timed against the packed product at q^20-100 (Python
-#: 3.11, one core of a 2-core Xeon), the copies took 0.04-1.04 times as
-#: long for a theta mantissa (1-6% nonzero) times eta-powers, theta^2 and
-#: itself.  For theta^2 they took 0.17-1.03 times as long at 8-11% nonzero
-#: (q^56-100), 0.71-1.55 at 11-12% (q^42-54), 0.84-1.50 at 13% (q^40) and
-#: 1.5-1.7 at 17% (q^20).  A factor of many distinct large entries against
-#: a wide block past int64, which no series here has, took up to 3.4 times
-#: as long as copies at 6-13%.
+#: shifted copies, whatever the shape of the other factor (a y-free factor
+#: times a wider block takes the copies at any share).  Timed against the
+#: packed product at q^20-100 (Python 3.11, one core of a 2-core Xeon), the
+#: copies took 0.04-1.04 times as long for a theta mantissa (1-6% nonzero)
+#: times eta-powers, theta^2 and itself.  For theta^2 they took 0.17-1.03
+#: times as long at 8-11% nonzero (q^56-100), 0.71-1.55 at 11-12% (q^42-54),
+#: 0.84-1.50 at 13% (q^40) and 1.5-1.7 at 17% (q^20).
 _COPIES_SHARE = 1 / 8
 
 
-def _shifted_copies(sparse, block, n_rows):
+def _copies(sparse):
+    """The nonzero entries (c, s, t) of ``sparse`` at row s and column t,
+    sorted, so that the entries of one value come together."""
+    i, j = np.nonzero(sparse)
+    return sorted(zip(sparse[i, j].tolist(), i.tolist(), j.tolist()))
+
+
+#: The cost of one Python integer operation (a shift, multiply or add)
+#: apart from its operands, in bytes of operand: about 0.13-0.25 us, as
+#: long as 0.2-0.5 KB of operand takes (Python 3.11, one core of a 2-core
+#: Xeon).
+_INT_OP_BYTES = 256
+
+
+def _shifted_copies(a, b, n_rows):
     """The first ``n_rows`` rows of the product of two integer blocks (object
-    arrays), as one copy of ``block``, shifted by the entry's row and column
-    and scaled by its value, per nonzero entry of ``sparse``; rows past
-    ``n_rows`` are never formed, and the block is scaled once per distinct
-    value.  Each coefficient of the product sums at most one term c d per
-    nonzero entry c of sparse, d an entry of block, so it, each partial sum
-    and each term are at most sum |c| * max|d| in absolute value.  When that
-    bound is below 2^63 the copies add up in one int64 block, which no step
-    can overflow; otherwise they add up in Python ints."""
-    i, j = np.nonzero(sparse[:n_rows])
-    entries = sorted(zip(sparse[i, j].tolist(), i.tolist(), j.tolist()))
-    block = block[:n_rows]
-    try:
-        words = block.astype(np.int64)
-        top = max(int(words.max()), -int(words.min()))
-    except OverflowError:
-        top = 1 << 63
-    word = sum(abs(c) for c, _, _ in entries) * top < 1 << 63
-    if word:
-        block = words
-    height, width = block.shape
-    out = np.zeros((n_rows, sparse.shape[1] + width - 1), block.dtype)
+    arrays), as one copy of one factor (the block), shifted by the entry's
+    row and column and scaled by its value, per nonzero entry of the other
+    (the sparse factor); rows past ``n_rows`` are never formed, and the
+    block is scaled once per distinct value.  Each coefficient of the
+    product sums at most one term c d per nonzero entry c of the sparse
+    factor, d an entry of the block, so it, each partial sum and each term
+    are at most sum |c| * max|d| in absolute value.
+
+    When that bound, with the factor of fewer nonzero entries as the sparse
+    one, is below 2^63, the copies add up in one int64 block, which no step
+    can overflow.  Otherwise they add up in Python ints of signed digits
+    sized by the bound (``_packed_copies``): either factor may then be the
+    block, packed one int per row (digits along y) or one per column
+    (digits along q, both blocks transposed).  The plan taken has the least
+    estimated cost: its count of integer operations, each weighed as
+    ``_INT_OP_BYTES`` plus the bytes of a packed row."""
+    a, b = a[:n_rows], b[:n_rows]
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    block = _as_words(b)
+    entries = _copies(a)
+    bound = sum(abs(c) for c, _, _ in entries) * _max_abs(block)
+    out_width = a.shape[1] + block.shape[1] - 1
+    if bound >= 1 << 63:
+        digit = bound.bit_length() // 8 + 1  # bytes, sign included
+        plans = []
+        for x, y in ((a, b), (b, a)):
+            (height, width), s = y.shape, np.nonzero(x)[0]
+            by_row = int(np.minimum(height, n_rows - s).sum())
+            plans.append((by_row * (_INT_OP_BYTES + digit * width), False,
+                          x, y))
+            plans.append((s.size * width * (_INT_OP_BYTES + digit * height),
+                          True, x, y))
+        _, by_column, sparse, block = min(plans, key=lambda p: p[:2])
+        if by_column:
+            return _packed_copies(sparse.T, block.T, out_width, n_rows,
+                                  digit).T
+        return _packed_copies(sparse, block, n_rows, out_width, digit)
+    height, width = block.shape  # every entry of block is in int64
+    out = np.zeros((n_rows, out_width), np.int64)
     for c, group in itertools.groupby(entries, key=lambda e: e[0]):
         copy = c * block
         for _, s, t in group:
             h = min(height, n_rows - s)
             out[s:s + h, t:t + width] += copy[:h]
-    return out.astype(object) if word else out
+    return out.astype(object)
+
+
+def _packed_copies(sparse, block, n_out, out_digits, digit):
+    """The first ``n_out`` rows of the product of two integer blocks, each
+    cut to its first ``out_digits`` columns, as shifted copies of ``block``
+    in Python ints.  Each row of the block is one int of signed
+    ``digit``-byte digits, and for each entry c at (s, t) of ``sparse``, row
+    i of the product adds c * row[i - s], shifted up by t digits.  Every
+    product coefficient is below half the digit base, so the rows are
+    decoded once at the end."""
+    width = block.shape[1]
+    data = _encode(_as_words(block), digit)
+    offset = _half_digits(digit, width)
+    rows = [int.from_bytes(data[k:k + digit * width], "little") - offset
+            for k in range(0, len(data), digit * width)]
+    acc = [0] * n_out
+    for c, group in itertools.groupby(_copies(sparse[:n_out]),
+                                      key=lambda e: e[0]):
+        group = list(group)
+        copy = rows[:n_out - group[0][1]]  # the group's least s comes first
+        if c != 1:
+            copy = [c * row for row in copy]
+        for _, s, t in group:
+            shift = 8 * digit * t
+            for k, row in enumerate(copy[:n_out - s], s):
+                acc[k] += row << shift if shift else row
+    offset = _half_digits(digit, out_digits)
+    mask = (1 << 8 * digit * out_digits) - 1
+    data = b"".join([((row + offset) & mask).to_bytes(digit * out_digits,
+                                                      "little")
+                     for row in acc])
+    return _decode(data, digit).reshape(n_out, out_digits)
 
 
 class QYSeries:
@@ -472,11 +593,13 @@ class QYSeries:
 
     def __mul__(self, other):
         """The product, truncated at the lesser q-order.  A scalar goes
-        into the prefactor; a monomial factor shifts the other block; a
-        factor with under ``_COPIES_SHARE`` of its entries nonzero is
-        multiplied in as shifted copies (``_shifted_copies``), and any
-        other pair of blocks as one packed integer product
-        (``_kronecker``).  Every route gives the same exact integers."""
+        into the prefactor; a monomial factor shifts the other block.  A
+        y-free factor times a wider block, or a pair in which a factor has
+        under ``_COPIES_SHARE`` of its entries nonzero, is multiplied as
+        shifted copies of one block per nonzero entry of the other
+        (``_shifted_copies``); any other pair of blocks as one packed
+        integer product (``_kronecker``).  Every route gives the same exact
+        integers."""
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         if not isinstance(other, QYSeries):
@@ -496,10 +619,11 @@ class QYSeries:
         n_rows = min(q_order - n0 + 1, a.shape[0] + b.shape[0] - 1)
         if n_rows <= 0:
             return QYSeries({}, q_order)
-        shares = [np.count_nonzero(x) / x.size for x in (a, b)]
-        if min(shares) < _COPIES_SHARE:
-            sparse, block = (a, b) if shares[0] <= shares[1] else (b, a)
-            rows = _shifted_copies(sparse, block, n_rows)
+        widths = sorted((a.shape[1], b.shape[1]))
+        if (widths[0] == 1 < widths[1]
+                or min(np.count_nonzero(x) / x.size for x in (a, b))
+                < _COPIES_SHARE):
+            rows = _shifted_copies(a, b, n_rows)
         else:
             rows = _kronecker(a, b, n_rows)
         return QYSeries._make(rows, n0, r0, scale, q_order)
@@ -656,7 +780,8 @@ def infinite_product(binomials, n_q):
 
     Each binomial is applied in place to one dense block, as one shifted
     add of its live columns: those whose lowest q-power, moved up by a,
-    is still at most n_q.  The block is int64 when the majorant
+    is still at most n_q (for c = -1, one subtraction with no scaled
+    temporary).  The block is int64 when the majorant
     prod (1 + |c| q^a) has every coefficient up to q^n_q below 2^63, and
     holds Python ints otherwise.  The majorant bounds every coefficient:
     the coefficients at q^n of a partial product, over all powers of y,
@@ -687,7 +812,11 @@ def infinite_product(binomials, n_q):
             s += 1
         while low[t] + a > n_q:
             t -= 1
-        block[a:, s + b:t + 1 + b] += c * block[:n_q + 1 - a, s:t + 1]
+        target = block[a:, s + b:t + 1 + b]
+        if c == -1:  # numpy buffers the overlap of source and target
+            np.subtract(target, block[:n_q + 1 - a, s:t + 1], out=target)
+        else:
+            target += c * block[:n_q + 1 - a, s:t + 1]
         np.minimum(low[s + b:t + 1 + b], low[s:t + 1] + a,
                    out=low[s + b:t + 1 + b])
         left, right = min(left, s + b), max(right, t + b)

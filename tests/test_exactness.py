@@ -5,6 +5,7 @@ factor at a time; the packed product and the inverse are compared with
 naive integer arithmetic."""
 
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -16,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from superchar.characters import chi_character, e8_lattice
 from superchar.jacobi_forms import phi_weak
-from superchar.series_core import (EXACT_I, Prefactor, QYSeries,
+from superchar import series_core
+from superchar.series_core import (EXACT_I, Prefactor, QYSeries, _decode,
+                                   _encode, _max_abs, _packed_copies,
                                    _packed_product, _shifted_copies,
                                    euler_product)
 
@@ -296,6 +299,132 @@ def test_shifted_copies_at_the_machine_word(total, m, sign):
     a = QYSeries({(0, 0): sign, (16, 0): sign * (s - 1)}, 40)
     b = QYSeries({(n, 0): m for n in range(16)} | {(16, 0): m - 1}, 40)
     assert (a * b).exact_coeff(16) == sign * (total - 1)
+
+
+def naive_blocks(a, b, n_rows):
+    """The first ``n_rows`` rows of the product of two integer blocks, one
+    pair of entries at a time."""
+    out = np.zeros((n_rows, a.shape[1] + b.shape[1] - 1), dtype=object)
+    for (i, j), c in np.ndenumerate(a):
+        for (k, l), d in np.ndenumerate(b):
+            if i + k < n_rows:
+                out[i + k, j + l] += c * d
+    return out
+
+
+def y_free_pair(bits, top, sign):
+    """A column of 9 mixed-sign entries and a 9 x 5 block whose largest
+    |entry| m is ``top``, or else sets sum |c| * m to ``bits`` bits.  The
+    block's first column makes the product at row 8 exactly ``sign`` times
+    that bound, and the block also holds zeros and small entries."""
+    rng = random.Random(bits or top)
+    column = [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(9)]
+    total = sum(map(abs, column))
+    m = top or ((1 << bits) - 1) // total
+    block = np.array([[rng.choice((0, 1, -2, m, -m, rng.randint(-m, m)))
+                       for _ in range(4)] for _ in range(9)], dtype=object)
+    first = [[sign * m * (1 if c > 0 else -1)] for c in reversed(column)]
+    block = np.hstack([np.array(first, dtype=object), block])
+    return np.array([column], dtype=object).T, block, total * m
+
+
+@pytest.mark.parametrize("bits, top", [
+    (62, None), (63, None),              # int64 copies
+    (64, None), (127, None),             # 9- and 16-byte digits: 2 limbs
+    (128, None), (191, None),            # 17- and 24-byte digits: 3 limbs
+    (None, 2 ** 63 - 1),                 # block entries at +-(2^63 - 1)
+    (None, 2 ** 63),                     # one block entry past int64
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_y_free_products_match_naive_loops(bits, top, sign):
+    column, block, bound = y_free_pair(bits, top, sign)
+    if bits:
+        assert bound.bit_length() == bits
+    naive = naive_blocks(column, block, 17)
+    assert naive[8, 0] == sign * bound
+    for n_rows in (17, 9, 3):
+        assert (_shifted_copies(column, block, n_rows)
+                == naive[:n_rows]).all()
+        assert (_shifted_copies(block, column, n_rows)
+                == naive[:n_rows]).all()
+    # through QYSeries in both orders, from q^-2 y^(-3/2), against the
+    # naive double loop over terms
+    a = {(n - 2, -1): c for n, c in enumerate(column[:, 0].tolist())}
+    b = {(n, 2 * j - 2): d for (n, j), d in np.ndenumerate(block) if d}
+    for q_order in (14, 4):
+        a, b = ({k: c for k, c in x.items() if k[0] <= q_order}
+                for x in (a, b))
+        ref = mul(a, b, q_order)
+        for prod in (QYSeries(a, q_order) * QYSeries(b, q_order),
+                     QYSeries(b, q_order) * QYSeries(a, q_order)):
+            keys = set(ref) | set(prod.coeffs)
+            assert {k: prod.exact_coeff(*k) for k in keys} == \
+                {k: ref.get(k, 0) for k in keys}
+
+
+@pytest.mark.parametrize("bits", [64, 127, 128, 191])
+def test_packed_copies_of_either_factor_by_rows_or_columns(bits):
+    # the four plans of the copies past int64: either factor copied, packed
+    # by rows or (both transposed) by columns; and a block times itself
+    column, block, bound = y_free_pair(bits, None, -1)
+    digit = bound.bit_length() // 8 + 1
+    naive = naive_blocks(column, block, 17)
+    for n_rows in (17, 9, 3):
+        for a, b in ((column, block), (block, column)):
+            assert (_packed_copies(a, b, n_rows, 5, digit)
+                    == naive[:n_rows]).all()
+            assert (_packed_copies(a.T, b.T, 5, n_rows, digit).T
+                    == naive[:n_rows]).all()
+    square = naive_blocks(block, block, 17)
+    digit = (sum(map(abs, block.ravel().tolist())) * max(
+        map(abs, block.ravel().tolist()))).bit_length() // 8 + 1
+    for n_rows in (17, 4):
+        assert (_packed_copies(block, block, n_rows, 9, digit)
+                == square[:n_rows]).all()
+        assert (_packed_copies(block.T, block.T, 9, n_rows, digit).T
+                == square[:n_rows]).all()
+        assert (_shifted_copies(block, block, n_rows) == square[:n_rows]).all()
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_digits_round_trip_at_every_width(width):
+    # the extreme digits +-(2^(8 width - 1) - 1), the int64 extremes that
+    # fit the width, and small entries of both signs: the int64 words are
+    # written by numpy as limbs, byte for byte as one Python int at a
+    # time, and read back exactly
+    top = (1 << (8 * width - 1)) - 1
+    entries = [0, 1, -1, 2, -3, top, -top]
+    entries += [x for x in (2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63, 2 ** 62)
+                if abs(x) <= top]
+    entries += [random.Random(width).randint(-top, top) for _ in range(5)]
+    objects = np.array(entries, dtype=object)
+    data = _encode(objects, width)
+    assert len(data) == width * len(entries)
+    assert (_decode(data, width) == objects).all()
+    words = [x for x in entries if -2 ** 63 <= x < 2 ** 63]
+    assert _encode(np.array(words, dtype=np.int64), width) == \
+        _encode(np.array(words, dtype=object), width)
+    assert _max_abs(np.array(words, dtype=np.int64)) == max(map(abs, words))
+
+
+def test_y_free_products_never_pack(monkeypatch):
+    # a y-free factor times a wider block goes to the shifted copies at
+    # every share and size of entries; a dense 2-D pair still packs
+    def refuse(a, b, n_rows):
+        raise AssertionError("packed a y-free product")
+
+    monkeypatch.setattr(series_core, "_kronecker", refuse)
+    for top in (5, 2 ** 63, 2 ** 150):
+        column, block, _ = y_free_pair(None, top, 1)
+        a = QYSeries({(n, 0): c for n, c in enumerate(column[:, 0].tolist())},
+                     12)
+        b = QYSeries({(n, 2 * j): d for (n, j), d in np.ndenumerate(block)},
+                     12)
+        assert (a * b).exact_coeff(8, 0) == top * sum(
+            map(abs, column[:, 0].tolist()))
+        assert b * a == a * b
+    with pytest.raises(AssertionError, match="packed"):
+        b * b
 
 
 @pytest.mark.parametrize("scale", [Fraction(1, 3), EXACT_I,
