@@ -103,16 +103,18 @@ def _write(text, output):
         sys.exit(3)
 
 
+def _series_text(head, key, s):
+    """The JSON document ``head`` with the series ``s`` as its last field
+    ``key``: its q-order, y-parity and terms, one term per line as
+    ``QYSeries.terms_json`` writes them from the exact block."""
+    doc = json.dumps({**head, key: {"q_order": s.q_order,
+                                    "half_integral": s.half_integral}})
+    return f'{doc[:-2]}, "terms": {s.terms_json()}}}}}'
+
+
 def _series_json(s):
-    return {"q_offset": str(s.q_offset), "series": s.to_json_obj()}
-
-
-def _echo_terms(doc):
-    """Print ``doc``, whose one list of lists is the terms of a series, as
-    JSON with one term per line: the C encoder writes it compactly, where
-    ``indent`` would take the pure-Python encoder, which costs more than
-    building most series."""
-    click.echo(json.dumps(doc).replace("], [", "],\n["))
+    """The document that ``series`` prints for ``s``, parsed."""
+    return json.loads(_series_text({"q_offset": str(s.q_offset)}, "series", s))
 
 
 def _series_registry(n_q):
@@ -195,7 +197,7 @@ def series(ctx, name, q_order):
         obj = make()
     except OverflowError as exc:  # zeta_bar, p_bar: x^(+-q_order)
         raise click.UsageError(str(exc))
-    _echo_terms(_series_json(obj))
+    click.echo(_series_text({"q_offset": str(obj.q_offset)}, "series", obj))
 
 
 @main.command("eval")
@@ -271,13 +273,12 @@ def character(ctx, lattice_path, mode, q_order):
         cs = ch.chi_character(lat, n_q, mode)
     except (ValueError, OverflowError) as exc:
         raise click.UsageError(str(exc))
-    _echo_terms({
+    click.echo(_series_text({
         "rank": lat.rank,
         "central_charge": str(cs.central_charge),
         "index": str(cs.index),
         "mode": mode,
-        "chi": cs.chi.to_json_obj(),
-    })
+    }, "chi", cs.chi))
 
 
 @main.command()

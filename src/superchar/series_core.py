@@ -38,6 +38,12 @@ only an entry past int64 is converted one Python int at a time.
 
 An infinite product of binomials is built in place on one int64 block when
 its coefficients fit a machine word.
+
+``QYSeries.terms_json`` writes the terms as JSON text from the block with
+one %-format over the nonzero entries: an integer coefficient of at most
+2^53 as its digits and ".0", any other as the repr of its nearest double.
+A series whose nonzero terms pass the y-exponent guard is refused before
+its block is allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import numpy as np
 
 DEFAULT_Q_ORDER = 20
 Y_EXPONENT_GUARD = 200  # |r2| <= 2 * Y_EXPONENT_GUARD
+_EXACT_DOUBLE = 1 << 53  # every integer up to this is a double
 
 
 class EvalPoint:
@@ -395,6 +402,14 @@ def _packed_copies(sparse, block, n_out, out_digits, digit):
     return _decode(data, digit).reshape(n_out, out_digits)
 
 
+def _check_y_guard(r2):
+    """Refuse a series whose largest |doubled y-exponent| is ``r2`` when it
+    lies past the guard."""
+    if r2 > 2 * Y_EXPONENT_GUARD:
+        raise OverflowError(f"y-exponent +-{r2}/2 exceeds the guard "
+                            f"+-{Y_EXPONENT_GUARD}")
+
+
 class QYSeries:
     """Truncated Laurent series q^c sum_{n, r2} c_{n,r2} q^n y^(r2/2).
 
@@ -425,6 +440,7 @@ class QYSeries:
         if len({r2 % 2 for (_, r2), _ in items}) > 1:
             raise ValueError(
                 "doubled y-exponents of both parities in one series")
+        _check_y_guard(max((abs(r2) for (_, r2), c in items if c), default=0))
         ns = [n for (n, _), _ in items] or [0]
         r2s = [r2 for (_, r2), _ in items] or [0]
         n0, r0 = min(ns), min(r2s)
@@ -441,10 +457,7 @@ class QYSeries:
             j = j.tolist()
             rows = rows[i[0]:i[-1] + 1, min(j):max(j) + 1]
             n0, r0 = n0 + int(i[0]), r0 + 2 * min(j)
-            r2 = max(-r0, r0 + 2 * rows.shape[1] - 2)
-            if r2 > 2 * Y_EXPONENT_GUARD:
-                raise OverflowError(f"y-exponent +-{r2}/2 exceeds the guard "
-                                    f"+-{Y_EXPONENT_GUARD}")
+            _check_y_guard(max(-r0, r0 + 2 * rows.shape[1] - 2))
             content = math.gcd(*rows.ravel().tolist())
             if content > 1:
                 rows, scale = rows // content, scale * content
@@ -481,23 +494,17 @@ class QYSeries:
         """The rational power c of q that multiplies every term."""
         return Fraction(self.scale.c)
 
-    def _parts(self):
-        """The exponents n and r2 of the nonzero terms, sorted by (n, r2),
-        and each term's real or (when the prefactor holds i) imaginary part
-        as the correctly rounded double."""
-        i, j = np.nonzero(self.rows)
-        num, den = self.scale.ratio()
-        return ((self.n0 + i).tolist(), (self.r0 + 2 * j).tolist(),
-                [c * num / den for c in self.rows[i, j].tolist()])
-
     def terms(self):
         """The nonzero terms (n, r2, c), sorted by (n, r2), each c the
         correctly rounded complex double."""
         if self._terms is None:
-            ns, r2s, parts = self._parts()
+            i, j = np.nonzero(self.rows)
+            num, den = self.scale.ratio()
+            parts = [c * num / den for c in self.rows[i, j].tolist()]
             values = ([complex(0.0, x) for x in parts] if self.scale.a
                       else [complex(x) for x in parts])
-            self._terms = tuple(zip(ns, r2s, values))
+            self._terms = tuple(zip((self.n0 + i).tolist(),
+                                    (self.r0 + 2 * j).tolist(), values))
         return self._terms
 
     @property
@@ -762,16 +769,32 @@ class QYSeries:
         more = "..." if len(terms) > 6 else ""
         return f"QYSeries[{body}{more}; q_order={self.q_order}]"
 
-    def to_json_obj(self):
-        """The q-order, the y-parity and the terms as [n, r2, re, im],
-        written from the block with no complex built per term."""
-        ns, r2s, parts = self._parts()
-        terms = ([[n, r2, 0.0, x] for n, r2, x in zip(ns, r2s, parts)]
-                 if self.scale.a else
-                 [[n, r2, x, 0.0] for n, r2, x in zip(ns, r2s, parts)])
-        return {"q_order": self.q_order,
-                "half_integral": self.half_integral,
-                "terms": terms}
+    def terms_json(self):
+        """The nonzero terms as JSON text, sorted by (n, r2), one
+        [n, r2, re, im] per line; re, or im when the prefactor holds i, is
+        the double nearest the coefficient and the other part is 0.0.  A
+        coefficient that is an integer of at most 2^53 is written as
+        "<integer>.0", which is the repr of its double; any other as the
+        repr of c * num / den."""
+        i, j = np.nonzero(self.rows)
+        if not i.size:
+            return "[]"
+        exact, rounded = (("[%d, %d, 0.0, %d.0]", "[%d, %d, 0.0, %r]")
+                          if self.scale.a else
+                          ("[%d, %d, %d.0, 0.0]", "[%d, %d, %r, 0.0]"))
+        num, den = self.scale.ratio()
+        values = _as_words(self.rows[i, j])
+        if den == 1 and values.dtype != object \
+                and _max_abs(values) * abs(num) <= _EXACT_DOUBLE:
+            values, forms = values * num, [exact] * i.size
+        else:
+            values = values.astype(object, copy=False) * num
+            fits = (np.abs(values) <= _EXACT_DOUBLE if den == 1
+                    else np.zeros(i.size, bool))
+            values[~fits] = [v / den for v in values[~fits].tolist()]
+            forms = np.where(fits, exact, rounded).tolist()
+        flat = np.column_stack((self.n0 + i, self.r0 + 2 * j, values))
+        return "[" + ",\n".join(forms) % tuple(flat.ravel().tolist()) + "]"
 
 
 def infinite_product(binomials, n_q):

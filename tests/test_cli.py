@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import pytest
@@ -101,6 +102,21 @@ class TestSeries:
         result = runner.invoke(main, ["series", "p_bar", "--q-order", "201"])
         assert result.exit_code == 2
         assert "exceeds the guard" in result.output
+
+    @pytest.mark.parametrize("q_order", ["60000", "100000000"])
+    def test_theta_past_the_y_guard_is_refused_before_its_block(
+            self, runner, q_order):
+        # the dense blocks would take about 300 MB and 20 TiB
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["series", "theta",
+                                          "--q-order", q_order])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert "exceeds the guard" in result.output
+        assert peak < 64 << 20
 
     def test_zeta_tilde_prints_u_terms(self, runner):
         # 2 pi i (1/u + u/12 - 2 q u - 6 q^2 u - u^3/720 + ...), u = 2 pi i t

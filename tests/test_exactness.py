@@ -71,7 +71,7 @@ def assert_exactly(series, ref):
     assert {k: series.exact_coeff(*k) for k in keys} == \
         {k: ref.get(k, 0) for k in keys}
     printed = {(n, r2): (re, im)
-               for n, r2, re, im in series.to_json_obj()["terms"]}
+               for n, r2, re, im in json.loads(series.terms_json())}
     assert printed == {k: (float(c), 0.0) for k, c in ref.items()}
 
 
@@ -163,7 +163,7 @@ def test_phi_m1_half_prints_correctly_rounded_values():
         expect = {k: (0.0, float(-c / (2 * mpmath.pi))) for k, c in ref.items()}
     series = phi_weak("phi_m1_half", n_q).offset_series
     assert {(n, r2): (re, im) for n, r2, re, im
-            in series.to_json_obj()["terms"]} == expect
+            in json.loads(series.terms_json())} == expect
 
 
 def test_inverse_is_exact():
@@ -435,4 +435,4 @@ def test_json_terms_are_the_rounded_terms(scale):
     series = QYSeries({(-1, 1): 2 ** 60 + 1, (0, -3): -5, (2, 1): 7},
                       4) * scale
     expect = [[n, r2, c.real, c.imag] for n, r2, c in series.terms()]
-    assert json.dumps(series.to_json_obj()["terms"]) == json.dumps(expect)
+    assert json.dumps(json.loads(series.terms_json())) == json.dumps(expect)
