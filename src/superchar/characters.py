@@ -54,7 +54,8 @@ class EvenLattice:
     def __init__(self, gram):
         for row in gram:
             for x in row:
-                if x in (math.inf, -math.inf) or x != int(x):
+                if isinstance(x, bool) or x in (math.inf, -math.inf) \
+                        or x != int(x):
                     raise ValueError(f"Gram entry {x!r} is not an integer")
         gram = [[int(x) for x in row] for row in gram]
         r = len(gram)

@@ -1,11 +1,11 @@
 """The verification checks, one function per suite, shared by
 ``superchar verify`` and the acceptance tests.
 
-Each suite function returns VerificationRows labelled with the suite's
-name; this is the one module that builds rows, from the series and
-residuals the other modules compute.  Where the acceptance tests check at
-other accuracy than ``verify`` (q-order, mode windows, points), the
-function takes those parameters; the defaults are what ``verify`` runs.
+Each suite function takes no arguments and returns VerificationRows
+labelled with the suite's name; this is the one module that builds rows,
+from the series and residuals the other modules compute.  The q-orders,
+mode windows and points a suite runs at are fixed here, so the acceptance
+tests certify exactly the rows that ``verify`` prints.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def suite(fn):
     """Register ``fn`` in SUITES under its name and label every row it
     returns with that name and the wall time of the call."""
     @functools.wraps(fn)
-    def run(*args, **kwargs):
+    def run():
         start = time.perf_counter()
-        rows = fn(*args, **kwargs)
+        rows = fn()
         elapsed = time.perf_counter() - start
         for r in rows:
             r.suite = fn.__name__
@@ -69,16 +69,15 @@ def triple_product():
 
 
 @suite
-def elliptic(q_order=10):
+def elliptic():
     """Exact coefficient identities of the zeta-bar / p-bar expansions
-    (integer series in q and x), the odd Laurent shape of zeta-tilde (exact,
-    in u = 2 pi i t), and its Taylor series against the numeric
-    evaluator."""
-    n_x = 10
-    zb = el.zeta_bar_series(n_x, q_order)
-    pb = el.p_bar_series(n_x, q_order)
-    zb_shift = el.zeta_bar_series(n_x, q_order, shift=1)
-    pb_shift = el.p_bar_series(n_x, q_order, shift=1)
+    (integer series in q and x, to x^10 q^10), the odd Laurent shape of
+    zeta-tilde (exact, in u = 2 pi i t), and its Taylor series against the
+    numeric evaluator."""
+    zb = el.zeta_bar_series(10, 10)
+    pb = el.p_bar_series(10, 10)
+    zb_shift = el.zeta_bar_series(10, 10, shift=1)
+    pb_shift = el.p_bar_series(10, 10, shift=1)
     zt = el.zeta_tilde_taylor(9, 16)
     # y stands for u = 2 pi i t: even powers of u have r2 = 0 mod 4
     rational = zt / EXACT_TWO_PI_I
@@ -111,25 +110,27 @@ _SUPER_ZETA_POINTS = tuple(
 
 
 @suite
-def super_zeta(tau=0.13 + 1.05j, alpha=0.21 + 0.08j,
-               points=_SUPER_ZETA_POINTS):
-    """The odd-translation lemma of the extended zeta function at each
-    (x, theta) in ``points``."""
-    q = cmath.exp(2j * cmath.pi * tau)
-    y = cmath.exp(2j * cmath.pi * alpha)
+def super_zeta():
+    """The odd-translation lemma of the extended zeta function at
+    (tau, alpha) = (0.13 + 1.05i, 0.21 + 0.08i) and each (x, theta) of
+    _SUPER_ZETA_POINTS."""
+    q = cmath.exp(2j * cmath.pi * (0.13 + 1.05j))
+    y = cmath.exp(2j * cmath.pi * (0.21 + 0.08j))
     return [Row("extended-zeta-quasi-periodicity",
                 "odd-translation-invariance", f"x={x:.4f}",
                 el.super_zeta_lemma_residual(x, theta, q, y), 1e-8)
-            for x, theta in points]
+            for x, theta in _SUPER_ZETA_POINTS]
 
 
 @suite
-def algebra(windows=((-2, 0, 1), (-1, 2), (0, 1))):
+def algebra():
     """Exact graded Jacobi identity over every triple (x, y, z) and the
     vector-field realization as a homomorphism over every pair (x, y), where
-    slot i ranges over L, J, Q, H at the modes of ``windows[i]`` and C."""
+    x, y and z range over L, J, Q, H at the modes (-2, 0, 1), (-1, 2) and
+    (0, 1), and C."""
     xs, ys, zs = ([sc.AlgebraVector.basis(g, m) for g in "LJQH" for m in w]
-                  + [sc.AlgebraVector.basis("C")] for w in windows)
+                  + [sc.AlgebraVector.basis("C")]
+                  for w in ((-2, 0, 1), (-1, 2), (0, 1)))
     worst = max(_max_abs(v) for v in sc.jacobi_residuals(xs, ys, zs))
     worst_h = max(sc.homomorphism_residuals(xs, ys))
     return [Row("graded-jacobi-identity", "mode-bracket-table",
@@ -215,36 +216,31 @@ _TRANSFORM_POINTS = (EvalPoint(0.2 + 1.1j, 0.31 + 0.07j),
 
 
 @suite
-def jacobi_forms(point=EvalPoint(0.2 + 1.1j, 0.23 + 0.11j), t=0.17 + 0.05j,
-                 forms=("theta",), shifts=(1,), radius=None):
-    """The normalization of phi_{-1,1/2} at point.tau, the transformation
-    laws of phi_{-2,1}, and for each of ``forms`` the shift law of its
-    quasi-periodic ratio at ``t`` for each lambda in ``shifts`` and its
-    first Taylor coefficient (FFT on a circle of ``radius``, if given) at
-    ``point``; every form is expanded to q^30."""
+def jacobi_forms():
+    """The normalization of phi_{-1,1/2} at tau, the transformation laws of
+    phi_{-2,1}, and at (tau, alpha) = (0.2 + 1.1i, 0.23 + 0.11i) the shift
+    law of the theta form's quasi-periodic ratio at t = 0.17 + 0.05i under
+    lambda = 1 and its first Taylor coefficient; every form is expanded to
+    q^30."""
+    point = EvalPoint(0.2 + 1.1j, 0.23 + 0.11j)
     lead = jf.phi_weak("phi_m1_half", 30).alpha_derivative(
         1, EvalPoint(point.tau))
-    rows = [Row("phi-m1-half-leading-coefficient", "theta-normalization",
-                "alpha-derivative", abs(lead - 1.0), 1e-8)]
-    rows += _transformation_rows(
-        jf.phi_weak("phi_m2_1", 30),
-        [("shift", 1, 0), ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)],
-        _TRANSFORM_POINTS, 1e-6, "weak-jacobi-transformation")
-    fft = {} if radius is None else {"radius": radius}
-    for name in forms:
-        form = (jf.theta_form(30) if name == "theta"
-                else jf.phi_weak(name, 30))
-        for lam in shifts:
-            rows.append(Row("ratio-shift-law", "quasi-periodic-ratio",
-                            f"{name},lambda={lam}",
-                            jf.lemma_shift_residual(form, t, point, lam),
-                            1e-6, point=point.as_tuple()))
-        f1 = jf.quasi_jacobi_coeffs(form, 1, point, **fft)[1]
-        rows.append(Row("ratio-taylor-coefficient",
-                        "normalized-ratio-expansion", f"{name},F1",
-                        abs(f1 - jf.expected_f1(form, point)), 1e-6,
-                        point=point.as_tuple()))
-    return rows
+    theta = jf.theta_form(30)
+    f1 = jf.quasi_jacobi_coeffs(theta, point)[1]
+    return [
+        Row("phi-m1-half-leading-coefficient", "theta-normalization",
+            "alpha-derivative", abs(lead - 1.0), 1e-8),
+        *_transformation_rows(
+            jf.phi_weak("phi_m2_1", 30),
+            [("shift", 1, 0), ("sl2", 0, -1, 1, 0), ("sl2", 1, 1, 0, 1)],
+            _TRANSFORM_POINTS, 1e-6, "weak-jacobi-transformation"),
+        Row("ratio-shift-law", "quasi-periodic-ratio", "theta,lambda=1",
+            jf.lemma_shift_residual(theta, 0.17 + 0.05j, point, 1), 1e-6,
+            point=point.as_tuple()),
+        Row("ratio-taylor-coefficient", "normalized-ratio-expansion",
+            "theta,F1", abs(f1 - jf.expected_f1(theta, point)), 1e-6,
+            point=point.as_tuple()),
+    ]
 
 
 @suite
@@ -261,25 +257,25 @@ def cusp():
 
 
 @suite
-def characters(q_order=10, fock_q_order=4):
-    """The E8 character: product against closed form to q^q_order, and
-    against the Fock state sum to q^fock_q_order, its L0/J0 trace
-    insertions against q d/dq and y d/dy of the product; the E8 theta
-    series against vector enumeration to q^fock_q_order."""
+def characters():
+    """The E8 character: product against closed form to q^10, and against
+    the Fock state sum to q^4, its L0/J0 trace insertions against q d/dq
+    and y d/dy of the product; the E8 theta series against vector
+    enumeration to q^4."""
     lat = ch.e8_lattice()
-    prod = ch.chi_character(lat, q_order, "product").chi
-    closed = ch.chi_character(lat, q_order, "closed").chi
-    counts = ch.count_vectors_by_norm(lat, fock_q_order)
-    fock = ch.fock_oracle(lat, fock_q_order, counts=counts)
-    theta = ch.lattice_theta(lat, fock_q_order)
-    # each difference with the Fock side stops at q^fock_q_order
+    prod = ch.chi_character(lat, 10, "product").chi
+    closed = ch.chi_character(lat, 10, "closed").chi
+    counts = ch.count_vectors_by_norm(lat, 4)
+    fock = ch.fock_oracle(lat, 4, counts=counts)
+    theta = ch.lattice_theta(lat, 4)
+    # each difference with the Fock side stops at q^4
     rows = [
-        Row("character-product-vs-closed", "character-formulas",
-            f"E8,q^{q_order}", (prod - closed).max_abs_coeff(), 0.0),
-        Row("character-vs-fock-oracle", "supertrace-state-sum",
-            f"E8,q^{fock_q_order}", (prod - fock).max_abs_coeff(), 0.0),
+        Row("character-product-vs-closed", "character-formulas", "E8,q^10",
+            (prod - closed).max_abs_coeff(), 0.0),
+        Row("character-vs-fock-oracle", "supertrace-state-sum", "E8,q^4",
+            (prod - fock).max_abs_coeff(), 0.0),
         Row("lattice-theta-vs-enumeration", "lattice-theta-modularity",
-            f"E8,q^{fock_q_order}",
+            "E8,q^4",
             max(abs(theta.exact_coeff(n) - c)
                 for n, c in enumerate(counts)), 0.0),
     ]

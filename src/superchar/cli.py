@@ -19,7 +19,7 @@ from . import elliptic as el
 from . import jacobi_forms as jf
 from .checks import SUITES
 from .grassmann import berezinian  # noqa: F401 (perfbench/spans.py wraps it)
-from .report import emit_report, format_sig, rows_from_json
+from .report import emit_report, format_sig, is_number, rows_from_json
 from .series_core import DEFAULT_Q_ORDER, EvalPoint
 
 DEFAULTS = {"q_order": DEFAULT_Q_ORDER, "format": "pretty"}
@@ -36,29 +36,34 @@ def _parse_complex(text):
     return z
 
 
-def _resolve(ctx_obj, flag_value, key):
-    """The flag if given, else the config value, else the default (None
-    for a key without one)."""
-    if flag_value is not None:
-        return flag_value
-    return ctx_obj.get(key, DEFAULTS.get(key))
-
-
 def _setting(ctx, flag_value, key, convert):
-    """``convert`` of the resolved value of ``key`` (None stays None); a
-    value it rejects, which can only come from the config file, is a usage
-    error."""
-    value = _resolve(ctx.obj, flag_value, key)
-    if value is None:
-        return None
+    """``convert`` of the flag if given, else of the config value of
+    ``key``, else of its default (None for a key without one); a value it
+    rejects, which can only come from the config file, is a usage error."""
+    value = ctx.obj.get(key, DEFAULTS.get(key)) if flag_value is None \
+        else flag_value
     try:
         return convert(value)
     except (TypeError, ValueError):
         raise click.UsageError(f"bad {key} in config: {value!r}")
 
 
+def _int(value):
+    """``value`` if it is an int and not a bool, else TypeError."""
+    if not (is_number(value) and isinstance(value, int)):
+        raise TypeError(value)
+    return value
+
+
+def _float(value):
+    """None stays None, a number (not a bool) becomes a float."""
+    if value is not None and not is_number(value):
+        raise TypeError(value)
+    return value if value is None else float(value)
+
+
 def _q_order(ctx, flag_value):
-    n_q = _setting(ctx, flag_value, "q_order", int)
+    n_q = _setting(ctx, flag_value, "q_order", _int)
     if n_q < 0:
         raise click.UsageError(f"q-order must be >= 0, got {n_q}")
     return n_q
@@ -243,7 +248,7 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
 def verify(ctx, suites, fmt, tolerance, output):
     """Run verification suites and emit a report; exits 1 on any failure."""
     fmt = _setting(ctx, fmt, "format", _format)
-    tolerance = _setting(ctx, tolerance, "tolerance", float)
+    tolerance = _setting(ctx, tolerance, "tolerance", _float)
     if tolerance is not None and not tolerance >= 0:  # NaN compares False
         raise click.UsageError(f"tolerance must be >= 0, got {tolerance}")
     runs = [_choose("suite", nm, SUITES) for nm in suites or sorted(SUITES)]

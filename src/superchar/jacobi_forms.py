@@ -197,16 +197,6 @@ def phi_weak(name, n_q=DEFAULT_Q_ORDER):
     raise ValueError(f"unknown weak Jacobi form {name!r}")
 
 
-def phi_10_1_eisenstein_numeric(point, cutoff=40):
-    """phi_10_1 from the Eisenstein side: (E_6 E_{4,1} - E_4 E_{6,1})/144,
-    with E_4 and E_6 to q^DEFAULT_Q_ORDER."""
-    e41 = jacobi_eisenstein_numeric(4, 1, point, cutoff)
-    e61 = jacobi_eisenstein_numeric(6, 1, point, cutoff)
-    v4 = eisenstein_e4().evaluate(point)[0]
-    v6 = eisenstein_e6().evaluate(point)[0]
-    return (v6 * e41 - v4 * e61) / 144.0
-
-
 # ---------------------------------------------------------------------------
 # quasi-periodicity ratios and their Taylor data
 # ---------------------------------------------------------------------------
@@ -221,36 +211,37 @@ def lemma_ratio(form, t, point):
     return num / den
 
 
-def lemma_shift_residual(form, t, point, lam, mu=0):
+def lemma_shift_residual(form, t, point, lam):
     """Relative residual of the ratio transformation law
-    R(t + lam tau + mu) = e^{-4 pi i m lam alpha} R(t)."""
-    shifted = lemma_ratio(form, t + lam * point.tau + mu, point)
+    R(t + lam tau) = e^{-4 pi i m lam alpha} R(t)."""
+    shifted = lemma_ratio(form, t + lam * point.tau, point)
     base = lemma_ratio(form, t, point)
     factor = cmath.exp(-2.0 * TWO_PI_I * float(form.index) * lam * point.alpha)
     rhs = factor * base
     return abs(shifted - rhs) / max(abs(shifted), abs(rhs), 1e-30)
 
 
-def quasi_jacobi_coeffs(form, i_max, point, radius=0.02):
-    """Taylor coefficients F_1..F_{i_max} of the normalized ratio
+def quasi_jacobi_coeffs(form, point):
+    """The Taylor coefficients (F_0, F_1) of the normalized ratio
 
         g(t) = [f(tau, t+alpha)/f(tau, t)] * t^{2m} * a_{2m} / f(tau, alpha),
 
     where 2m is the order of vanishing of f at alpha = 0 and a_{2m} its
-    leading Taylor coefficient; g(0) = 1 and g(t) = 1 + sum F_i t^i.
-    Extracted by sampling g at 64 points on a circle |t| = radius and
-    taking an FFT.
+    leading Taylor coefficient; g(t) = sum F_i t^i with F_0 = g(0) = 1.
+    Extracted by sampling g at 64 points on a circle |t| = 0.02 and taking
+    an FFT.  g has no pole at t = -alpha, only a zero, so the circle need
+    not shrink with alpha: at alpha = 0.004 it gives F_1 to 1e-14 relative,
+    better than a circle of radius alpha / 10.
     """
     two_m = int(2 * form.index)
     fact = math.factorial(two_m)
     a_lead = form.alpha_derivative(two_m, EvalPoint(point.tau)) / fact
     f_alpha = form.evaluate(point)
-    ts = radius * np.exp(TWO_PI_I * np.arange(64) / 64)
+    ts = 0.02 * np.exp(TWO_PI_I * np.arange(64) / 64)
     vals = np.array([lemma_ratio(form, t, point) * t ** two_m * a_lead
                      / f_alpha for t in ts])
     taylor = np.fft.fft(vals) / len(ts)
-    coeffs = [taylor[i] / radius ** i for i in range(i_max + 1)]
-    return [complex(c) for c in coeffs]
+    return complex(taylor[0]), complex(taylor[1] / 0.02)
 
 
 def expected_f1(form, point):

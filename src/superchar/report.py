@@ -109,25 +109,31 @@ def emit_report(rows, fmt):
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
+def is_number(value):
+    """Whether ``value`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _point(value):
     """A row's point as four floats; ValueError if it is not four numbers."""
-    if not (isinstance(value, list) and len(value) == 4 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value)):
+    if not (isinstance(value, list) and len(value) == 4
+            and all(map(is_number, value))):
         raise ValueError(f"a point is a list of four numbers, got {value!r}")
     return tuple(float(v) for v in value)
 
 
-def _text(value, key):
-    """A row's text field ``key``; ValueError if it is not a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"a row's {key} is a string, got {value!r}")
+def _field(value, key, kind):
+    """A row's field ``key``; ValueError if it is not a ``kind``, which is
+    "string" or "number"."""
+    if not (is_number(value) if kind == "number" else isinstance(value, str)):
+        raise ValueError(f"a row's {key} is a {kind}, got {value!r}")
     return value
 
 
 def rows_from_json(text):
     """Rows from a JSON list of row objects; ValueError if it is not one, if
     a row's suite, identity, paper_ref or element is not a string, if its
+    residual, tolerance or elapsed_s (unless null) is not a number, if its
     point is not four numbers, or if its ``pass`` disagrees with its
     residual and tolerance."""
     data = json.loads(text)
@@ -137,15 +143,15 @@ def rows_from_json(text):
     rows = []
     for obj in data:
         row = VerificationRow(
-            suite=_text(obj.get("suite", ""), "suite"),
-            identity=_text(obj["identity"], "identity"),
-            paper_ref=_text(obj.get("paper_ref", ""), "paper_ref"),
-            element=_text(obj.get("element", ""), "element"),
+            suite=_field(obj.get("suite", ""), "suite", "string"),
+            identity=_field(obj["identity"], "identity", "string"),
+            paper_ref=_field(obj.get("paper_ref", ""), "paper_ref", "string"),
+            element=_field(obj.get("element", ""), "element", "string"),
             point=None if obj.get("point") is None else _point(obj["point"]),
-            residual=obj["residual"],
-            tolerance=obj["tolerance"],
+            residual=_field(obj["residual"], "residual", "number"),
+            tolerance=_field(obj["tolerance"], "tolerance", "number"),
             elapsed_s=None if obj.get("elapsed_s") is None
-            else float(obj["elapsed_s"]),
+            else float(_field(obj["elapsed_s"], "elapsed_s", "number")),
         )
         if obj["pass"] is not row.passed:
             raise ValueError(

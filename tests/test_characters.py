@@ -126,7 +126,7 @@ class TestEvenLattice:
         with pytest.raises(ValueError):
             EvenLattice([[2, 3], [3, 2]])
 
-    @pytest.mark.parametrize("entry", [0.5, math.inf, math.nan, "2"])
+    @pytest.mark.parametrize("entry", [0.5, math.inf, math.nan, "2", True])
     def test_rejects_non_integral_entries(self, entry):
         with pytest.raises(ValueError):
             EvenLattice([[2, entry], [entry, 2]])
@@ -242,7 +242,7 @@ class TestCharacter:
     def test_product_vs_closed(self):
         # eta^{-C} has the integral q-offset -r/16 for r = 16 and 24: a
         # closed form that folded it into the mantissa would lose a row
-        for lattice, n_q in [(e8_lattice(), 10), (e8_power(2), 25),
+        for lattice, n_q in [(e8_lattice(), 15), (e8_power(2), 25),
                              (d_plus(16), 25), (e8_power(3), 25)]:
             prod = chi_character(lattice, n_q, "product")
             closed = chi_character(lattice, n_q, "closed")
@@ -325,12 +325,13 @@ class TestCharacter:
 
     def test_product_matches_fock_oracle(self):
         lat = e8_lattice()
-        orc = fock_oracle(lat, 5)
-        prod = chi_character(lat, 5, "product").chi
-        keys = set(orc.coeffs) | set(prod.coeffs)
-        worst = max(abs(orc.exact_coeff(*k) - prod.exact_coeff(*k))
-                    for k in keys)
-        assert worst == 0
+        for n_q in (5, 6):
+            orc = fock_oracle(lat, n_q)
+            prod = chi_character(lat, n_q, "product").chi
+            keys = set(orc.coeffs) | set(prod.coeffs)
+            worst = max(abs(orc.exact_coeff(*k) - prod.exact_coeff(*k))
+                        for k in keys)
+            assert worst == 0, n_q
 
     def test_oracle_coefficients_are_integers(self):
         orc = fock_oracle(e8_lattice(), 4)
@@ -352,6 +353,12 @@ class TestTraceInsertions:
         for row in rows:
             assert row.passed
             assert row.residual == 0.0
+        # and past the suite's Fock order q^4
+        fock = fock_oracle(e8_lattice(), 6)
+        prod = chi_character(e8_lattice(), 6, "product").chi
+        for insertion, diff in (("L0", prod.q_d_dq()), ("J0", prod.y_d_dy())):
+            inserted = fock_weighted_trace(fock, insertion)
+            assert (inserted - diff).max_abs_coeff() == 0, insertion
 
     def test_insertion_values_differ_from_plain(self):
         plain = fock_oracle(e8_lattice(), 3)

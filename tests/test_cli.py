@@ -455,6 +455,26 @@ class TestReport:
         assert f"a row's {field} is a string, got 1" in result.output
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("field", ["residual", "tolerance", "elapsed_s"])
+    def test_non_number_field_is_usage_error(self, runner, tmp_path, fmt,
+                                             field):
+        # "0" would read as the number 0.0 and change the file on the
+        # round trip; a bool is not a JSON number either
+        for value in ("0", True):
+            row = {"suite": "elliptic", "identity": "id", "paper_ref": "ref",
+                   "element": "el", "point": None, "residual": 0.0,
+                   "tolerance": 0.0, "pass": True, "elapsed_s": 0.5,
+                   field: value}
+            src = tmp_path / "rows.json"
+            src.write_text(json.dumps([row]))
+            result = runner.invoke(main, ["report", "--input", str(src),
+                                          "--format", fmt])
+            assert result.exit_code == 2, result.output
+            assert "bad report file" in result.output
+            assert f"a row's {field} is a number, got {value!r}" \
+                in result.output
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
     def test_point_is_read_as_four_floats(self, runner, tmp_path, fmt):
         result = runner.invoke(main, ["report", "--input",
                                       self._row_at(tmp_path, [0.25, 1, 0, 3]),
@@ -568,7 +588,8 @@ class TestConfig:
         assert result.exit_code == 2
         assert "tolerance must be >= 0" in result.output
 
-    @pytest.mark.parametrize("value", ["nan", -1])
+    # json writes and reads a float NaN as the bare literal NaN
+    @pytest.mark.parametrize("value", [math.nan, -1])
     def test_nan_or_negative_config_tolerance_is_usage_error(
             self, runner, tmp_path, value):
         cfg = tmp_path / "cfg.json"
@@ -587,7 +608,13 @@ class TestConfig:
     @pytest.mark.parametrize("config, args", [
         ({"format": "xml"}, ["verify", "--suite", "flatness"]),
         ({"q_order": "abc"}, ["series", "eta"]),
-    ], ids=["format", "q_order"])
+        ({"q_order": 2.7}, ["series", "eta"]),
+        ({"q_order": True}, ["series", "eta"]),
+        ({"q_order": None}, ["series", "eta"]),
+        ({"tolerance": "1e-3"}, ["verify", "--suite", "flatness"]),
+        ({"tolerance": True}, ["verify", "--suite", "flatness"]),
+    ], ids=["format", "q_order", "q_order-float", "q_order-bool",
+            "q_order-null", "tolerance-string", "tolerance-bool"])
     def test_bad_config_value_is_usage_error(self, runner, tmp_path, config,
                                              args):
         cfg = tmp_path / "cfg.json"

@@ -409,6 +409,8 @@ class TestSuperZeta:
     def test_lemma_grid(self):
         thetas = [GrassmannNumber(0.0), odd(1.0, 0.0), odd(0.0, 1.0),
                   odd(0.3, 0.7), odd(-0.5, 0.25)]
-        for theta in thetas:
-            r = super_zeta_lemma_residual(self.X, theta, Q, self.Y)
-            assert r < 1e-8
+        for t in (0.13, 0.21 + 0.04j, 0.35 - 0.02j, 0.08 + 0.09j, 0.44):
+            x = cmath.exp(2j * cmath.pi * t)
+            for theta in thetas:
+                r = super_zeta_lemma_residual(x, theta, Q, self.Y)
+                assert r < 1e-8, (t, theta)

@@ -9,8 +9,8 @@ from superchar import characters, jacobi_forms
 from superchar.jacobi_forms import (
     discriminant_series, eisenstein_e4, eisenstein_e6, eta_series,
     expected_f1, jacobi_eisenstein_numeric,
-    lemma_ratio, lemma_shift_residual, phi_10_1_eisenstein_numeric, phi_weak,
-    quasi_jacobi_coeffs, theta_form, theta_offset_series, transformation_check,
+    lemma_ratio, lemma_shift_residual, phi_weak, quasi_jacobi_coeffs,
+    theta_form, theta_offset_series, transformation_check,
 )
 from superchar.series_core import (
     EXACT_TWO_PI_I, EvalPoint, Prefactor, QYSeries,
@@ -109,8 +109,9 @@ class TestTheta:
 class TestWeakForms:
     def test_phi_m1_half_leading_coefficient(self):
         f = phi_weak("phi_m1_half", 25)
-        lead = f.alpha_derivative(1, EvalPoint(0.2 + 1.1j))
-        assert abs(lead - 1.0) < 1e-8
+        for tau in (0.2 + 1.1j, POINT.tau):
+            lead = f.alpha_derivative(1, EvalPoint(tau))
+            assert abs(lead - 1.0) < 1e-8
 
     def test_phi_m2_1_is_square(self):
         f1 = phi_weak("phi_m1_half", 25)
@@ -130,10 +131,16 @@ class TestWeakForms:
             phi_weak("nope", 10)
 
     def test_phi_10_1_matches_eisenstein_combination(self):
+        # phi_{10,1} = (E_6 E_{4,1} - E_4 E_{6,1}) / 144, the numeric
+        # Jacobi-Eisenstein sums as the independent oracle
         f = phi_weak("phi_10_1", 40)
+        v4 = eisenstein_e4(40)
+        v6 = eisenstein_e6(40)
         for pt in (POINT, EvalPoint(-0.3 + 1.35j, 0.21 - 0.06j)):
+            e4, e6 = v4.evaluate(pt)[0], v6.evaluate(pt)[0]
+            b = (e6 * jacobi_eisenstein_numeric(4, 1, pt, cutoff=80)
+                 - e4 * jacobi_eisenstein_numeric(6, 1, pt, cutoff=80)) / 144
             a = f.evaluate(pt)
-            b = phi_10_1_eisenstein_numeric(pt, cutoff=80)
             assert abs(a - b) < 1e-3 * max(abs(a), abs(b))
 
     def test_phi_12_1_matches_eisenstein_combination(self):
@@ -255,9 +262,10 @@ class TestRatioLemma:
                 assert abs(r) < 1e-6
 
     def test_integer_shift_invariance(self):
+        # R(t + 1) = R(t)
         f = phi_weak("phi_m2_1", 30)
-        r = lemma_shift_residual(f, 0.31, POINT, 0, mu=1)
-        assert abs(r) < 1e-10
+        shifted, base = (lemma_ratio(f, t, POINT) for t in (1.31, 0.31))
+        assert abs(shifted - base) < 1e-10 * abs(base)
 
     def test_pole_guard(self):
         f = phi_weak("phi_m1_half", 30)
@@ -267,7 +275,7 @@ class TestRatioLemma:
     def test_f1_closed_form(self):
         for name in ("phi_m1_half", "phi_m2_1"):
             f = phi_weak(name, 30)
-            c = quasi_jacobi_coeffs(f, 1, POINT, radius=0.01)
+            c = quasi_jacobi_coeffs(f, POINT)
             assert abs(c[0] - 1.0) < 1e-10  # normalization g(0) = 1
             assert abs(c[1] - expected_f1(f, POINT)) < 1e-6
 
@@ -277,7 +285,7 @@ class TestRatioLemma:
         pt = EvalPoint(0.2 + 1.1j, 0.23 + 0.11j)
         for f in (theta_form(30), phi_weak("phi_m1_half", 30),
                   phi_weak("phi_m2_1", 30)):
-            f1 = quasi_jacobi_coeffs(f, 1, pt)[1]
+            f1 = quasi_jacobi_coeffs(f, pt)[1]
             assert abs(f1 - expected_f1(f, pt)) < 1e-10, f.name
 
     def test_f1_pole_asymptotics(self):
@@ -286,7 +294,7 @@ class TestRatioLemma:
         f = phi_weak("phi_m1_half", 30)
         alpha = 0.004
         pt = EvalPoint(0.13 + 1.21j, alpha)
-        c = quasi_jacobi_coeffs(f, 1, pt, radius=0.0004)
+        c = quasi_jacobi_coeffs(f, pt)
         assert abs(c[1] - 1.0 / alpha) < 0.05 * abs(1.0 / alpha)
 
 

@@ -32,7 +32,6 @@ ALLOWED = {
     "superconformal.homomorphism_residual": "perfbench",
     "cli._series_json": "perfbench",
     # references that tests compare the package against
-    "jacobi_forms.phi_10_1_eisenstein_numeric": "oracle",
     "series_core.QYSeries.__eq__": "oracle",
     "series_core.QYSeries.y_substitute_one": "oracle",
     "grassmann.GrassmannNumber.components": "oracle",

@@ -35,6 +35,8 @@ def scaled(v, s):
 
 
 BASIS = [basis(g, m) for g in "LJQH" for m in range(-2, 3)] + [basis("C")]
+WIDE_BASIS = ([basis(g, m) for g in "LJQH" for m in range(-4, 5)]
+              + [basis("C")])
 
 
 class TestBracketTable:
@@ -100,6 +102,10 @@ class TestJacobiIdentity:
                 for z in BASIS:
                     assert vec_is_zero(jacobi_residual(x, y, z)), \
                         (x, y, z)
+        # modes -4..4 in every slot, through the scan
+        for triple, r in zip(itertools.product(WIDE_BASIS, repeat=3),
+                             jacobi_residuals(*[WIDE_BASIS] * 3)):
+            assert vec_is_zero(r), triple
 
 
 def ref_basis_bracket(g1, m, g2, n):
@@ -318,6 +324,10 @@ class TestVectorFieldRealization:
             for y in BASIS:
                 r = homomorphism_residual(x, y)
                 assert r == 0, (x, y, r)
+        # modes -4..4 in both slots, through the scan
+        for pair, r in zip(itertools.product(WIDE_BASIS, repeat=2),
+                           homomorphism_residuals(WIDE_BASIS, WIDE_BASIS)):
+            assert r == 0, (pair, r)
 
     def test_central_charge_killed(self):
         # the realization sends C to zero: brackets with central terms
