@@ -156,10 +156,25 @@ def _on_lattice(alpha, tau):
     return n.denominator == 1 and (a_re - n * t_re).denominator == 1
 
 
+def _series_evaluator(name, make):
+    """point -> (value, last-shell bound) of ``make()``; a series past the y
+    guard, or with no term (no shell to bound by), is a usage error."""
+    def run(point):
+        try:
+            s = make()
+        except OverflowError as exc:
+            raise click.UsageError(str(exc))
+        if not s.rows.size:
+            raise click.UsageError(f"{name} keeps no term at q-order "
+                                   f"{s.q_order}")
+        return s.evaluate(point)
+    return run
+
+
 def _eval_registry(n_q):
     """{name: point -> (value, error bound)}: the last q-shell of a series,
     the rounding and stopping-rule tail of a row sum."""
-    reg = {name: (lambda p, make=make: make().evaluate(p))
+    reg = {name: _series_evaluator(name, make)
            for name, make in _series_registry(n_q).items()
            if name not in _LATTICE_POLES and name != "triple_product"}
     reg["zeta_bar"] = lambda p: el.zeta_bar_eval(p.y, p.q)
@@ -220,13 +235,14 @@ def eval_cmd(ctx, name, tau, alpha, q_order):
     try:
         point = EvalPoint(tau_c, alpha_c)
         if name in _LATTICE_POLES and _on_lattice(alpha_c, tau_c):
-            raise ZeroDivisionError
+            raise click.UsageError(f"{name} has a pole at alpha = {alpha} "
+                                   f"(alpha in Z + Z tau, tau = {tau})")
         value, bound = run(point)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
-    except ZeroDivisionError:
-        raise click.UsageError(f"{name} has a pole at alpha = {alpha} "
-                               f"(alpha in Z + Z tau, tau = {tau})")
+    except (ZeroDivisionError, OverflowError):
+        raise click.UsageError(f"{name}: y or x leaves the double range at "
+                               f"Im alpha = {alpha_c.imag:g}")
     click.echo(json.dumps({
         "name": name,
         "tau": [tau_c.real, tau_c.imag],

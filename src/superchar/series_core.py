@@ -29,9 +29,10 @@ A product of two blocks takes one of three routes:
   one shifted multiple of each; which factor is copied, and along which
   axis it is packed, is chosen by an estimate of the integer work;
 * any other pair, dense 2-D or both y-free, is packed by Kronecker
-  substitution: each block becomes one Python integer and the two are
-  multiplied once (D. Harvey, "Faster polynomial multiplication via
-  multipoint Kronecker substitution", J. Symb. Comput. 44, 2009).
+  substitution: each block becomes one Python integer, its q-rows one after
+  another, and the two are multiplied once (D. Harvey, "Faster polynomial
+  multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+  44, 2009).  Packing always runs along q, one way for every shape.
 
 Blocks go to and from digits of any width through numpy, as 64-bit limbs;
 only an entry past int64 is converted one Python int at a time.
@@ -63,16 +64,18 @@ _EXACT_DOUBLE = 1 << 53  # every integer up to this is a double
 
 class EvalPoint:
     """A numeric evaluation point (tau, alpha) with tau in the upper half
-    plane; q = exp(2 pi i tau), y = exp(2 pi i alpha)."""
+    plane; q = exp(2 pi i tau), y = exp(2 pi i alpha).  Re tau and Re alpha
+    are reduced exactly mod 24, a multiple of every period (1 for q and y, 2
+    for y^(1/2), 8 and 24 for q^(1/8) and q^(1/24)); |Re| <= 12 is kept."""
 
     __slots__ = ("tau", "alpha")
 
     def __init__(self, tau, alpha=0.0):
-        tau = complex(tau)
+        tau, alpha = complex(tau), complex(alpha)
         if tau.imag <= 0:
             raise ValueError(f"tau must lie in the upper half plane, got {tau}")
-        self.tau = tau
-        self.alpha = complex(alpha)
+        self.tau = complex(math.remainder(tau.real, 24), tau.imag)
+        self.alpha = complex(math.remainder(alpha.real, 24), alpha.imag)
 
     @property
     def q(self):
@@ -241,40 +244,20 @@ def _decode(data, width):
     return values
 
 
-def _kronecker(a, b, n_rows):
-    """The first ``n_rows`` rows of the product of two integer blocks (object
-    arrays; rows are q-powers, columns whole y-powers) that are either both
-    y-free or both wider than one column: a y-free factor times a wider
-    block goes to ``_shifted_copies``.  Each block is packed into one
-    integer, one row (or column) per ``stride`` digits so that product rows
-    cannot overlap, in signed digits wide enough for every product
-    coefficient; one big-integer product then does the whole convolution.
-    CPython multiplies integers of n and m < n digits in about n m^0.585
-    steps, so q runs along the integer (columns packed one after another)
-    when that makes the smaller factor short enough."""
+def _packed_product(a, b, n_rows):
+    """The first ``n_rows`` rows of the product of two integer blocks
+    (object arrays, both y-free or both wider than one column), by Kronecker
+    substitution along q: each block, cut to ``n_rows`` rows, is packed row
+    after row into one integer, ``stride`` digits per row so that product
+    rows cannot overlap, in signed digits wider than a bound of at least
+    max|a| max|b| on every product coefficient (both maxima read from int64
+    words unless an entry does not fit).  One integer product, a square
+    when ``a is b``, does the whole convolution; masking off its low digits
+    truncates it."""
     square = a is b
-    a, b = a[:n_rows], b[:n_rows]
-    (ra, wa), (rb, wb) = a.shape, b.shape
-
-    def cost(x, y):
-        return max(x, y) * min(x, y) ** 0.585
-
-    if (cost(wa, wb) * (ra + rb - 1) ** 1.585
-            < cost(ra, rb) * (wa + wb - 1) ** 1.585):
-        return _packed_product(a.T, b.T, wa + wb - 1, square).T[:n_rows]
-    return _packed_product(a, b, n_rows, square)
-
-
-def _packed_product(a, b, n_rows, square):
-    """The first ``n_rows`` rows of the product of two integer blocks, each
-    packed row-major into one integer; masking off the low digits of the
-    product truncates it.  The digit width comes from a bound of at least
-    max|a| max|b| (neither block is zero), both maxima read from the int64
-    words of the blocks unless an entry does not fit.  ``_encode`` and
-    ``_decode`` move the digits of any width through numpy."""
+    a = _as_words(a[:n_rows])
+    b = a if square else _as_words(b[:n_rows])
     stride = a.shape[1] + b.shape[1] - 1
-    a = _as_words(a)
-    b = a if square else _as_words(b)
     top = _max_abs(a)
     bound = (top * (top if square else _max_abs(b))
              * min(a.shape[0], b.shape[0]) * min(a.shape[1], b.shape[1]))
@@ -604,9 +587,9 @@ class QYSeries:
         y-free factor times a wider block, or a pair in which a factor has
         under ``_COPIES_SHARE`` of its entries nonzero, is multiplied as
         shifted copies of one block per nonzero entry of the other
-        (``_shifted_copies``); any other pair of blocks as one packed
-        integer product (``_kronecker``).  Every route gives the same exact
-        integers."""
+        (``_shifted_copies``); any other pair of blocks as one product of
+        two integers, each packing its block's q-rows one after another
+        (``_packed_product``).  Every route gives the same exact integers."""
         if isinstance(other, _SCALARS):
             return self._scaled(other)
         if not isinstance(other, QYSeries):
@@ -632,7 +615,7 @@ class QYSeries:
                 < _COPIES_SHARE):
             rows = _shifted_copies(a, b, n_rows)
         else:
-            rows = _kronecker(a, b, n_rows)
+            rows = _packed_product(a, b, n_rows)
         return QYSeries._make(rows, n0, r0, scale, q_order)
 
     __rmul__ = __mul__

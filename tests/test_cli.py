@@ -257,6 +257,44 @@ class TestEval:
         assert result.exit_code == 0
         assert abs(complex(*json.loads(result.output)["value"])) < 1e3
 
+    @pytest.mark.parametrize("name, alpha", [
+        ("phi_m2_1", "0.3+30i"), ("wp2", "0.3+200i"),
+        ("zeta_bar", "0.3+120i")])
+    def test_y_out_of_double_range_is_usage_error(self, runner, name,
+                                                  alpha):
+        # off Z + Z i, but y^(r2/2) (phi_m2_1) or x (wp2, zeta_bar)
+        # underflows to 0 at this Im alpha: no pole, and no value either
+        result = runner.invoke(
+            main, ["eval", name, "--tau", "1i", "--alpha", alpha])
+        assert result.exit_code == 2
+        assert "leaves the double range" in result.output
+        assert "pole" not in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("name", ["discriminant", "phi_10_1",
+                                      "phi_12_1"])
+    def test_q_order_that_keeps_no_term_is_usage_error(self, runner, name):
+        # each starts at q^1: at q-order 0 there is no shell to bound by
+        result = runner.invoke(main, ["eval", name, "--tau", "0.1+0.9i",
+                                      "--alpha", "0.3", "--q-order", "0"])
+        assert result.exit_code == 2
+        assert f"{name} keeps no term at q-order 0" in result.output
+
+    @pytest.mark.parametrize("name", ["e4", "wp3", "phi_m2_1"])
+    @pytest.mark.parametrize("far", [("1e17+1i", "0.25"),
+                                     ("1i", f"{0.25 + 2 ** 40!r}")],
+                             ids=["far-tau", "far-alpha"])
+    def test_far_real_parts_are_reduced_exactly(self, runner, name, far):
+        # Re tau and Re alpha are reduced mod 24 before q and y are formed
+        def value(tau, alpha):
+            result = runner.invoke(main, ["eval", name, "--tau", tau,
+                                          "--alpha", alpha])
+            assert result.exit_code == 0
+            return complex(*json.loads(result.output)["value"])
+
+        near = value("1i", "0.25")
+        assert abs(value(*far) - near) <= 1e-12 * max(1.0, abs(near))
+
 
 class TestVerify:
     def test_triple_product_passes(self, runner):

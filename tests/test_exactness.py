@@ -208,23 +208,35 @@ def test_packed_product_matches_naive_convolution(data):
 @pytest.mark.parametrize("width", [8, 9])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_product_at_the_machine_word(width, sign):
-    # 3 x 3 blocks of +-m, checkerboard signs: every product coefficient
-    # is a sum of like-signed terms, and the centre one is +-9 m^2, the
-    # bound that sets the digit width.  9 m^2 just below 2^63 takes 8-byte
-    # digits, packed through int64; just above, 9-byte digits.
-    m = isqrt((2 ** 63 - 1) // 9) + (width == 9)
-    assert (9 * m * m).bit_length() // 8 + 1 == width
-    checker = np.array([[(-1) ** (i + j) * m for j in range(3)]
-                        for i in range(3)], dtype=object)
-    a, b = sign * checker, checker
-    naive = np.zeros((5, 5), dtype=object)
-    for i, j, k, l in np.ndindex(3, 3, 3, 3):
-        naive[i + k, j + l] += a[i, j] * b[k, l]
-    assert abs(naive[2, 2]) == 9 * m * m
-    for n_rows in (5, 3):
-        assert (_packed_product(a, b, n_rows, False) == naive[:n_rows]).all()
-        assert (_packed_product(b, b, n_rows, True)
-                == sign * naive[:n_rows]).all()
+    # r x w blocks of +-m, checkerboard signs: every product coefficient
+    # is a sum of like-signed terms, and the one at (r - 1, w - 1) is
+    # +-r w m^2, the bound that sets the digit width.  r w m^2 just below
+    # 2^63 takes 8-byte digits, packed through int64; just above, 9-byte
+    # digits.  The 2 x 40 and 40 x 2 pairs are the extreme shapes, packed
+    # by q-rows like any other.
+    for r, w in ((3, 3), (2, 40), (40, 2)):
+        m = isqrt((2 ** 63 - 1) // (r * w)) + (width == 9)
+        assert (r * w * m * m).bit_length() // 8 + 1 == width
+        checker = np.array([[(-1) ** (i + j) * m for j in range(w)]
+                            for i in range(r)], dtype=object)
+        a, b = sign * checker, checker
+        naive = naive_blocks(a, b, 2 * r - 1)
+        assert abs(naive[r - 1, w - 1]) == r * w * m * m
+        for n_rows in (2 * r - 1, r):
+            assert (_packed_product(a, b, n_rows) == naive[:n_rows]).all()
+            assert (_packed_product(b, b, n_rows)
+                    == sign * naive[:n_rows]).all()
+        # through QYSeries, from q^-1 y^(-w/2), with m - 1 in a's first
+        # entry so that its content is 1, cut by the q-order or not
+        for q_order in (2 * r - 4, r - 3):
+            x, y = ({(i - 1, 2 * j - w): c for (i, j), c in np.ndenumerate(
+                block) if i - 1 <= q_order} for block in (a, b))
+            x[(-1, -w)] = sign * (m - 1)
+            ref = mul(x, y, q_order)
+            prod = QYSeries(x, q_order) * QYSeries(y, q_order)
+            keys = set(ref) | set(prod.coeffs)
+            assert {k: prod.exact_coeff(*k) for k in keys} == \
+                {k: ref.get(k, 0) for k in keys}
 
 
 @st.composite
@@ -413,7 +425,7 @@ def test_y_free_products_never_pack(monkeypatch):
     def refuse(a, b, n_rows):
         raise AssertionError("packed a y-free product")
 
-    monkeypatch.setattr(series_core, "_kronecker", refuse)
+    monkeypatch.setattr(series_core, "_packed_product", refuse)
     for top in (5, 2 ** 63, 2 ** 150):
         column, block, _ = y_free_pair(None, top, 1)
         a = QYSeries({(n, 0): c for n, c in enumerate(column[:, 0].tolist())},
